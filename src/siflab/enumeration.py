@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._accel import sweep_pairs
+from ._accel import powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
 from .siftypes import (
@@ -119,7 +119,12 @@ def enumerate_systems(
 
 
 class BitUniverse:
-    """Bit-parallel encoding of a trace universe of at most 64 traces."""
+    """Bit-parallel encoding of a trace universe of at most 64 traces.
+
+    Verdicts come from sweeping the whole powerset, so they need at most
+    24 traces; each witness table is swept once and its verdict vector is
+    cached.
+    """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
         if len(traces) > 64:
@@ -140,7 +145,7 @@ class BitUniverse:
             for i, t in enumerate(self.traces):
                 eq[i] = groups[view(t, comp)]
             self._eq[comp] = eq
-        self._sweep_cache: dict[tuple, np.ndarray] = {}
+        self._verdicts: dict[PropertyKind | SifType, np.ndarray] = {}
 
     @classmethod
     def standard(cls, alphabet_size: int = 2, max_prefix: int = 0, max_cycle: int = 1) -> "BitUniverse":
@@ -178,37 +183,29 @@ class BitUniverse:
         return table
 
     def all_system_masks(self, include_empty: bool = False) -> np.ndarray:
-        if self.n > 24:
-            raise CapExceeded(f"2^{self.n} systems is too many to materialize", 1 << 24)
         start = 0 if include_empty else 1
-        return np.arange(start, 1 << self.n, dtype=np.uint64)
+        return np.arange(start, powerset_size(self.n), dtype=np.uint64)
 
-    def sweep(self, table: np.ndarray, systems: np.ndarray | None = None) -> np.ndarray:
-        """Run the pair sweep; returns a boolean verdict per system."""
-        if systems is None:
-            systems = self.all_system_masks()
-        out = sweep_pairs(table.reshape(-1), systems, self.n)
-        return out.astype(bool)
+    def _select(self, key: PropertyKind | SifType, make_table, systems: np.ndarray | None) -> np.ndarray:
+        """Verdicts over ``systems`` (default: all nonempty) from the cached
+        vector of ``key``, which holds one verdict per mask 0 .. 2^n - 1."""
+        verdicts = self._verdicts.get(key)
+        if verdicts is None:
+            verdicts = sweep_pairs(make_table(), self.all_system_masks(include_empty=True), self.n)
+            verdicts.flags.writeable = False
+            self._verdicts[key] = verdicts
+        return verdicts[1:] if systems is None else verdicts[systems]
 
     def property_ok(self, kind: PropertyKind, systems: np.ndarray | None = None) -> np.ndarray:
-        """Property verdicts over ``systems`` (default: all nonempty), cached."""
+        """Property verdicts over ``systems`` (default: all nonempty)."""
         kind = PropertyKind(kind)
-        key = ("prop", kind, None if systems is None else systems.tobytes())
-        if key not in self._sweep_cache:
-            if kind is PropertyKind.DGNI:
-                self._sweep_cache[key] = self.property_ok(PropertyKind.GNI, systems) & self.property_ok(
-                    PropertyKind.RGNI, systems
-                )
-            else:
-                self._sweep_cache[key] = self.sweep(self.property_table(kind), systems)
-        return self._sweep_cache[key]
+        if kind is PropertyKind.DGNI:
+            return self.property_ok(PropertyKind.GNI, systems) & self.property_ok(PropertyKind.RGNI, systems)
+        return self._select(kind, lambda: self.property_table(kind), systems)
 
     def type_ok(self, t: SifType, systems: np.ndarray | None = None) -> np.ndarray:
-        """Closure verdicts over ``systems`` (default: all nonempty), cached."""
-        key = ("type", t, None if systems is None else systems.tobytes())
-        if key not in self._sweep_cache:
-            self._sweep_cache[key] = self.sweep(self.type_table(t), systems)
-        return self._sweep_cache[key]
+        """Closure verdicts over ``systems`` (default: all nonempty)."""
+        return self._select(t, lambda: self.type_table(t), systems)
 
     def system_from_mask(self, mask: int) -> System:
         return System(self.space, (self.traces[i] for i in range(self.n) if mask >> i & 1))

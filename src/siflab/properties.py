@@ -119,6 +119,19 @@ def union_system(ss: StrategySystem) -> System:
     return System(ss.space, traces)
 
 
+def injectivity_offenders(ss: StrategySystem) -> list[str]:
+    """Names of the families that own no trace outside the other families."""
+    offenders = []
+    for name, fam in ss.families:
+        others: set = set()
+        for other_name, other in ss.families:
+            if other_name != name:
+                others |= other.traces
+        if fam.traces <= others:
+            offenders.append(name)
+    return offenders
+
+
 def check_injectivity(ss: StrategySystem) -> bool:
     """True when every family owns a trace no other family produces.
 
@@ -126,14 +139,7 @@ def check_injectivity(ss: StrategySystem) -> bool:
     both necessary and sufficient for the distinguishability requirement
     NOS rests on.
     """
-    for name, fam in ss.families:
-        others: set = set()
-        for other_name, other in ss.families:
-            if other_name != name:
-                others |= other.traces
-        if not (fam.traces - others):
-            return False
-    return True
+    return not injectivity_offenders(ss)
 
 
 def check_nos(ss: StrategySystem) -> bool:

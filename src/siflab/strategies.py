@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import FormatError, ProtocolError, RunExplosion
-from .properties import StrategySystem, check_injectivity
+from .properties import StrategySystem, injectivity_offenders
 from .traces import LassoTrace, System, TraceSpace, canonicalize
 
 Symbol = str
@@ -302,15 +302,8 @@ def family_h_view_determined(ss: StrategySystem) -> bool:
 
 def strategy_injectivity_report(ss: StrategySystem) -> tuple[bool, list[str]]:
     """Injectivity verdict plus the offending family names."""
-    offenders = []
-    for name, fam in ss.families:
-        others: set = set()
-        for other_name, other in ss.families:
-            if other_name != name:
-                others |= other.traces
-        if not (fam.traces - others):
-            offenders.append(name)
-    return check_injectivity(ss), offenders
+    offenders = injectivity_offenders(ss)
+    return not offenders, offenders
 
 
 def _user_protocol_from_obj(obj, label: str) -> UserProtocol:

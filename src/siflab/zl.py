@@ -78,8 +78,7 @@ class AsyncSystem:
         self._hash = hash((decl, tset))
 
     def low(self, t: EventTrace) -> EventTrace:
-        lows = set(self.decl.low_events)
-        return tuple(e for e in t if e in lows)
+        return low_projection(t, self.decl)
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.traces

@@ -109,31 +109,70 @@ def test_view_eq_mask_bits_mirror_view_equality(bit_universe):
                 assert bit == (view(t, comp) == view(u, comp)), (comp, i, j)
 
 
-def test_sweep_verdicts_match_the_plain_checker_on_random_masks(bit_universe):
-    bu = bit_universe
+def _mixed_period_universe() -> BitUniverse:
+    """20 binary traces of period at most 2 whose views re-canonicalize.
+
+    ``ho`` is always 0.  ``lo`` is 0 throughout, or 1 on a period-1 trace.
+    The twelve period-2 traces vary only in ``hi`` and ``li``, so their
+    single-component views ``ho`` and ``lo`` shrink to period 1.  Eight of
+    them vary in only one input, so their ``H`` or ``L`` view shrinks too
+    and meets the views of the period-1 traces.
+    """
+    space, traces = standard_universe(max_cycle=2)
+
+    def symbols(t, position):  # a step is (hi, li, ho, lo)
+        return {step[position] for step in t.cycle}
+
+    ho, lo = 2, 3
+    chosen = [
+        t
+        for t in traces
+        if symbols(t, ho) == {"0"} and (symbols(t, lo) == {"0"} or (symbols(t, lo) == {"1"} and len(t.cycle) == 1))
+    ]
+    period2 = [t for t in chosen if len(t.cycle) == 2]
+    assert len(chosen) == 20 and len(period2) == 12
+    assert all(len(view(t, Component.LO).cycle) == 1 for t in period2)
+    assert sum(len(view(t, H_VIEW).cycle) == 1 or len(view(t, L_VIEW).cycle) == 1 for t in period2) == 8
+    return BitUniverse(space, chosen)
+
+
+@pytest.fixture(scope="module")
+def mixed_universe():
+    return _mixed_period_universe()
+
+
+def _random_masks(rng, n, count):
+    """``count`` uniform nonempty masks, then as many with 1 to 4 members."""
+    masks = [rng.randrange(1, 1 << n) for _ in range(count)]
+    masks += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, 4))) for _ in range(count)]
+    return masks
+
+
+def test_sweep_verdicts_match_the_plain_checker_on_random_masks(bit_universe, mixed_universe):
     rng = random.Random(31)
-    masks = [rng.randrange(1, 1 << 16) for _ in range(120)]
-    arr = np.array(masks, dtype=np.uint64)
-    for kind in PropertyKind:
-        got = bu.property_ok(kind, arr)
-        for m, verdict in zip(masks, got):
-            s = bu.system_from_mask(m)
-            assert bool(verdict) == check_property(kind, s)
-            assert bool(verdict) == brute_property(kind.value, s.members)
+    for bu in (bit_universe, mixed_universe):
+        masks = _random_masks(rng, bu.n, 120)
+        arr = np.array(masks, dtype=np.uint64)
+        for kind in PropertyKind:
+            got = bu.property_ok(kind, arr)
+            for m, verdict in zip(masks, got):
+                s = bu.system_from_mask(m)
+                assert bool(verdict) == check_property(kind, s)
+                assert bool(verdict) == brute_property(kind.value, s.members)
 
 
-def test_type_sweeps_match_the_plain_closure_on_random_masks(bit_universe):
-    bu = bit_universe
+def test_type_sweeps_match_the_plain_closure_on_random_masks(bit_universe, mixed_universe):
     rng = random.Random(37)
     types = [SifType(*(rng.randint(0, 2) for _ in range(4))) for _ in range(10)]
-    masks = np.array([rng.randrange(1, 1 << 16) for _ in range(40)], dtype=np.uint64)
-    for t in types:
-        got = bu.type_ok(t, masks)
-        slots = (t.in_h, t.in_l, t.out_h, t.out_l)
-        for m, verdict in zip(masks.tolist(), got):
-            s = bu.system_from_mask(int(m))
-            assert bool(verdict) == closed_under_type(s, t)
-            assert bool(verdict) == brute_closed_under_type(s.members, slots)
+    for bu in (bit_universe, mixed_universe):
+        masks = np.array(_random_masks(rng, bu.n, 40), dtype=np.uint64)
+        for t in types:
+            got = bu.type_ok(t, masks)
+            slots = (t.in_h, t.in_l, t.out_h, t.out_l)
+            for m, verdict in zip(masks.tolist(), got):
+                s = bu.system_from_mask(int(m))
+                assert bool(verdict) == closed_under_type(s, t)
+                assert bool(verdict) == brute_closed_under_type(s.members, slots)
 
 
 def test_dgni_table_is_the_conjunction(bit_universe):

@@ -1,16 +1,14 @@
-"""Backend equivalence for the pair-sweep kernel."""
+"""The pair-sweep kernel against a naive restatement of its contract."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
+import pytest
 
-from siflab._accel import BACKEND, available_backends, sweep_pairs
-from siflab._accel import _kernels_py
+from siflab import BitUniverse, CapExceeded, PropertyKind
+from siflab._accel import sweep_pairs
 
 
 def _reference_sweep(match, systems, n):
@@ -44,27 +42,15 @@ def _random_case(rng, n):
     return match, systems
 
 
-def test_compiled_backend_is_available_and_selected():
-    assert available_backends()[0] == "cython"
-    assert BACKEND == "cython"
-
-
-def test_backends_agree_on_random_tables():
+def test_sweep_agrees_with_the_reference_on_random_tables():
     rng = random.Random(47)
-    try:
-        from siflab._accel import _kernels
-    except ImportError:  # pragma: no cover - guarded by the test above
-        raise AssertionError("compiled kernel missing")
-    for n in (1, 2, 7, 16, 33, 64):
-        match, systems = _random_case(rng, min(n, 60))
-        n_eff = min(n, 60)
-        a = _kernels.sweep_pairs(match, systems, n_eff)
-        b = _kernels_py.sweep_pairs(match, systems, n_eff)
-        c = _reference_sweep(match, systems, n_eff)
-        assert np.array_equal(a, b) and np.array_equal(b, c), n
+    for n in (1, 2, 7, 16, 20, 24):
+        match, systems = _random_case(rng, n)
+        got = sweep_pairs(match, systems, n)
+        assert np.array_equal(got, _reference_sweep(match, systems, n)), n
 
 
-def test_active_backend_matches_reference_on_edge_masks():
+def test_sweep_matches_reference_on_edge_masks():
     n = 4
     match = np.zeros(n * n, dtype=np.uint64)  # nothing ever matches
     systems = np.array([0, 1, 0b1010, 0b1111], dtype=np.uint64)
@@ -75,35 +61,13 @@ def test_active_backend_matches_reference_on_edge_masks():
     assert sweep_pairs(match, systems, n).tolist() == [1, 1, 1, 1]
 
 
-def test_pure_mode_forces_the_python_backend():
-    code = (
-        "import siflab._accel as acc; "
-        "print(acc.BACKEND)"
-    )
-    env = dict(os.environ, SIFLAB_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "python"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={k: v for k, v in os.environ.items() if k != "SIFLAB_PURE"},
-        check=True,
-    )
-    assert out.stdout.strip() == "cython"
+def test_sweep_refuses_more_than_24_traces():
+    n = 25
+    with pytest.raises(CapExceeded):
+        sweep_pairs(np.zeros(n * n, dtype=np.uint64), np.array([1], dtype=np.uint64), n)
 
 
-def test_pure_mode_full_property_counts_match():
-    code = (
-        "from siflab import BitUniverse, PropertyKind; "
-        "bu = BitUniverse.standard(); "
-        "print(int(bu.property_ok(PropertyKind.SEP).sum()), "
-        "int(bu.property_ok(PropertyKind.GNI).sum()))"
-    )
-    env = dict(os.environ, SIFLAB_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.split() == ["225", "10509"]
+def test_full_property_counts_match():
+    bu = BitUniverse.standard()
+    assert int(bu.property_ok(PropertyKind.SEP).sum()) == 225
+    assert int(bu.property_ok(PropertyKind.GNI).sum()) == 10509
