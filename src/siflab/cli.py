@@ -21,6 +21,7 @@ from .properties import (
     check_property,
     load_strategy_system,
     save_strategy_system,
+    strategy_system_from_obj,
     strategy_system_to_obj,
 )
 from .siftypes import (
@@ -32,21 +33,11 @@ from .siftypes import (
     refute_all_types,
 )
 from .strategies import GenerationMode, build_strategy_system, load_protocols
-from .traces import TraceSpace, format_trace, load_system, trace_to_obj
+from .traces import TraceSpace, format_trace, load_system, read_json, system_from_obj, trace_to_obj
 from .verify import VerifyContext, verify_paper
 from .zl import load_async_system, load_collection, psp_check, zl_q_search
 
 PLAIN_PROPERTIES = ("sep", "gni", "rgni", "dgni")
-
-
-def _read_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})")
 
 
 def _emit(args, obj: dict, human: list[str]) -> None:
@@ -142,12 +133,10 @@ def _cmd_represent(args) -> int:
     params = _parse_universe_params(args.universe_params)
     space = TraceSpace(uniform_alphabets(params["alphabet-size"]))
     traces = enumerate_traces(space, params["max-prefix"], params["max-cycle"], cap=params["cap"])
-    if len(traces) > 64:
-        raise CapExceeded(f"universe of {len(traces)} traces exceeds the 64-trace sweep limit", 64)
+    bu = BitUniverse(space, traces)
     n_systems = (1 << len(traces)) - 1
     if n_systems > params["cap"]:
         raise CapExceeded(f"{n_systems} systems exceed the cap of {params['cap']}", params["cap"])
-    bu = BitUniverse(space, traces)
     kind = PropertyKind(prop)
     wanted = [parse_type(args.type)] if args.type else list(enumerate_types())
     representing = []
@@ -183,10 +172,10 @@ def _cmd_represent(args) -> int:
 
 
 def _load_pool_member(path: str):
-    obj = _read_json(path)
+    obj = read_json(path)
     if isinstance(obj, dict) and "families" in obj:
-        return load_strategy_system(path)
-    return load_system(path)
+        return strategy_system_from_obj(obj)
+    return system_from_obj(obj)
 
 
 def _cmd_refute(args) -> int:

@@ -1,6 +1,6 @@
 """Enumeration of trace universes and exhaustive system sweeps.
 
-Small trace universes (at most 64 traces) admit a bit-parallel encoding:
+Small trace universes (at most 24 traces) admit a bit-parallel encoding:
 a system is a bitmask over the universe, and the pair-quantified checks
 (property membership, closure under a type, conjunctions of types) all
 reduce to one primitive, the pair sweep.  For every ordered pair (a, b)
@@ -31,16 +31,16 @@ from .siftypes import (
 from .traces import (
     COMPONENT_NAMES,
     COMPONENT_ORDER,
+    _COMPONENT_KEYS,
     Component,
     LassoTrace,
     System,
     TraceSpace,
+    _sort_key,
     canonicalize,
     format_trace,
     view,
 )
-
-_COMPONENT_KEYS = ("hi", "li", "ho", "lo")
 
 
 def uniform_alphabets(alphabet_size: int) -> dict[str, tuple[str, ...]]:
@@ -83,7 +83,7 @@ def enumerate_traces(
                     seen.add(canonicalize(pre, cyc))
             if include_finite:
                 seen.add(canonicalize(pre, ()))
-    return tuple(sorted(seen, key=lambda t: (len(t.prefix), len(t.cycle), t.prefix, t.cycle)))
+    return tuple(sorted(seen, key=_sort_key))
 
 
 def standard_universe(
@@ -119,16 +119,14 @@ def enumerate_systems(
 
 
 class BitUniverse:
-    """Bit-parallel encoding of a trace universe of at most 64 traces.
+    """Bit-parallel encoding of a trace universe of at most 24 traces.
 
-    Verdicts come from sweeping the whole powerset, so they need at most
-    24 traces; each witness table is swept once and its verdict vector is
-    cached.
+    Verdicts come from sweeping the whole powerset; each witness table is
+    swept once and its verdict vector is cached.
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
-        if len(traces) > 64:
-            raise SiflabError("bit-parallel sweeps support at most 64 traces")
+        powerset_size(len(traces))  # raises CapExceeded past the sweep limit
         if len(set(traces)) != len(traces):
             raise SiflabError("universe traces must be distinct")
         self.space = space

@@ -14,7 +14,6 @@ output stays inside the set.  Three realizations matter:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -27,7 +26,9 @@ from .traces import (
     LassoTrace,
     System,
     TraceSpace,
+    _list,
     format_trace,
+    read_json,
     space_from_obj,
     space_to_obj,
     trace_from_obj,
@@ -49,11 +50,12 @@ class ExtensionalSif:
     def from_mapping(cls, mapping: Mapping, name: str = "table") -> "ExtensionalSif":
         return cls(tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))), name)
 
+    def __post_init__(self):
+        # reversed, so the first entry for a pair wins, as in a scan of the table
+        object.__setattr__(self, "_lookup", dict(reversed(self.table)))
+
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
-        for (x, y), z in self.table:
-            if x == a and y == b:
-                return z
-        return None
+        return self._lookup.get((a, b))
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,13 @@ class ZigzagSif:
             raise SiflabError("core elements must be distinct")
         if not set(self.core) <= self.target:
             raise SiflabError("the core must be a subset of the target set")
+        object.__setattr__(self, "_pos", {t: i + 1 for i, t in enumerate(self.core)})
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         if a not in self.target or b not in self.target:
             return None
-        pos = {t: i + 1 for i, t in enumerate(self.core)}
-        i = pos.get(a)
-        j = pos.get(b)
+        i = self._pos.get(a)
+        j = self._pos.get(b)
         if i is None and j is None:
             return self.core[0]
         if i is None:
@@ -231,7 +233,7 @@ def sif_table_from_obj(obj) -> ExtensionalSif:
         raise FormatError('a table file must contain "alphabets" and "triples"')
     space = space_from_obj(obj["alphabets"])
     mapping = {}
-    for triple in obj["triples"]:
+    for triple in _list(obj["triples"], '"triples"'):
         if not isinstance(triple, list) or len(triple) != 3:
             raise FormatError("each entry must be a [first, second, output] triple")
         a, b, c = (trace_from_obj(x) for x in triple)
@@ -252,9 +254,4 @@ def sif_table_to_obj(sif: ExtensionalSif, space: TraceSpace) -> dict:
 
 
 def load_sif_table(path: str | Path) -> ExtensionalSif:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return sif_table_from_obj(obj)
+    return sif_table_from_obj(read_json(path))

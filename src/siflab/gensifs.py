@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .families import Sif
-from .siftypes import SifType, Slot
-from .traces import LassoTrace, System, view
+from .siftypes import SifType, closed_under_type
+from .traces import LassoTrace, System
 
 GenSif = Callable[[LassoTrace, LassoTrace], "frozenset | None"]
 
@@ -38,11 +38,12 @@ class ExtensionalGenSif:
 
     table: tuple[tuple[tuple[LassoTrace, LassoTrace], frozenset], ...]
 
+    def __post_init__(self):
+        # reversed, so the first entry for a pair wins, as in a scan of the table
+        object.__setattr__(self, "_lookup", dict(reversed(self.table)))
+
     def __call__(self, a: LassoTrace, b: LassoTrace) -> frozenset | None:
-        for (x, y), z in self.table:
-            if x == a and y == b:
-                return z
-        return None
+        return self._lookup.get((a, b))
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,12 @@ def closed_under_gen(s: System, family) -> bool:
     For the symbolic two-type family the per-pair condition unfolds to:
     some member matches the first type's constraints and some member
     matches the second's.  That matches the extensional pairing form
-    because each type contains every constraint-obeying function.
+    because each type contains every constraint-obeying function.  The
+    quantifier over pairs distributes over the conjunction, so the
+    closure is the conjunction of the two type closures.
     """
     if isinstance(family, TypeConjFamily):
-        return _closed_under_type_conj(s, family.t1, family.t2)
+        return closed_under_type(s, family.t1) and closed_under_type(s, family.t2)
     fams = tuple(family)
     for a in s.members:
         for b in s.members:
@@ -118,24 +121,6 @@ def closed_under_gen(s: System, family) -> bool:
                 if out is not None and out and out <= s.traces:
                     break
             else:
-                return False
-    return True
-
-
-def _closed_under_type_conj(s: System, t1: SifType, t2: SifType) -> bool:
-    cons1 = t1.constraints()
-    cons2 = t2.constraints()
-    keys1 = {tuple(view(x, comp) for comp, _ in cons1) for x in s.members}
-    keys2 = {tuple(view(x, comp) for comp, _ in cons2) for x in s.members}
-    if not s.members:
-        return True
-    for a in s.members:
-        for b in s.members:
-            req1 = tuple(view(a if which == Slot.FIRST else b, comp) for comp, which in cons1)
-            if req1 not in keys1:
-                return False
-            req2 = tuple(view(a if which == Slot.FIRST else b, comp) for comp, which in cons2)
-            if req2 not in keys2:
                 return False
     return True
 

@@ -26,6 +26,7 @@ from .traces import (
     Component,
     System,
     TraceSpace,
+    read_json,
     space_from_obj,
     space_to_obj,
     system_to_obj,
@@ -185,12 +186,7 @@ def strategy_system_to_obj(ss: StrategySystem) -> dict:
 
 
 def load_strategy_system(path: str | Path) -> StrategySystem:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return strategy_system_from_obj(obj)
+    return strategy_system_from_obj(read_json(path))
 
 
 def save_strategy_system(ss: StrategySystem, path: str | Path) -> None:

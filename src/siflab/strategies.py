@@ -15,14 +15,13 @@ collects all length-n finite traces and accepts any nondeterminism.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import FormatError, ProtocolError, RunExplosion
-from .properties import StrategySystem, injectivity_offenders
-from .traces import LassoTrace, System, TraceSpace, canonicalize
+from .properties import StrategySystem, injectivity_offenders, union_system
+from .traces import H_VIEW, LassoTrace, System, TraceSpace, canonicalize, read_json, view
 
 Symbol = str
 State = str
@@ -285,12 +284,7 @@ def family_h_view_determined(ss: StrategySystem) -> bool:
     the step that turns separability of the union into per-family low
     view coverage.
     """
-    from .traces import H_VIEW, view
-
-    union: set = set()
-    for _, fam in ss.families:
-        union |= fam.traces
-    for t in union:
+    for t in union_system(ss).traces:
         hv = view(t, H_VIEW)
         for _, fam in ss.families:
             if t in fam:
@@ -350,9 +344,4 @@ def protocols_from_obj(obj) -> tuple[SystemProtocol, UserProtocol, dict[str, Use
 
 
 def load_protocols(path: str | Path) -> tuple[SystemProtocol, UserProtocol, dict[str, UserProtocol]]:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return protocols_from_obj(obj)
+    return protocols_from_obj(read_json(path))

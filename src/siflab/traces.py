@@ -288,6 +288,13 @@ def _coerce_symbol(x) -> Symbol:
     raise FormatError(f"symbols must be strings or integers, got {x!r}")
 
 
+def _list(obj, what: str):
+    """``obj`` itself when it is a list (or tuple); a :class:`FormatError` otherwise."""
+    if not isinstance(obj, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {obj!r}")
+    return obj
+
+
 def _tuple_from_obj(obj) -> tuple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise FormatError(f"each trace tuple must be a 4-element list, got {obj!r}")
@@ -301,8 +308,8 @@ def trace_from_obj(obj) -> LassoTrace:
     unknown = set(obj) - {"prefix", "cycle"}
     if unknown:
         raise FormatError(f"unknown trace keys: {sorted(unknown)}")
-    pre = [_tuple_from_obj(x) for x in obj.get("prefix", [])]
-    cyc = [_tuple_from_obj(x) for x in obj.get("cycle", [])]
+    pre = [_tuple_from_obj(x) for x in _list(obj.get("prefix", []), "a trace prefix")]
+    cyc = [_tuple_from_obj(x) for x in _list(obj.get("cycle", []), "a trace cycle")]
     return canonicalize(pre, cyc)
 
 
@@ -313,7 +320,7 @@ def trace_to_obj(t: LassoTrace) -> dict:
 def space_from_obj(obj) -> TraceSpace:
     if not isinstance(obj, dict):
         raise FormatError("alphabets must be an object with keys hi/li/ho/lo")
-    return TraceSpace({k: [_coerce_symbol(s) for s in v] for k, v in obj.items()})
+    return TraceSpace({k: [_coerce_symbol(s) for s in _list(v, f"alphabet {k}")] for k, v in obj.items()})
 
 
 def space_to_obj(space: TraceSpace) -> dict:
@@ -323,7 +330,7 @@ def space_to_obj(space: TraceSpace) -> dict:
 def traces_from_objs(objs, space: TraceSpace, where: str = "traces") -> tuple:
     """Canonicalize a list of trace objects; duplicates are an error."""
     seen = []
-    for obj in objs:
+    for obj in _list(objs, where):
         t = trace_from_obj(obj)
         if not space.contains(t):
             raise AlphabetError(f"trace {format_trace(t)} in {where} does not conform to the alphabets")
@@ -344,14 +351,24 @@ def system_to_obj(s: System) -> dict:
     return {"alphabets": space_to_obj(s.space), "traces": [trace_to_obj(t) for t in s.members]}
 
 
+def read_json(path: str | Path):
+    """The parsed contents of a JSON file.
+
+    This is the package's one file reader: a missing file, bytes that
+    are not UTF-8 and text that is not JSON all raise :class:`FormatError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no such file") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_system(path: str | Path) -> System:
     """Read a system file (JSON)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return system_from_obj(obj)
+    return system_from_obj(read_json(path))
 
 
 def save_system(s: System, path: str | Path) -> None:

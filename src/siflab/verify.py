@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -47,51 +48,19 @@ from .siftypes import (
 from .strategies import GenerationMode, build_strategy_system, family_h_view_determined, protocols_from_obj
 from .zl import closed_under_insertion, nos_as_zl, psp_check, q_and, zl_check, zl_q_search
 
-RESULT_IDS = (
-    "EX1",
-    "EX2",
-    "EX3",
-    "PROP1",
-    "PROP2",
-    "THM1",
-    "THM2",
-    "COR-CONJ",
-    "THM3",
-    "THM4",
-    "PROP-DISJ",
-    "THM5",
-    "PROP-GENCONJ",
-    "COR-DGNI",
-    "PROP-ZL-DISJ",
-    "PROP-NOS-ZL",
-    "THM-ZL-CONJ",
-    "PROP-PSP-SIF",
-    "LEM-SWAP",
-    "LEM-ALLSYS",
-)
+# Result id -> (description, procedure), in catalogue order: the order in
+# which the procedures below are defined.
+_REGISTRY: dict[str, tuple[str, Callable]] = {}
 
-DESCRIPTIONS = {
-    "EX1": "15-trace system: both noninference directions hold, separability fails",
-    "EX2": "4-trace system: forward noninference holds, the conjunction fails",
-    "EX3": "protocol composition generates the expected two-trace family",
-    "PROP1": "SEP implies DGNI implies GNI; separable unions satisfy NOS",
-    "PROP2": "SEP and GNI coincide with closure under their copy types",
-    "THM1": "no copy type represents NOS over strategy systems",
-    "THM2": "no copy type represents DGNI",
-    "COR-CONJ": "type-representable properties are not closed under conjunction",
-    "THM3": "type-representable properties are not closed under disjunction",
-    "THM4": "NOS coincides with closure under the membership family",
-    "PROP-DISJ": "unions of representing families represent unions of properties",
-    "THM5": "pinning families: uniqueness and subset representation",
-    "PROP-GENCONJ": "pair-family closure equals the conjunction of closures",
-    "COR-DGNI": "DGNI is represented by the generalized pair family",
-    "PROP-ZL-DISJ": "low-view-local properties are not closed under disjunction",
-    "PROP-NOS-ZL": "NOS is a low-view-local property",
-    "THM-ZL-CONJ": "low-view-local properties are closed under conjunction",
-    "PROP-PSP-SIF": "the insertion property equals closure under the insertion function",
-    "LEM-SWAP": "closure is invariant under swapping argument roles",
-    "LEM-ALLSYS": "the sixteen one-argument copy types close every system",
-}
+
+def _result(result_id: str, description: str):
+    """Register the decorated procedure as the reproduction of ``result_id``."""
+
+    def register(procedure):
+        _REGISTRY[result_id] = (description, procedure)
+        return procedure
+
+    return register
 
 
 class VerifyContext:
@@ -174,13 +143,14 @@ class VerificationReport:
                     "passed": o.passed,
                     "detail": o.detail,
                     "runtime_seconds": round(o.runtime, 4),
-                    "description": DESCRIPTIONS[o.result_id],
+                    "description": _REGISTRY[o.result_id][0],
                 }
                 for o in self.outcomes
             ],
         }
 
 
+@_result("EX1", "15-trace system: both noninference directions hold, separability fails")
 def _ex1(ctx) -> tuple[bool, str]:
     s = fixtures.dgni_not_sep_15()
     dgni = check_property(PropertyKind.DGNI, s)
@@ -189,6 +159,7 @@ def _ex1(ctx) -> tuple[bool, str]:
     return ok, f"|S|={len(s)}, DGNI={dgni}, SEP={sep}"
 
 
+@_result("EX2", "4-trace system: forward noninference holds, the conjunction fails")
 def _ex2(ctx) -> tuple[bool, str]:
     s = fixtures.gni_not_dgni_4()
     gni = check_property(PropertyKind.GNI, s)
@@ -197,6 +168,7 @@ def _ex2(ctx) -> tuple[bool, str]:
     return ok, f"|S|={len(s)}, GNI={gni}, DGNI={dgni}"
 
 
+@_result("EX3", "protocol composition generates the expected two-trace family")
 def _ex3(ctx) -> tuple[bool, str]:
     ps, pl, hs = protocols_from_obj(fixtures.echo_protocols())
     ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
@@ -208,6 +180,7 @@ def _ex3(ctx) -> tuple[bool, str]:
     return ok, f"generated family matches fixture={same}, NOS={nos}, SEP={sep}"
 
 
+@_result("PROP1", "SEP implies DGNI implies GNI; separable unions satisfy NOS")
 def _prop1(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     v1 = implication_violations(bu.property_ok(PropertyKind.SEP), bu.property_ok(PropertyKind.DGNI))
@@ -231,6 +204,7 @@ def _prop1(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("PROP2", "SEP and GNI coincide with closure under their copy types")
 def _prop2(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = int(bu.property_ok(PropertyKind.SEP).size)
@@ -249,6 +223,7 @@ def _witness_summary(report) -> str:
     return ", ".join(used)
 
 
+@_result("THM1", "no copy type represents NOS over strategy systems")
 def _thm1(ctx) -> tuple[bool, str]:
     pool = {
         "nos_two_trace": fixtures.nos_two_trace(),
@@ -260,6 +235,7 @@ def _thm1(ctx) -> tuple[bool, str]:
     return ok, f"all 81 types refuted for NOS; witnesses: {_witness_summary(report)}"
 
 
+@_result("THM2", "no copy type represents DGNI")
 def _thm2(ctx) -> tuple[bool, str]:
     report = _thm2_report()
     ok = report.all_refuted
@@ -277,6 +253,7 @@ def _thm2_report():
     return refute_all_types(predicate, pool)
 
 
+@_result("COR-CONJ", "type-representable properties are not closed under conjunction")
 def _cor_conj(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     gni_rep = bool(np.array_equal(bu.property_ok(PropertyKind.GNI), bu.type_ok(GNI_TYPE)))
@@ -289,6 +266,7 @@ def _cor_conj(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("THM3", "type-representable properties are not closed under disjunction")
 def _thm3(ctx) -> tuple[bool, str]:
     pin = SifType(1, 2, 2, 2)
     predicate = lambda s: check_property(PropertyKind.SEP, s) or closed_under_type(s, pin)
@@ -312,6 +290,7 @@ def _thm3(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("THM4", "NOS coincides with closure under the membership family")
 def _thm4(ctx) -> tuple[bool, str]:
     mismatches = 0
     nos_false = 0
@@ -329,6 +308,7 @@ def _thm4(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("PROP-DISJ", "unions of representing families represent unions of properties")
 def _prop_disj(ctx) -> tuple[bool, str]:
     universe = corpora.disjoint_ten()
     s1 = universe[:3]
@@ -351,6 +331,7 @@ def _prop_disj(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("THM5", "pinning families: uniqueness and subset representation")
 def _thm5(ctx) -> tuple[bool, str]:
     collections, rejected = ctx.zigzag
     bad = 0
@@ -366,6 +347,7 @@ def _thm5(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("PROP-GENCONJ", "pair-family closure equals the conjunction of closures")
 def _prop_genconj(ctx) -> tuple[bool, str]:
     mismatches = 0
     n = 0
@@ -379,6 +361,7 @@ def _prop_genconj(ctx) -> tuple[bool, str]:
     return ok, f"pairing identity holds on {n} randomized (system, family, family) cases"
 
 
+@_result("COR-DGNI", "DGNI is represented by the generalized pair family")
 def _cor_dgni(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = int(bu.property_ok(PropertyKind.DGNI).size)
@@ -399,6 +382,7 @@ def _cor_dgni(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("PROP-ZL-DISJ", "low-view-local properties are not closed under disjunction")
 def _prop_zl_disj(ctx) -> tuple[bool, str]:
     sync_u = fixtures.zl_universe_sync()
     singles_sync = [zl_q_search([s], sync_u) is not None for s in sync_u[:2]]
@@ -413,6 +397,7 @@ def _prop_zl_disj(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("PROP-NOS-ZL", "NOS is a low-view-local property")
 def _prop_nos_zl(ctx) -> tuple[bool, str]:
     mismatches = sum(1 for ss in ctx.corpus if nos_as_zl(ss) != check_nos(ss))
     ps, pl, hs = protocols_from_obj(fixtures.echo_protocols())
@@ -425,6 +410,7 @@ def _prop_nos_zl(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("THM-ZL-CONJ", "low-view-local properties are closed under conjunction")
 def _thm_zl_conj(ctx) -> tuple[bool, str]:
     mismatches = 0
     n = 0
@@ -436,6 +422,7 @@ def _thm_zl_conj(ctx) -> tuple[bool, str]:
     return ok, f"conjunction identity holds on {n} randomized (system, Q, Q') cases"
 
 
+@_result("PROP-PSP-SIF", "the insertion property equals closure under the insertion function")
 def _prop_psp_sif(ctx) -> tuple[bool, str]:
     mismatches = 0
     n_enum = 0
@@ -455,6 +442,7 @@ def _prop_psp_sif(ctx) -> tuple[bool, str]:
     )
 
 
+@_result("LEM-SWAP", "closure is invariant under swapping argument roles")
 def _lem_swap(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = int(bu.property_ok(PropertyKind.SEP).size)
@@ -463,6 +451,7 @@ def _lem_swap(ctx) -> tuple[bool, str]:
     return ok, f"closure tables equal under role swap for all 81 types over {n} systems"
 
 
+@_result("LEM-ALLSYS", "the sixteen one-argument copy types close every system")
 def _lem_allsys(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = int(bu.property_ok(PropertyKind.SEP).size)
@@ -475,28 +464,7 @@ def _lem_allsys(ctx) -> tuple[bool, str]:
     )
 
 
-_PROCEDURES = {
-    "EX1": _ex1,
-    "EX2": _ex2,
-    "EX3": _ex3,
-    "PROP1": _prop1,
-    "PROP2": _prop2,
-    "THM1": _thm1,
-    "THM2": _thm2,
-    "COR-CONJ": _cor_conj,
-    "THM3": _thm3,
-    "THM4": _thm4,
-    "PROP-DISJ": _prop_disj,
-    "THM5": _thm5,
-    "PROP-GENCONJ": _prop_genconj,
-    "COR-DGNI": _cor_dgni,
-    "PROP-ZL-DISJ": _prop_zl_disj,
-    "PROP-NOS-ZL": _prop_nos_zl,
-    "THM-ZL-CONJ": _thm_zl_conj,
-    "PROP-PSP-SIF": _prop_psp_sif,
-    "LEM-SWAP": _lem_swap,
-    "LEM-ALLSYS": _lem_allsys,
-}
+RESULT_IDS = tuple(_REGISTRY)
 
 
 def verify_paper(ids=None, context: VerifyContext | None = None) -> VerificationReport:
@@ -505,7 +473,7 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
         requested = list(RESULT_IDS)
     else:
         requested = [str(i) for i in ids]
-        unknown = [i for i in requested if i not in _PROCEDURES]
+        unknown = [i for i in requested if i not in _REGISTRY]
         if unknown:
             raise UnknownResultError(f"unknown result id(s): {', '.join(sorted(unknown))}")
         # canonical order, duplicates collapsed
@@ -513,7 +481,8 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
     ctx = context if context is not None else VerifyContext()
     outcomes = []
     for result_id in requested:
+        _, procedure = _REGISTRY[result_id]
         start = time.perf_counter()
-        passed, detail = _PROCEDURES[result_id](ctx)
+        passed, detail = procedure(ctx)
         outcomes.append(ResultOutcome(result_id, passed, detail, time.perf_counter() - start))
     return VerificationReport(tuple(outcomes))

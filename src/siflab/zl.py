@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceeded, DuplicateTraceError, FormatError, SiflabError
 from .properties import StrategySystem, union_system
-from .traces import L_VIEW, LassoTrace, System, view
+from .traces import L_VIEW, LassoTrace, System, _list, read_json, space_from_obj, traces_from_objs, view
 
 EventTrace = tuple  # tuple of event names
 
@@ -320,10 +320,8 @@ def async_system_from_obj(obj) -> AsyncSystem:
         raise FormatError('an event-trace file must contain "events" and "traces"')
     decl = event_decl_from_obj(obj["events"])
     seen = []
-    for raw in obj["traces"]:
-        if not isinstance(raw, list):
-            raise FormatError("each trace must be a list of event names")
-        t = tuple(str(e) for e in raw)
+    for raw in _list(obj["traces"], '"traces"'):
+        t = tuple(str(e) for e in _list(raw, "each trace"))
         if t in seen:
             raise DuplicateTraceError(f"duplicate trace {t!r}")
         seen.append(t)
@@ -335,12 +333,7 @@ def async_system_to_obj(s: AsyncSystem) -> dict:
 
 
 def load_async_system(path: str | Path) -> AsyncSystem:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return async_system_from_obj(obj)
+    return async_system_from_obj(read_json(path))
 
 
 def save_async_system(s: AsyncSystem, path: str | Path) -> None:
@@ -355,29 +348,23 @@ def collection_from_obj(obj) -> list[AnySystem]:
     ``{"events", "systems"}`` with each system a list of event-name
     lists.
     """
-    from .traces import space_from_obj, traces_from_objs
-
     if not isinstance(obj, dict) or "systems" not in obj:
         raise FormatError('a collection file must contain "systems"')
     if "alphabets" in obj:
         space = space_from_obj(obj["alphabets"])
         out: list[AnySystem] = []
-        for i, entry in enumerate(obj["systems"]):
+        for i, entry in enumerate(_list(obj["systems"], '"systems"')):
             out.append(System(space, traces_from_objs(entry, space, where=f"system {i}")))
         return out
     if "events" in obj:
         decl = event_decl_from_obj(obj["events"])
         result: list[AnySystem] = []
-        for entry in obj["systems"]:
-            result.append(AsyncSystem(decl, (tuple(str(e) for e in t) for t in entry)))
+        for i, entry in enumerate(_list(obj["systems"], '"systems"')):
+            traces = (tuple(str(e) for e in _list(t, "each trace")) for t in _list(entry, f"system {i}"))
+            result.append(AsyncSystem(decl, traces))
         return result
     raise FormatError('a collection file must contain "alphabets" or "events"')
 
 
 def load_collection(path: str | Path) -> list[AnySystem]:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return collection_from_obj(obj)
+    return collection_from_obj(read_json(path))

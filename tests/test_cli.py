@@ -9,6 +9,10 @@ import pytest
 from siflab import fixtures as F
 from siflab.cli import main
 from siflab.fixtures import fixture_path
+from siflab.properties import load_strategy_system
+from siflab.strategies import load_protocols, protocols_from_obj
+from siflab.traces import load_system, read_json
+from siflab.zl import load_async_system, load_collection
 
 
 def run(capsys, *argv):
@@ -20,6 +24,25 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+# ---------------------------------------------------------------- fixtures
+
+_FIXTURE_LOADERS = (
+    (F.SYSTEM_FIXTURES, load_system),
+    (F.STRATEGY_FIXTURES, load_strategy_system),
+    (F.ASYNC_FIXTURES, load_async_system),
+    (F.COLLECTION_FIXTURES, load_collection),
+    ({"echo_protocols": lambda: protocols_from_obj(F.echo_protocols())}, load_protocols),
+)
+
+
+@pytest.mark.parametrize("name", F.fixture_names())
+def test_shipped_fixture_files_are_current(name):
+    path = fixture_path(name)
+    assert read_json(path) == F.fixture_obj(name)
+    [(build, load)] = [(table[name], load) for table, load in _FIXTURE_LOADERS if name in table]
+    assert load(path) == build()
 
 
 # ------------------------------------------------------------------- check
@@ -65,6 +88,7 @@ def test_check_wrong_file_kind_is_an_input_error(capsys):
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "--property", "sep", "--system", "/nonexistent.json")
     assert code == 2 and err.startswith("error:")
+    assert err == "error: /nonexistent.json: no such file\n"
 
 
 def test_check_malformed_json(tmp_path, capsys):
@@ -72,6 +96,49 @@ def test_check_malformed_json(tmp_path, capsys):
     bad.write_text("{]")
     code, _, err = run(capsys, "check", "--property", "sep", "--system", str(bad))
     assert code == 2 and "JSON" in err
+
+
+def _with(obj, path, value):
+    """A copy of the JSON object ``obj`` with the entry at ``path`` replaced."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+_MALFORMED_SYSTEM = F.fixture_obj("lo_equals_li_8")
+
+
+_CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces"], 7)),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["alphabets", "hi"], 5)),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "prefix"], 3)),
+        (
+            ["zl", "q-search", "--target", "FILE", "--universe", "FILE"],
+            _with(F.fixture_obj("zl_universe_sync"), ["systems"], [7]),
+        ),
+        (_CHECK_SEP, b"\xff\xfe not UTF-8"),
+    ],
+    ids=["traces-not-a-list", "alphabet-not-a-list", "prefix-not-a-list", "collection-member", "not-utf8"],
+)
+def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -160,7 +227,7 @@ def test_represent_param_validation(capsys):
     code, _, err = run(
         capsys, "represent", "--property", "sep", "--universe-params", "max-cycle=2"
     )
-    assert code == 2 and "64" in err
+    assert code == 2 and "24-trace sweep limit" in err
 
 
 # ------------------------------------------------------------------ refute

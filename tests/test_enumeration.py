@@ -95,8 +95,8 @@ def test_bit_universe_validation():
     with pytest.raises(SiflabError):
         BitUniverse(SPACE, list(UNIVERSE) + [UNIVERSE[0]])
     space, traces = standard_universe(max_cycle=2)
-    with pytest.raises(SiflabError):
-        BitUniverse(space, traces)  # 136 > 64
+    with pytest.raises(CapExceeded, match="24-trace"):
+        BitUniverse(space, traces)  # 256 > 24
 
 
 def test_view_eq_mask_bits_mirror_view_equality(bit_universe):

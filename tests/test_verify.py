@@ -8,14 +8,14 @@ import re
 import pytest
 
 from siflab import UnknownResultError, VerifyContext, verify_paper
-from siflab.verify import DESCRIPTIONS, RESULT_IDS
+from siflab.verify import _REGISTRY, RESULT_IDS
 
 
 def test_catalogue_is_complete_and_stable():
     assert len(RESULT_IDS) == 20
     assert len(set(RESULT_IDS)) == 20
-    assert set(DESCRIPTIONS) == set(RESULT_IDS)
-    assert all(DESCRIPTIONS[i] for i in RESULT_IDS)
+    assert tuple(_REGISTRY) == RESULT_IDS
+    assert all(_REGISTRY[i][0] for i in RESULT_IDS)
 
 
 def test_requested_ids_run_in_canonical_order_without_duplicates():
