@@ -118,7 +118,6 @@ from .zl import (
     low_projection,
     nos_as_zl,
     psp_check,
-    psp_sif,
     q_and,
     q_or,
     zl_check,

@@ -150,12 +150,13 @@ def _random_machine(rng: random.Random) -> SystemProtocol:
     return SystemProtocol(states, states[0], output, update)
 
 
-def strategy_corpus(
-    count: int = 120,
-    seed: int = DEFAULT_SEED,
-    max_family_size: int = 8,
-    max_protocols: int = 3,
-) -> list[StrategySystem]:
+# Random protocol sets run at most this many high protocols and keep
+# only systems whose families all have at most this many traces.
+MAX_PROTOCOLS = 3
+MAX_FAMILY_SIZE = 8
+
+
+def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[StrategySystem]:
     """Injective strategy systems generated from finite-state protocols.
 
     Starts with the designed systems (so both NOS verdicts and a
@@ -170,7 +171,7 @@ def strategy_corpus(
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("strategy corpus generation stalled; loosen the filters")
-        hs = {f"H{i}": _random_user(rng) for i in range(rng.randint(1, max_protocols))}
+        hs = {f"H{i}": _random_user(rng) for i in range(rng.randint(1, MAX_PROTOCOLS))}
         pl = _random_user(rng)
         ps = _random_machine(rng)
         try:
@@ -180,7 +181,7 @@ def strategy_corpus(
                 ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3))
         except ProtocolError:
             continue
-        if any(len(fam) > max_family_size for _, fam in ss.families):
+        if any(len(fam) > MAX_FAMILY_SIZE for _, fam in ss.families):
             continue
         if not check_injectivity(ss):
             continue
@@ -284,47 +285,42 @@ def enumerate_event_traces(decl: EventDecl, max_len: int = 3) -> list[tuple[str,
     return out
 
 
-def enumerate_async_systems(
-    max_events: int = 3,
-    max_len: int = 3,
-    cap: int = 60000,
-    include_empty: bool = True,
-) -> Iterator[AsyncSystem]:
+def enumerate_async_systems(max_events: int = 3, max_len: int = 3, cap: int = 60000) -> Iterator[AsyncSystem]:
     """Deterministic capped enumeration of event systems.
 
     The cap is split evenly across event declarations; within each, the
-    subsets of the length-sorted trace list are walked in mask order
-    until the quota runs out.
+    subsets of the length-sorted trace list are walked in mask order,
+    from the empty system on, until the quota runs out.
     """
     decls = enumerate_event_decls(max_events)
     quota = max(1, cap // len(decls))
     for decl in decls:
         traces = enumerate_event_traces(decl, max_len)
         total = 1 << len(traces)
-        start = 0 if include_empty else 1
-        for mask in range(start, min(total, start + quota)):
+        for mask in range(min(total, quota)):
             yield AsyncSystem(decl, (traces[i] for i in range(len(traces)) if mask >> i & 1))
 
 
-def async_corpus(
-    count: int = 500,
-    seed: int = DEFAULT_SEED,
-    max_events: int = 4,
-    max_len: int = 4,
-    max_traces: int = 6,
-) -> list[AsyncSystem]:
+# Random event systems declare at most this many events and draw at
+# most this many traces of at most this length.
+ASYNC_MAX_EVENTS = 4
+ASYNC_MAX_LEN = 4
+ASYNC_MAX_TRACES = 6
+
+
+def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem]:
     """Random event systems, larger than the capped enumeration covers."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        k = rng.randint(2, max_events)
+        k = rng.randint(2, ASYNC_MAX_EVENTS)
         names = tuple(f"e{i}" for i in range(1, k + 1))
         levels = tuple(rng.choice("LH") for _ in names)
         if "L" not in levels or "H" not in levels:
             continue
         decl = EventDecl(tuple(zip(names, levels)))
-        pool = enumerate_event_traces(decl, max_len)
-        size = rng.randint(1, max_traces)
+        pool = enumerate_event_traces(decl, ASYNC_MAX_LEN)
+        size = rng.randint(1, ASYNC_MAX_TRACES)
         out.append(AsyncSystem(decl, (tuple(t) for t in rng.sample(pool, size))))
     return out
 

@@ -11,7 +11,7 @@ masks are derived from per-component view equality.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .siftypes import (
     enumerate_types,
 )
 from .traces import (
-    COMPONENT_NAMES,
     COMPONENT_ORDER,
     _COMPONENT_KEYS,
     Component,
@@ -146,9 +145,9 @@ class BitUniverse:
         self._verdicts: dict[PropertyKind | SifType, np.ndarray] = {}
 
     @classmethod
-    def standard(cls, alphabet_size: int = 2, max_prefix: int = 0, max_cycle: int = 1) -> "BitUniverse":
-        space, traces = standard_universe(alphabet_size, max_prefix, max_cycle)
-        return cls(space, traces)
+    def standard(cls) -> "BitUniverse":
+        """The 16 period-1 binary traces."""
+        return cls(*standard_universe())
 
     def view_eq_mask(self, mask: Component) -> np.ndarray:
         """Per trace: the bitmask of traces sharing its ``mask`` view.

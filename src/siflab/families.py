@@ -44,11 +44,10 @@ class ExtensionalSif:
     """A finite pair-to-trace table; undefined off the table."""
 
     table: tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace], ...]
-    name: str = "table"
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping, name: str = "table") -> "ExtensionalSif":
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))), name)
+    def from_mapping(cls, mapping: Mapping) -> "ExtensionalSif":
+        return cls(tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))))
 
     def __post_init__(self):
         # reversed, so the first entry for a pair wins, as in a scan of the table
@@ -129,15 +128,11 @@ class ZigzagSif:
         return self.core[idx - 1]
 
 
-def zigzag_sif(target: System, core: Sequence[LassoTrace] | None = None) -> ZigzagSif:
-    """Build the pinning function for ``target``.
-
-    ``core`` defaults to all of the target in its canonical order, which
-    always satisfies the distinguishing-core condition.
-    """
-    if core is None:
-        core = target.members
-    return ZigzagSif(target.traces, tuple(core))
+def zigzag_sif(target: System) -> ZigzagSif:
+    """The pinning function for ``target``, over all of the target in its
+    canonical order, which always satisfies the distinguishing-core
+    condition."""
+    return ZigzagSif(target.traces, target.members)
 
 
 def closed_under_family(s: System, family: Iterable[Sif]) -> bool:

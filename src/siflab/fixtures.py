@@ -26,7 +26,7 @@ def _step(bits: tuple[int, int, int, int]) -> tuple[str, str, str, str]:
 
 def constant_trace(bits: tuple[int, int, int, int]) -> LassoTrace:
     """The period-1 lasso repeating one (hi, li, ho, lo) tuple."""
-    return canonicalize((), (_step(bits),), binary_space())
+    return canonicalize((), (_step(bits),))
 
 
 def period_one_system(tuples) -> System:
@@ -84,7 +84,7 @@ def high_echo_pair_2() -> System:
 
 def nos_two_trace() -> StrategySystem:
     """One high protocol generating a two-trace set; satisfies NOS."""
-    t1 = canonicalize((_step((0, 1, 1, 1)),), (_step((1, 1, 1, 1)),), binary_space())
+    t1 = canonicalize((_step((0, 1, 1, 1)),), (_step((1, 1, 1, 1)),))
     t2 = constant_trace((0, 0, 0, 0))
     return StrategySystem((("H", System(binary_space(), (t1, t2))),))
 

@@ -29,7 +29,6 @@ from .traces import (
     read_json,
     space_from_obj,
     space_to_obj,
-    system_to_obj,
     trace_to_obj,
     traces_from_objs,
     view,

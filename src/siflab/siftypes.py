@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FormatError
@@ -180,9 +180,6 @@ class RefutationReport:
         return out
 
 
-SystemLike = "System | StrategySystem"
-
-
 def as_plain_system(member) -> System:
     """The trace set closure checks run on (union for strategy systems)."""
     if isinstance(member, StrategySystem):
@@ -207,64 +204,32 @@ def refute_all_types(
     predicate: Callable,
     pool: Mapping[str, object] | Sequence[tuple[str, object]],
     extension: Iterable[tuple[str, object]] = (),
-    mirror: bool = True,
 ) -> RefutationReport:
-    """Search, per type, for a pool member where the property and closure
-    under the type disagree.
+    """Search, per type, for a member where the property and closure
+    under the type disagree; the first such member is the witness.
 
-    ``pool`` maps labels to systems or strategy systems; ``extension`` is
-    consulted lazily, only for types the pool leaves unrefuted.  With
-    ``mirror`` enabled each witness also settles the slot-swapped type,
-    which is sound because closure is invariant under the swap.
+    ``pool`` maps labels to systems or strategy systems and is judged in
+    full up front, so a bad member always raises; ``extension`` is pulled
+    lazily after it, and only while some type is left unrefuted.  Each
+    witness settles a type and its slot-swapped mirror at once, which is
+    sound because closure is invariant under the swap.
     """
     items = list(pool.items()) if isinstance(pool, Mapping) else list(pool)
-    prop_cache = {label: bool(predicate(member)) for label, member in items}
-    plain = {label: as_plain_system(member) for label, member in items}
+    judged = [(label, bool(predicate(m)), as_plain_system(m)) for label, m in items]
+    pulled = ((label, bool(predicate(m)), as_plain_system(m)) for label, m in extension)
 
     verdicts: dict[SifType, Refutation] = {}
-
-    def try_refute(t: SifType, label: str, holds: bool, system: System) -> Refutation | None:
-        closed = closed_under_type(system, t)
-        if closed == holds:
-            return None
-        status = REFUTED_HOLDS_NOT_CLOSED if holds else REFUTED_CLOSED_NOT_HOLDS
-        return Refutation(t, status, label)
-
-    for t in enumerate_types():
-        if t in verdicts:
-            continue
-        found = None
-        for label, member in items:
-            found = try_refute(t, label, prop_cache[label], plain[label])
-            if found:
-                break
-        verdicts[t] = found or Refutation(t, UNREFUTED)
-        if mirror:
-            tm = swap_type(t)
-            if tm != t and tm not in verdicts:
-                if found:
-                    verdicts[tm] = Refutation(tm, found.status, found.witness)
-                else:
-                    verdicts[tm] = Refutation(tm, UNREFUTED)
-
-    remaining = [t for t, v in verdicts.items() if not v.refuted]
-    if remaining:
-        for label, member in extension:
-            holds = bool(predicate(member))
-            system = as_plain_system(member)
-            still = []
-            for t in remaining:
-                found = try_refute(t, label, holds, system)
-                if found:
-                    verdicts[t] = found
-                    if mirror:
-                        tm = swap_type(t)
-                        if tm != t and not verdicts[tm].refuted:
-                            verdicts[tm] = Refutation(tm, found.status, found.witness)
-                else:
-                    still.append(t)
-            remaining = [t for t in still if not verdicts[t].refuted]
-            if not remaining:
-                break
-
-    return RefutationReport(tuple(verdicts[t] for t in enumerate_types()))
+    open_types = [t for t in enumerate_types() if t <= swap_type(t)]
+    for label, holds, system in chain(judged, pulled):
+        still = []
+        for t in open_types:
+            if closed_under_type(system, t) == holds:
+                still.append(t)
+                continue
+            status = REFUTED_HOLDS_NOT_CLOSED if holds else REFUTED_CLOSED_NOT_HOLDS
+            for settled in (t, swap_type(t)):
+                verdicts[settled] = Refutation(settled, status, label)
+        open_types = still
+        if not open_types:
+            break
+    return RefutationReport(tuple(verdicts.get(t) or Refutation(t, UNREFUTED) for t in enumerate_types()))

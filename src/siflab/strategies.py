@@ -179,35 +179,6 @@ def derive_space(ps: SystemProtocol, pl: UserProtocol, hs: Sequence[UserProtocol
     return TraceSpace({"hi": sorted(hi), "li": sorted(li), "ho": sorted(ho), "lo": sorted(lo)})
 
 
-def _cycle_states(ps, pl, h, initial: JointState) -> set[JointState]:
-    """Reachable joint states lying on some cycle of the move graph."""
-    succ: dict[JointState, set[JointState]] = {}
-    stack = [initial]
-    while stack:
-        js = stack.pop()
-        if js in succ:
-            continue
-        moves, _ = _moves(ps, pl, h, js)
-        succ[js] = {nxt for _, nxt in moves}
-        stack.extend(succ[js])
-    on_cycle = set()
-    for start in succ:
-        # start lies on a cycle iff it is reachable from one of its successors
-        seen = set(succ[start])
-        frontier = list(succ[start])
-        while frontier:
-            js = frontier.pop()
-            if js == start:
-                on_cycle.add(start)
-                frontier = []
-                break
-            for nxt in succ[js]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return on_cycle
-
-
 def generate_sigma_h(
     ps: SystemProtocol,
     pl: UserProtocol,
@@ -219,42 +190,67 @@ def generate_sigma_h(
     if space is None:
         space = derive_space(ps, pl, [h])
     initial: JointState = (ps.initial, pl.initial, h.initial)
+    memo: dict[JointState, tuple[list, int]] = {}
 
-    traces: set[LassoTrace] = set()
+    def moves(js: JointState) -> list:
+        if js not in memo:
+            memo[js] = _moves(ps, pl, h, js)
+        return memo[js][0]
+
     if mode.bound is None:
-        cyc_states = _cycle_states(ps, pl, h, initial)
-        for js in cyc_states:
-            _, count = _moves(ps, pl, h, js)
-            if count > 1:
+        # Expand every reachable state first, so a table error wins.
+        todo = [initial]
+        while todo:
+            js = todo.pop()
+            if js not in memo:
+                todo.extend(nxt for _, nxt in moves(js))
+        # Peel off the states of in-degree 0.  The rest lie on a cycle or
+        # after one, and a run leaves a cycle only through a choice on it,
+        # so a choice is left over exactly when one lies on a cycle.
+        indegree = dict.fromkeys(memo, 0)
+        for outs, _ in memo.values():
+            for _, nxt in outs:
+                indegree[nxt] += 1
+        peel = [js for js, d in indegree.items() if d == 0]
+        while peel:
+            js = peel.pop()
+            del indegree[js]
+            for _, nxt in memo[js][0]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    peel.append(nxt)
+        for js in indegree:
+            if memo[js][1] > 1:
                 raise RunExplosion(
-                    f"nondeterministic choice at joint state {js!r} lies on a reachable cycle; "
+                    f"nondeterministic choice at joint state {js!r} lies on or after a reachable cycle; "
                     "use a bounded mode instead"
                 )
 
-        def walk(js: JointState, path_index: dict, emitted: list):
-            if js in path_index:
-                cut = path_index[js]
-                traces.add(canonicalize(emitted[:cut], emitted[cut:], space))
-                return
-            path_index[js] = len(emitted)
-            for tup, nxt in _moves(ps, pl, h, js)[0]:
-                emitted.append(tup)
-                walk(nxt, path_index, emitted)
+    # Depth-first over runs; exact mode closes a run when it re-enters a
+    # state on its own path, bounded mode when it has ``mode.bound`` tuples.
+    traces: set[LassoTrace] = set()
+    emitted: list = []
+    entered = {initial: 0}  # exact mode: the path's states and where each begins
+    path = [(initial, iter(moves(initial)))]
+    while path:
+        step = next(path[-1][1], None)
+        if step is None:
+            entered.pop(path.pop()[0], None)
+            if emitted:
                 emitted.pop()
-            del path_index[js]
-
-        walk(initial, {}, [])
-    else:
-        def walk_bounded(js: JointState, emitted: list):
-            if len(emitted) == mode.bound:
-                traces.add(canonicalize(emitted, (), space))
-                return
-            for tup, nxt in _moves(ps, pl, h, js)[0]:
-                emitted.append(tup)
-                walk_bounded(nxt, emitted)
-                emitted.pop()
-
-        walk_bounded(initial, [])
+            continue
+        tup, nxt = step
+        emitted.append(tup)
+        if mode.bound is None and nxt in entered:
+            traces.add(canonicalize(emitted[: entered[nxt]], emitted[entered[nxt] :]))
+        elif len(emitted) == mode.bound:
+            traces.add(canonicalize(emitted, ()))
+        else:
+            if mode.bound is None:
+                entered[nxt] = len(emitted)
+            path.append((nxt, iter(moves(nxt))))
+            continue
+        emitted.pop()
     return System(space, traces)
 
 

@@ -106,12 +106,9 @@ def format_trace(t: LassoTrace) -> str:
     return head + "[" + tail + "]^w"
 
 
-def canonicalize(prefix: Sequence, cycle: Sequence, space: "TraceSpace | None" = None) -> LassoTrace:
-    """Return the unique canonical lasso denoting ``prefix
-
-    + cycle^w`` (or the finite word ``prefix`` when ``cycle`` is empty).
-    Idempotent.  When ``space`` is given, symbols are validated against
-    its alphabets.
+def canonicalize(prefix: Sequence, cycle: Sequence) -> LassoTrace:
+    """Return the unique canonical lasso denoting ``prefix + cycle^w``
+    (or the finite word ``prefix`` when ``cycle`` is empty).  Idempotent.
     """
     pre = tuple(tuple(t) for t in prefix)
     cyc = tuple(tuple(t) for t in cycle)
@@ -122,10 +119,7 @@ def canonicalize(prefix: Sequence, cycle: Sequence, space: "TraceSpace | None" =
             work.pop()
             cyc = (cyc[-1],) + cyc[:-1]
         pre = tuple(work)
-    trace = LassoTrace(pre, cyc)
-    if space is not None and not space.contains(trace):
-        raise AlphabetError(f"trace {format_trace(trace)} does not conform to the declared alphabets")
-    return trace
+    return LassoTrace(pre, cyc)
 
 
 def trace_eq(a: LassoTrace, b: LassoTrace) -> bool:
@@ -175,17 +169,11 @@ _COMPONENT_KEYS = ("hi", "li", "ho", "lo")
 
 
 class TraceSpace:
-    """Per-component alphabets plus an optional explicit or generated universe."""
+    """Per-component alphabets."""
 
-    __slots__ = ("alphabets", "universe", "max_prefix", "max_cycle", "_key")
+    __slots__ = ("alphabets", "_key")
 
-    def __init__(
-        self,
-        alphabets: Mapping[str, Sequence[Symbol]],
-        universe: Sequence[LassoTrace] | None = None,
-        max_prefix: int | None = None,
-        max_cycle: int | None = None,
-    ):
+    def __init__(self, alphabets: Mapping[str, Sequence[Symbol]]):
         missing = [k for k in _COMPONENT_KEYS if k not in alphabets]
         extra = [k for k in alphabets if k not in _COMPONENT_KEYS]
         if missing or extra:
@@ -197,19 +185,7 @@ class TraceSpace:
                 raise FormatError(f"alphabet for {key} is empty")
             cleaned[key] = syms
         self.alphabets = cleaned
-        self.universe = tuple(universe) if universe is not None else None
-        self.max_prefix = max_prefix
-        self.max_cycle = max_cycle
-        self._key = (
-            tuple((k, cleaned[k]) for k in _COMPONENT_KEYS),
-            self.universe,
-            max_prefix,
-            max_cycle,
-        )
-        if self.universe is not None:
-            for t in self.universe:
-                if not self.contains(t):
-                    raise AlphabetError(f"universe trace {format_trace(t)} does not conform")
+        self._key = tuple((k, cleaned[k]) for k in _COMPONENT_KEYS)
 
     def contains(self, t: LassoTrace) -> bool:
         """True when every symbol of ``t`` belongs to its component alphabet."""
@@ -354,14 +330,17 @@ def system_to_obj(s: System) -> dict:
 def read_json(path: str | Path):
     """The parsed contents of a JSON file.
 
-    This is the package's one file reader: a missing file, bytes that
-    are not UTF-8 and text that is not JSON all raise :class:`FormatError`.
+    This is the package's one file reader: a missing file, a path that
+    cannot be read (a directory, say), bytes that are not UTF-8 and text
+    that is not JSON all raise :class:`FormatError`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -21,8 +21,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceeded, DuplicateTraceError, FormatError, SiflabError
+from .families import closed_under_family
 from .properties import StrategySystem, union_system
-from .traces import L_VIEW, LassoTrace, System, _list, read_json, space_from_obj, traces_from_objs, view
+from .traces import L_VIEW, System, _list, read_json, space_from_obj, traces_from_objs, view
 
 EventTrace = tuple  # tuple of event names
 
@@ -102,10 +103,6 @@ class AsyncSystem:
 AnySystem = Union[System, AsyncSystem]
 
 
-def _members(s: AnySystem) -> tuple:
-    return s.members
-
-
 def low_view_key(t, s: AnySystem):
     """The low view of ``t`` in the trace kind of ``s``."""
     if isinstance(s, AsyncSystem):
@@ -116,7 +113,7 @@ def low_view_key(t, s: AnySystem):
 def lles(t, s: AnySystem) -> frozenset:
     """Members of ``s`` sharing ``t``'s low view."""
     key = low_view_key(t, s)
-    return frozenset(x for x in _members(s) if low_view_key(x, s) == key)
+    return frozenset(x for x in s.members if low_view_key(x, s) == key)
 
 
 QPredicate = Callable[[frozenset], bool]
@@ -174,16 +171,12 @@ def q_or(q1: QPredicate, q2: QPredicate) -> QPredicate:
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
     """Q holds of every member's low-view equivalence class; vacuous on empty sets."""
-    return all(q(lles(t, s)) for t in _members(s))
+    return all(q(lles(t, s)) for t in s.members)
 
 
 def nos_as_zl(ss: StrategySystem) -> bool:
     """The low-view-local reformulation of NOS over the union system."""
     return zl_check(union_system(ss), NosPredicate(ss))
-
-
-def _system_key(s: AnySystem) -> frozenset:
-    return s.traces
 
 
 def zl_q_search(
@@ -207,16 +200,16 @@ def zl_q_search(
     universe_sets = {}
     for s in universe:
         if len(s) > 0:
-            universe_sets[_system_key(s)] = s
+            universe_sets[s.traces] = s
     target_keys = set()
     for s in target:
         if len(s) == 0:
             continue
-        if _system_key(s) not in universe_sets:
+        if s.traces not in universe_sets:
             raise SiflabError("every target system must occur in the universe")
-        target_keys.add(_system_key(s))
+        target_keys.add(s.traces)
 
-    classes_of = {key: frozenset(lles(t, s) for t in _members(s)) for key, s in universe_sets.items()}
+    classes_of = {key: frozenset(lles(t, s) for t in s.members) for key, s in universe_sets.items()}
     all_classes = set().union(*classes_of.values()) if classes_of else set()
     if (1 << len(all_classes)) > cap:
         raise CapExceeded(
@@ -260,11 +253,6 @@ class InsertionSif:
         return low_projection(s1, self.decl)
 
 
-def psp_sif(s1: EventTrace, s2: EventTrace, decl: EventDecl) -> EventTrace:
-    """Function form of :class:`InsertionSif`; total."""
-    return InsertionSif(decl)(s1, s2)
-
-
 def psp_check(s: AsyncSystem) -> bool:
     """Decide the insertion property by exhaustive decomposition.
 
@@ -292,12 +280,7 @@ def psp_check(s: AsyncSystem) -> bool:
 
 def closed_under_insertion(s: AsyncSystem) -> bool:
     """Closure of ``s`` under the singleton family of its insertion function."""
-    f = InsertionSif(s.decl)
-    for a in s.members:
-        for b in s.members:
-            if f(a, b) not in s.traces:
-                return False
-    return True
+    return closed_under_family(s, (InsertionSif(s.decl),))
 
 
 def event_decl_from_obj(obj) -> EventDecl:

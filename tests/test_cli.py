@@ -7,9 +7,10 @@ import json
 import pytest
 
 from siflab import fixtures as F
+from siflab import standard_universe
 from siflab.cli import main
 from siflab.fixtures import fixture_path
-from siflab.properties import load_strategy_system
+from siflab.properties import load_strategy_system, save_strategy_system, strategy_system_from_mapping
 from siflab.strategies import load_protocols, protocols_from_obj
 from siflab.traces import load_system, read_json
 from siflab.zl import load_async_system, load_collection
@@ -89,6 +90,14 @@ def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "--property", "sep", "--system", "/nonexistent.json")
     assert code == 2 and err.startswith("error:")
     assert err == "error: /nonexistent.json: no such file\n"
+
+
+def test_unreadable_path_is_an_input_error(tmp_path, capsys):
+    for argv in (("check", "--property", "sep", "--system"), ("refute", "--property", "sep", "--pool")):
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ")
+        assert "Errno" not in err
 
 
 def test_check_malformed_json(tmp_path, capsys):
@@ -260,6 +269,24 @@ def test_refute_nos_pool(capsys):
     assert code == 0 and obj["all_refuted"] is True
 
 
+def test_refute_judges_the_whole_pool_first(tmp_path, capsys):
+    # Over the full 16-trace universe every type closes the union, while
+    # family H0 misses half the low views: this file alone refutes all 81.
+    space, universe = standard_universe()
+    h0 = [t for t in universe if t.cycle[0][0] == "0" and t.cycle[0][3] == "0"]
+    refutes_all = tmp_path / "refutes_all.json"
+    save_strategy_system(
+        strategy_system_from_mapping(space, {"H0": h0, "H1": [t for t in universe if t not in h0]}), refutes_all
+    )
+    code, obj, _ = run_json(capsys, "refute", "--property", "nos", "--pool", str(refutes_all))
+    assert code == 0 and obj["all_refuted"] is True
+    # H1 owns no trace of its own, so NOS is undefined on this file
+    not_injective = tmp_path / "not_injective.json"
+    save_strategy_system(strategy_system_from_mapping(space, {"H0": universe[:2], "H1": universe[:1]}), not_injective)
+    code, _, err = run(capsys, "refute", "--property", "nos", "--pool", str(refutes_all), str(not_injective))
+    assert code == 2 and err.startswith("error:") and "distinguishability" in err
+
+
 def test_refute_rejects_unknown_property(capsys):
     code, _, err = run(capsys, "refute", "--property", "psp", "--pool", str(fixture_path("zl_pair")))
     assert code == 2 and "error:" in err
@@ -300,6 +327,13 @@ def test_strategies_generate_inline_output(tmp_path, capsys):
     assert code == 0
     assert obj["out"] is None and obj["system"] is not None
     assert obj["mode"] == "bounded:2"
+
+
+def test_strategies_generate_deep_bounded_runs(capsys):
+    protocols = str(fixture_path("echo_protocols"))
+    code, out, err = run(capsys, "strategies", "generate", "--protocols", protocols, "--mode", "bounded:1500")
+    assert code == 0 and err == ""
+    assert "mode bounded:1500" in out
 
 
 def test_strategies_generate_bad_mode(tmp_path, capsys):

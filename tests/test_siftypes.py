@@ -137,18 +137,60 @@ def test_refute_all_types_pool_run_lists_witnesses():
         assert entry.witness in pool
 
 
+_DGNI_POOL = ("dgni_not_sep_15", "li_equals_hi_8", "ho_equals_li_8", "lo_equals_hi_8")
+
+
+_REFUTATION_POOLS = (
+    ("dgni", _DGNI_POOL),
+    ("sep", ("gni_not_dgni_4", "lo_equals_li_8", "li_equals_hi_8", "ho_equals_hi_xor_li_16")),
+    ("gni", ("high_echo_pair_2", "ho_equals_li_8", "dgni_not_sep_15")),
+    ("nos", ("sep_echo_strategy", "nos_two_trace", "nos_false_pair")),
+)
+
+
 def test_mirroring_is_sound():
-    pool = {
-        "dgni_not_sep_15": F.dgni_not_sep_15(),
-        "li_equals_hi_8": F.li_equals_hi_8(),
-        "ho_equals_li_8": F.ho_equals_li_8(),
-        "lo_equals_hi_8": F.lo_equals_hi_8(),
-    }
-    plain = refute_all_types(property_predicate("dgni"), pool, mirror=False)
-    mirrored = refute_all_types(property_predicate("dgni"), pool, mirror=True)
-    for a, b in zip(plain.entries, mirrored.entries):
-        assert a.type == b.type
-        assert (a.status == UNREFUTED) == (b.status == UNREFUTED)
+    """Each type's verdict is the first pool member, in pool order, where the
+    predicate and the brute-force closure oracle disagree, although the
+    search tests only one type of each mirror pair."""
+    for kind, names in _REFUTATION_POOLS:
+        pool = {name: getattr(F, name)() for name in names}
+        predicate = property_predicate(kind)
+        report = refute_all_types(predicate, pool)
+        for t in enumerate_types():
+            disagreements = (
+                (label, holds)
+                for label, member in pool.items()
+                if (holds := predicate(member)) != brute_closed_under_type(as_plain_system(member).members, t.slots)
+            )
+            first = next(disagreements, None)
+            if first is None:
+                assert report.entry(t) == Refutation(t, UNREFUTED), (kind, t)
+            else:
+                label, holds = first
+                status = REFUTED_HOLDS_NOT_CLOSED if holds else REFUTED_CLOSED_NOT_HOLDS
+                assert report.entry(t) == Refutation(t, status, label), (kind, t)
+
+
+def test_extension_is_pulled_only_until_the_last_type_falls():
+    members = [(name, getattr(F, name)()) for name in _DGNI_POOL]
+    predicate = property_predicate("dgni")
+    pulled = []
+
+    def counting(items):
+        for label, member in items:
+            pulled.append(label)
+            yield label, member
+
+    # the shortest prefix of the members that refutes every type
+    need = next(k for k in range(1, len(members) + 1) if refute_all_types(predicate, members[:k]).all_refuted)
+    spare = [(f"spare[{i}]", F.gni_not_dgni_4()) for i in range(3)]
+    report = refute_all_types(predicate, members[:1], counting(members[1:] + spare))
+    assert report == refute_all_types(predicate, members)
+    assert pulled == [label for label, _ in members[1:need]]
+
+    pulled.clear()
+    assert refute_all_types(predicate, members, counting(spare)) == report
+    assert pulled == []
 
 
 def test_refutation_report_needs_all_81():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,9 @@ from siflab import (
     generate_sigma_h,
     load_protocols,
 )
+from siflab import canonicalize
 from siflab import fixtures as F
+from siflab.corpus import _random_machine, _random_user, constant_user
 from siflab.strategies import (
     derive_space,
     family_h_view_determined,
@@ -93,6 +96,50 @@ def test_run_explosion_on_choiceful_cycle():
     # the bounded mode still works there
     got = generate_sigma_h(ps, free, hs["H"], GenerationMode.bounded(3))
     assert len(got.members) == 8
+
+
+def _chain_machine(n: int) -> SystemProtocol:
+    """States m0 .. m(n-1) in a line, the last one looping on itself; state
+    i outputs a fixed pair read off i, so no two neighbours look alike."""
+    states = tuple(f"m{i}" for i in range(n))
+    bits = ("0", "1")
+    output = {(f"m{i}", hi, li): ((str(i % 2), str(i // 3 % 2)),) for i in range(n) for hi in bits for li in bits}
+    update = {
+        (f"m{i}", hi, li, ho, lo): states[min(i + 1, n - 1)]
+        for i in range(n)
+        for hi in bits
+        for li in bits
+        for ho in bits
+        for lo in bits
+    }
+    return SystemProtocol(states, states[0], output, update)
+
+
+def test_deep_deterministic_chain_gives_one_lasso_or_run():
+    n = 3000
+    ps = _chain_machine(n)
+    user = constant_user("0")
+    tuples = [("0", "0", str(i % 2), str(i // 3 % 2)) for i in range(n)]
+    exact = generate_sigma_h(ps, user, user, GenerationMode.exact())
+    assert exact.members == (canonicalize(tuples[:-1], tuples[-1:]),)
+    assert len(exact.members[0].prefix) == n - 1
+    bounded = generate_sigma_h(ps, user, user, GenerationMode.bounded(n))
+    assert bounded.members == (canonicalize(tuples, ()),)
+
+
+def test_exact_lassos_unroll_to_the_bounded_runs():
+    rng = random.Random(2024)
+    accepted = 0
+    while accepted < 100:
+        ps, pl, h = _random_machine(rng), _random_user(rng), _random_user(rng)
+        try:
+            exact = generate_sigma_h(ps, pl, h, GenerationMode.exact())
+        except (RunExplosion, ProtocolError):
+            continue
+        accepted += 1
+        for n in range(1, 7):
+            bounded = generate_sigma_h(ps, pl, h, GenerationMode.bounded(n))
+            assert {unroll(t.prefix, t.cycle, n) for t in exact.members} == {t.prefix for t in bounded.members}
 
 
 def test_build_strategy_system_runs_each_named_high_protocol():
