@@ -28,24 +28,18 @@ from .errors import (
     UnknownResultError,
 )
 from .families import (
+    ConjPairGenSif,
     ExtensionalSif,
     NosMemberSif,
+    TypeConjFamily,
     ZigzagSif,
     closed_under_family,
+    conj_family,
     family_union,
     load_sif_table,
     nos_family,
     verify_zigzag_collection,
     zigzag_sif,
-)
-from .gensifs import (
-    ConjPairGenSif,
-    ExtensionalGenSif,
-    LiftedGenSif,
-    TypeConjFamily,
-    closed_under_gen,
-    conj_family,
-    lift_family,
 )
 from .properties import (
     PropertyKind,
@@ -101,7 +95,6 @@ from .traces import (
     prefix_of,
     project,
     save_system,
-    trace_eq,
     view,
 )
 from .verify import RESULT_IDS, VerificationReport, VerifyContext, verify_paper

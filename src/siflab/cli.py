@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .enumeration import BitUniverse, enumerate_traces, represents_over_universe, uniform_alphabets
 from .errors import CapExceeded, FormatError, SiflabError
-from .gensifs import closed_under_gen, conj_family
+from .families import closed_under_family, conj_family
 from .properties import (
     PropertyKind,
     check_nos,
@@ -92,7 +91,7 @@ def _cmd_closure(args) -> int:
     s = load_system(args.system)
     if args.gen_conj:
         t1, t2 = (parse_type(lit) for lit in args.gen_conj)
-        closed = closed_under_gen(s, conj_family(t1, t2))
+        closed = closed_under_family(s, conj_family(t1, t2))
         what = f"paired family [{format_type(t1)}, {format_type(t2)}]"
     elif args.type:
         t = parse_type(args.type)
@@ -182,7 +181,8 @@ def _cmd_refute(args) -> int:
     prop = args.property
     if prop not in PLAIN_PROPERTIES + ("nos",):
         raise FormatError("refute supports sep, gni, rgni, dgni and nos")
-    pool = [(Path(p).stem, _load_pool_member(p)) for p in args.pool]
+    load = load_strategy_system if prop == "nos" else _load_pool_member
+    pool = [(path, load(path)) for path in args.pool]
     report = refute_all_types(property_predicate(prop), pool)
     n_unrefuted = len(report.unrefuted)
     human = report.lines()

@@ -1,15 +1,21 @@
 """Partial interleaving functions and finite families of them.
 
-A function here takes an ordered pair of traces and returns a trace or
-``None`` (undefined).  A trace set is closed under a family when every
-ordered pair of members has some family member defined at the pair whose
-output stays inside the set.  Three realizations matter:
+A function here takes an ordered pair of traces and returns ``None``
+(undefined), a ``frozenset`` of traces (a generalized, set-valued
+function), or any other value, which is one trace.  An output lands in
+a trace set when it is a member, or when it is a nonempty set of
+members.  A trace set is closed under a family when every ordered pair
+of members has some family member defined at the pair whose output
+lands.  Four realizations matter:
 
-* extensional tables (finite pair-to-trace maps),
+* extensional tables (finite pair-to-output maps),
 * the per-family membership functions behind the strategy-system
   equivalence (one function per family and member trace),
 * the zigzag functions that pin down a single trace set, built over an
-  ordered core subset.
+  ordered core subset,
+* pairings of two functions, whose output is the union of theirs; the
+  conjunction of two types is kept symbolic, because a type stands for
+  the infinite set of all constraint-obeying functions.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InjectivityError, SiflabError
 from .properties import StrategySystem, check_injectivity
+from .siftypes import SifType, closed_under_type
 from .traces import (
     L_VIEW,
     LassoTrace,
@@ -36,14 +43,15 @@ from .traces import (
     view,
 )
 
-Sif = Callable[[LassoTrace, LassoTrace], "LassoTrace | None"]
+Sif = Callable[[LassoTrace, LassoTrace], "LassoTrace | frozenset | None"]
 
 
 @dataclass(frozen=True)
 class ExtensionalSif:
-    """A finite pair-to-trace table; undefined off the table."""
+    """A finite pair-to-output table (a trace or a trace set); undefined
+    off the table."""
 
-    table: tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace], ...]
+    table: tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset], ...]
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "ExtensionalSif":
@@ -53,7 +61,7 @@ class ExtensionalSif:
         # reversed, so the first entry for a pair wins, as in a scan of the table
         object.__setattr__(self, "_lookup", dict(reversed(self.table)))
 
-    def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
+    def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | frozenset | None:
         return self._lookup.get((a, b))
 
 
@@ -135,14 +143,77 @@ def zigzag_sif(target: System) -> ZigzagSif:
     return ZigzagSif(target.traces, target.members)
 
 
-def closed_under_family(s: System, family: Iterable[Sif]) -> bool:
-    """Every ordered pair of members maps into ``s`` under some member function."""
+@dataclass(frozen=True)
+class ConjPairGenSif:
+    """The pairing of two functions: undefined where either component is,
+    otherwise the union of their outputs (a single trace counts as a
+    one-element set)."""
+
+    f: object
+    g: object
+
+    def __call__(self, a: LassoTrace, b: LassoTrace) -> frozenset | None:
+        fa = _as_set(self.f, a, b)
+        if fa is None:
+            return None
+        gb = _as_set(self.g, a, b)
+        if gb is None:
+            return None
+        return fa | gb
+
+
+def _as_set(fn, a, b) -> frozenset | None:
+    out = fn(a, b)
+    if out is None or isinstance(out, frozenset):
+        return out
+    return frozenset((out,))
+
+
+@dataclass(frozen=True)
+class TypeConjFamily:
+    """Symbolic stand-in for all pairings of a function of the first type
+    with a function of the second type."""
+
+    t1: SifType
+    t2: SifType
+
+
+def conj_family(f1, f2):
+    """Conjunction of two families.
+
+    Two types give the symbolic form; otherwise both arguments must be
+    iterables of functions and the result is the finite family of all
+    pairings.
+    """
+    if isinstance(f1, SifType) and isinstance(f2, SifType):
+        return TypeConjFamily(f1, f2)
+    if isinstance(f1, SifType) or isinstance(f2, SifType):
+        raise TypeError("mixing a type with an extensional family is not supported")
+    return tuple(ConjPairGenSif(f, g) for f in f1 for g in f2)
+
+
+def closed_under_family(s: System, family: TypeConjFamily | Iterable[Sif]) -> bool:
+    """Every ordered pair of members has an output under some member
+    function that lands in ``s``.
+
+    For the symbolic two-type family the per-pair condition unfolds to:
+    some member matches the first type's constraints and some member
+    matches the second's.  That matches the extensional pairing form
+    because each type contains every constraint-obeying function.  The
+    quantifier over pairs distributes over the conjunction, so the
+    closure is the conjunction of the two type closures.
+    """
+    if isinstance(family, TypeConjFamily):
+        return closed_under_type(s, family.t1) and closed_under_type(s, family.t2)
     fams = tuple(family)
+    inside = s.traces
     for a in s.members:
         for b in s.members:
             for f in fams:
                 out = f(a, b)
-                if out is not None and out in s.traces:
+                # a trace set never holds a frozenset, so a scalar output
+                # is settled by the membership test alone
+                if out is not None and (out in inside or isinstance(out, frozenset) and out and out <= inside):
                     break
             else:
                 return False

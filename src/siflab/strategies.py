@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import FormatError, ProtocolError, RunExplosion
-from .properties import StrategySystem, injectivity_offenders, union_system
+from .properties import StrategySystem, union_system
 from .traces import H_VIEW, LassoTrace, System, TraceSpace, canonicalize, read_json, view
 
 Symbol = str
@@ -290,12 +290,6 @@ def family_h_view_determined(ss: StrategySystem) -> bool:
     return True
 
 
-def strategy_injectivity_report(ss: StrategySystem) -> tuple[bool, list[str]]:
-    """Injectivity verdict plus the offending family names."""
-    offenders = injectivity_offenders(ss)
-    return not offenders, offenders
-
-
 def _user_protocol_from_obj(obj, label: str) -> UserProtocol:
     try:
         states = tuple(str(s) for s in obj["states"])
@@ -323,7 +317,7 @@ def _system_protocol_from_obj(obj) -> SystemProtocol:
             (str(u["state"]), str(u["hi"]), str(u["li"]), str(u["ho"]), str(u["lo"])): str(u["next"])
             for u in obj["update"]
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed system protocol ({exc})") from exc
     return SystemProtocol(states, initial, output, update)
 

@@ -122,11 +122,6 @@ def canonicalize(prefix: Sequence, cycle: Sequence) -> LassoTrace:
     return LassoTrace(pre, cyc)
 
 
-def trace_eq(a: LassoTrace, b: LassoTrace) -> bool:
-    """Denotational equality; structural on canonical forms."""
-    return a == b
-
-
 def project(t: LassoTrace, mask: Component) -> LassoTrace:
     """Component-wise restriction of ``t``, re-canonicalized.
 

@@ -22,12 +22,12 @@ from .enumeration import BitUniverse, implication_violations
 from .errors import UnknownResultError
 from .families import (
     closed_under_family,
+    conj_family,
     family_union,
     nos_family,
     verify_zigzag_collection,
     zigzag_sif,
 )
-from .gensifs import closed_under_gen, conj_family
 from .properties import (
     PropertyKind,
     check_nos,
@@ -353,7 +353,7 @@ def _prop_genconj(ctx) -> tuple[bool, str]:
     n = 0
     for s, f1, f2 in corpora.conj_cases(ctx.case_count, ctx.seed):
         n += 1
-        lhs = closed_under_gen(s, conj_family(f1, f2))
+        lhs = closed_under_family(s, conj_family(f1, f2))
         rhs = closed_under_family(s, f1) and closed_under_family(s, f2)
         if lhs != rhs:
             mismatches += 1
@@ -372,7 +372,7 @@ def _cor_dgni(ctx) -> tuple[bool, str]:
         )
     )
     fam = conj_family(GNI_TYPE, RGNI_TYPE)
-    spot = closed_under_gen(fixtures.dgni_not_sep_15(), fam) and not closed_under_gen(
+    spot = closed_under_family(fixtures.dgni_not_sep_15(), fam) and not closed_under_family(
         fixtures.gni_not_dgni_4(), fam
     )
     ok = table_eq and spot

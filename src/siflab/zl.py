@@ -15,7 +15,6 @@ can be re-inserted before any low-only suffix.  A single total function
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
@@ -317,10 +316,6 @@ def async_system_to_obj(s: AsyncSystem) -> dict:
 
 def load_async_system(path: str | Path) -> AsyncSystem:
     return async_system_from_obj(read_json(path))
-
-
-def save_async_system(s: AsyncSystem, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(async_system_to_obj(s), indent=2) + "\n")
 
 
 def collection_from_obj(obj) -> list[AnySystem]:

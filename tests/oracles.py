@@ -168,6 +168,44 @@ def brute_nos(families):
     return True
 
 
+# ------------------------------------------------------ function families
+
+
+def _is_member(t, members):
+    """Word-level membership for lasso traces; event traces are tuples."""
+    if hasattr(t, "cycle"):
+        return any(hasattr(m, "cycle") and lasso_equal(t, m) for m in members)
+    return any(t == m for m in members)
+
+
+def brute_closed_under_family(members, functions):
+    """Literal closure under a function family.
+
+    For every ordered pair (a, b) of members, some function is defined
+    at the pair and its output lands.  A frozenset output is a set of
+    traces and lands when it is nonempty and each of its traces is a
+    member; any other output is one trace and lands when it is a member.
+    """
+    members = list(members)
+    for a in members:
+        for b in members:
+            found = False
+            for f in functions:
+                out = f(a, b)
+                if out is None:
+                    continue
+                if isinstance(out, frozenset):
+                    lands = len(out) > 0 and all(_is_member(t, members) for t in out)
+                else:
+                    lands = _is_member(out, members)
+                if lands:
+                    found = True
+                    break
+            if not found:
+                return False
+    return True
+
+
 # --------------------------------------------------------- event systems
 
 

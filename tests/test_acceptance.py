@@ -27,7 +27,6 @@ from siflab import (
     check_nos,
     check_property,
     closed_under_family,
-    closed_under_gen,
     closed_under_insertion,
     closed_under_type,
     conj_family,
@@ -269,13 +268,13 @@ def test_criterion_08_conjunction_of_families(bit_universe):
     dgni = bu.property_ok(PropertyKind.DGNI)
     for _ in range(200):
         mask = rng.randrange(1, 1 << 16)
-        if closed_under_gen(bu.system_from_mask(mask), fam) != bool(dgni[mask - 1]):
+        if closed_under_family(bu.system_from_mask(mask), fam) != bool(dgni[mask - 1]):
             sample_mismatches += 1
     ext_mismatches = 0
     n_cases = 0
     for s, f1, f2 in conj_cases(count=1000):
         n_cases += 1
-        lhs = closed_under_gen(s, conj_family(f1, f2))
+        lhs = closed_under_family(s, conj_family(f1, f2))
         rhs = closed_under_family(s, f1) and closed_under_family(s, f2)
         if lhs != rhs:
             ext_mismatches += 1

@@ -135,8 +135,19 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
             _with(F.fixture_obj("zl_universe_sync"), ["systems"], [7]),
         ),
         (_CHECK_SEP, b"\xff\xfe not UTF-8"),
+        (
+            ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"],
+            _with(F.echo_protocols(), ["system", "output", 0, "choices", 0], ["0"]),
+        ),
     ],
-    ids=["traces-not-a-list", "alphabet-not-a-list", "prefix-not-a-list", "collection-member", "not-utf8"],
+    ids=[
+        "traces-not-a-list",
+        "alphabet-not-a-list",
+        "prefix-not-a-list",
+        "collection-member",
+        "not-utf8",
+        "protocol-choice-not-a-pair",
+    ],
 )
 def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
@@ -285,6 +296,27 @@ def test_refute_judges_the_whole_pool_first(tmp_path, capsys):
     save_strategy_system(strategy_system_from_mapping(space, {"H0": universe[:2], "H1": universe[:1]}), not_injective)
     code, _, err = run(capsys, "refute", "--property", "nos", "--pool", str(refutes_all), str(not_injective))
     assert code == 2 and err.startswith("error:") and "distinguishability" in err
+
+
+def test_refute_nos_rejects_a_plain_system_file(capsys):
+    code, out, err = run(capsys, "refute", "--property", "nos", "--pool", str(fixture_path("lo_equals_li_8")))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_refute_labels_witnesses_by_path(tmp_path, capsys):
+    # two files with one stem, each refuting types the other does not
+    pool = []
+    for folder, name in (("a", "li_equals_hi_8"), ("b", "lo_equals_li_8")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "x.json"
+        path.write_text(json.dumps(F.fixture_obj(name)))
+        pool.append(str(path))
+    code, obj, _ = run_json(capsys, "refute", "--property", "sep", "--pool", *pool)
+    assert code == 1 and obj["pool"] == pool
+    assert {e["witness"] for e in obj["entries"]} == {None, *pool}
+    _, out, _ = run(capsys, "refute", "--property", "sep", "--pool", *pool)
+    assert all(path in out for path in pool)
 
 
 def test_refute_rejects_unknown_property(capsys):

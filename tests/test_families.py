@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from oracles import zigzag_expected
+from oracles import brute_closed_under_family, zigzag_expected
 from siflab import (
     ExtensionalSif,
     InjectivityError,
+    InsertionSif,
     SiflabError,
     System,
     binary_space,
     check_nos,
     closed_under_family,
+    conj_family,
     family_union,
     nos_family,
     standard_universe,
@@ -22,7 +26,7 @@ from siflab import (
     zigzag_sif,
 )
 from siflab import fixtures as F
-from siflab.corpus import disjoint_ten
+from siflab.corpus import disjoint_ten, enumerate_async_systems
 from siflab.families import NosMemberSif, ZigzagSif, load_sif_table, sif_table_from_obj, sif_table_to_obj
 
 SPACE, UNIVERSE = standard_universe()
@@ -73,6 +77,64 @@ def test_closed_under_family_literal_behavior():
     escape = ExtensionalSif.from_mapping({(a, b): UNIVERSE[5] for a in s.members for b in s.members})
     assert not closed_under_family(s, [escape])
     assert closed_under_family(System(SPACE, []), [nowhere])
+
+
+def _random_table(rng, members, set_valued):
+    """A table defined on most pairs of ``members``, mostly mapping back
+    into them; a set-valued output has 0 to 3 traces."""
+    pick = lambda: rng.choice(members) if rng.random() < 0.9 else rng.choice(UNIVERSE[:6])
+    table = {}
+    for a in members:
+        for b in members:
+            if rng.random() < 0.85:
+                table[(a, b)] = frozenset(pick() for _ in range(rng.randint(0, 3))) if set_valued else pick()
+    return ExtensionalSif.from_mapping(table)
+
+
+def _table_cases(kind, count=300, seed=7):
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = System(SPACE, rng.sample(UNIVERSE[:6], rng.randint(1, 4)))
+        family = lambda set_valued: [_random_table(rng, s.members, set_valued) for _ in range(rng.randint(1, 3))]
+        if kind == "scalar":
+            yield s, family(False)
+        elif kind == "set":
+            yield s, family(True)
+        else:
+            yield s, conj_family(family(rng.random() < 0.5), family(rng.random() < 0.5))
+
+
+def _event_cases(kind):
+    for s in enumerate_async_systems(cap=2000):
+        f = InsertionSif(s.decl)
+        yield s, [f] if kind == "events" else conj_family([f], [f])
+
+
+@pytest.mark.parametrize("kind", ["scalar", "set", "pairing", "events", "event_pairing"])
+def test_closed_under_family_matches_the_oracle(kind):
+    cases = _event_cases(kind) if kind.startswith("event") else _table_cases(kind)
+    verdicts = set()
+    for s, fam in cases:
+        closed = closed_under_family(s, fam)
+        assert closed == brute_closed_under_family(s.members, fam), (s, fam)
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
+def test_pairing_identity_on_event_systems():
+    for s in enumerate_async_systems(cap=2000):
+        f = InsertionSif(s.decl)
+        g = lambda a, b, f=f: f(b, a)
+        for f1, f2 in (([f], [f]), ([f], [g]), ([f, g], [g])):
+            lhs = closed_under_family(s, conj_family(f1, f2))
+            assert lhs == (closed_under_family(s, f1) and closed_under_family(s, f2)), s
+
+
+def test_insertion_pairing_closes_the_insertion_fixture():
+    s = F.psp_insert_ok()
+    f = InsertionSif(s.decl)
+    assert closed_under_family(s, [f])
+    assert closed_under_family(s, conj_family([f], [f]))
 
 
 def test_family_union_preserves_order_and_dedupes():

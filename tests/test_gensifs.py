@@ -1,4 +1,4 @@
-"""Set-valued functions and conjunction of families."""
+"""Set-valued functions and conjunction of families (``siflab.families``)."""
 
 from __future__ import annotations
 
@@ -11,30 +11,21 @@ from siflab import (
     RGNI_TYPE,
     SEP_TYPE,
     BitUniverse,
+    ConjPairGenSif,
     ExtensionalSif,
     PropertyKind,
     SifType,
     System,
+    TypeConjFamily,
     check_property,
     closed_under_family,
-    closed_under_gen,
     closed_under_type,
     conj_family,
-    lift_family,
     standard_universe,
-    zigzag_sif,
 )
-from siflab.corpus import conj_cases, disjoint_ten
-from siflab.gensifs import ConjPairGenSif, ExtensionalGenSif, LiftedGenSif, TypeConjFamily
+from siflab.corpus import conj_cases
 
 SPACE, UNIVERSE = standard_universe()
-
-
-def test_lifted_gen_sif_wraps_scalar_outputs():
-    a, b = UNIVERSE[0], UNIVERSE[1]
-    f = LiftedGenSif(ExtensionalSif.from_mapping({(a, b): b}))
-    assert f(a, b) == frozenset((b,))
-    assert f(b, a) is None
 
 
 def test_conj_pair_gen_sif_semantics():
@@ -51,8 +42,8 @@ def test_conj_pair_gen_sif_semantics():
 
 def test_conj_pair_accepts_set_valued_components():
     a, b = UNIVERSE[0], UNIVERSE[1]
-    f = ExtensionalGenSif((((a, a), frozenset((a, b))),))
-    g = ExtensionalGenSif((((a, a), frozenset((a,))),))
+    f = ExtensionalSif((((a, a), frozenset((a, b))),))
+    g = ExtensionalSif((((a, a), frozenset((a,))),))
     h = ConjPairGenSif(f, g)
     assert h(a, a) == frozenset((a, b))
 
@@ -75,10 +66,10 @@ def test_conj_family_dispatch():
         conj_family(f1, RGNI_TYPE)
 
 
-def test_closed_under_gen_empty_family_fails_on_nonempty_system():
+def test_closed_under_family_empty_family_fails_on_nonempty_system():
     s = System(SPACE, UNIVERSE[:1])
-    assert not closed_under_gen(s, [])
-    assert closed_under_gen(System(SPACE, []), [])
+    assert not closed_under_family(s, [])
+    assert closed_under_family(System(SPACE, []), [])
 
 
 def test_symbolic_conjunction_equals_componentwise_closure():
@@ -89,7 +80,7 @@ def test_symbolic_conjunction_equals_componentwise_closure():
         members = [UNIVERSE[i] for i in range(8) if mask >> i & 1]
         s = System(SPACE, members)
         t1, t2 = rng.choice(all_types), rng.choice(all_types)
-        assert closed_under_gen(s, conj_family(t1, t2)) == (
+        assert closed_under_family(s, conj_family(t1, t2)) == (
             closed_under_type(s, t1) and closed_under_type(s, t2)
         )
 
@@ -103,7 +94,7 @@ def test_symbolic_conjunction_on_bit_universe_tables(bit_universe):
         mask = rng.randrange(1, 1 << 16)
         s = bu.system_from_mask(mask)
         want = bool(ok_gni[mask - 1]) and bool(ok_rgni[mask - 1])
-        assert closed_under_gen(s, conj_family(GNI_TYPE, RGNI_TYPE)) == want
+        assert closed_under_family(s, conj_family(GNI_TYPE, RGNI_TYPE)) == want
 
 
 def test_dgni_property_matches_type_conjunction_closure_sample(bit_universe):
@@ -115,24 +106,15 @@ def test_dgni_property_matches_type_conjunction_closure_sample(bit_universe):
         s = bu.system_from_mask(mask)
         # representation direction checked exhaustively in acceptance tests;
         # here: whenever the conjunction closes the system, dgni holds
-        if closed_under_gen(s, fam):
+        if closed_under_family(s, fam):
             assert check_property(PropertyKind.DGNI, s)
 
 
 def test_extensional_conjunction_identity_on_generated_cases():
     for s, f1, f2 in conj_cases(count=120, seed=9):
-        lhs = closed_under_gen(s, conj_family(f1, f2))
+        lhs = closed_under_family(s, conj_family(f1, f2))
         rhs = closed_under_family(s, f1) and closed_under_family(s, f2)
         assert lhs == rhs
-
-
-def test_lift_family_preserves_closure_verdicts():
-    systems = disjoint_ten()
-    fam = [zigzag_sif(s) for s in systems[:3]]
-    lifted = lift_family(fam)
-    assert all(isinstance(f, LiftedGenSif) for f in lifted)
-    for s in systems:
-        assert closed_under_gen(s, lifted) == closed_under_family(s, fam)
 
 
 def test_sep_type_conjoined_with_itself_is_sep_closure():
@@ -140,4 +122,4 @@ def test_sep_type_conjoined_with_itself_is_sep_closure():
     for _ in range(80):
         mask = rng.randrange(1, 1 << 8)
         s = System(SPACE, [UNIVERSE[i] for i in range(8) if mask >> i & 1])
-        assert closed_under_gen(s, conj_family(SEP_TYPE, SEP_TYPE)) == closed_under_type(s, SEP_TYPE)
+        assert closed_under_family(s, conj_family(SEP_TYPE, SEP_TYPE)) == closed_under_type(s, SEP_TYPE)

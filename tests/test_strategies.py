@@ -23,12 +23,8 @@ from siflab import (
 from siflab import canonicalize
 from siflab import fixtures as F
 from siflab.corpus import _random_machine, _random_user, constant_user
-from siflab.strategies import (
-    derive_space,
-    family_h_view_determined,
-    protocols_from_obj,
-    strategy_injectivity_report,
-)
+from siflab.properties import check_injectivity, injectivity_offenders
+from siflab.strategies import derive_space, family_h_view_determined, protocols_from_obj
 
 
 def _echo():
@@ -263,9 +259,7 @@ def test_injectivity_report_names_offenders():
 
     t0 = constant_trace((0, 0, 0, 0))
     t1 = constant_trace((1, 1, 1, 1))
-    ok, offenders = strategy_injectivity_report(
-        strategy_system_from_mapping(binary_space(), {"H0": [t0, t1], "H1": [t0]})
-    )
-    assert not ok and offenders == ["H1"]
-    ok, offenders = strategy_injectivity_report(F.nos_false_pair())
-    assert ok and offenders == []
+    ss = strategy_system_from_mapping(binary_space(), {"H0": [t0, t1], "H1": [t0]})
+    assert not check_injectivity(ss) and injectivity_offenders(ss) == ["H1"]
+    ss = F.nos_false_pair()
+    assert check_injectivity(ss) and injectivity_offenders(ss) == []

@@ -24,7 +24,6 @@ from siflab import (
     format_trace,
     prefix_of,
     project,
-    trace_eq,
     view,
 )
 from siflab.traces import load_system, save_system, system_from_obj, system_to_obj, trace_from_obj, trace_to_obj
@@ -83,7 +82,7 @@ def test_cycle_powers_collapse(raw, power):
 def test_structural_equality_matches_word_equality(raw1, raw2):
     t1 = canonicalize(*raw1)
     t2 = canonicalize(*raw2)
-    assert trace_eq(t1, t2) == words_equal(raw1[0], raw1[1], raw2[0], raw2[1])
+    assert (t1 == t2) == words_equal(raw1[0], raw1[1], raw2[0], raw2[1])
 
 
 @given(RAW_LASSO, st.integers(min_value=0, max_value=12))
