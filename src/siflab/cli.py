@@ -276,6 +276,10 @@ def _cmd_verify_paper(args) -> int:
     context = VerifyContext()
     report = verify_paper(ids, context)
     _emit(args, report.to_obj(), report.lines())
+    if report.errors:
+        failed = ", ".join(o.result_id for o in report.errors)
+        print(f"error: {len(report.errors)} result(s) raised an exception: {failed}", file=sys.stderr)
+        return 2
     return 0 if report.all_passed else 1
 
 

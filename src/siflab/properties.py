@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,6 +32,7 @@ from .traces import (
     trace_to_obj,
     traces_from_objs,
     view,
+    view_columns,
 )
 
 
@@ -59,16 +60,17 @@ def check_property(kind: PropertyKind, s: System) -> bool:
 
     For SEP/GNI/RGNI this is the pair-quantified formula: for all members
     s1, s2 there is a member whose first-view equals s1's and whose
-    second-view equals s2's.  The empty system satisfies everything
-    (vacuous quantification).
+    second-view equals s2's.  Views are compared as tuples of the
+    system's interned component ids.  The empty system satisfies
+    everything (vacuous quantification).
     """
     kind = PropertyKind(kind)
     if kind is PropertyKind.DGNI:
         return check_property(PropertyKind.GNI, s) and check_property(PropertyKind.RGNI, s)
-    m1, m2 = PROPERTY_VIEWS[kind]
-    have = {(view(t, m1), view(t, m2)) for t in s.members}
-    firsts = {view(t, m1) for t in s.members}
-    seconds = {view(t, m2) for t in s.members}
+    c1, c2 = (view_columns(m) for m in PROPERTY_VIEWS[kind])
+    have = {(tuple(ids[i] for i in c1), tuple(ids[i] for i in c2)) for ids in s.view_ids}
+    firsts = {a for a, _ in have}
+    seconds = {b for _, b in have}
     return all((a, b) in have for a in firsts for b in seconds)
 
 
@@ -77,7 +79,8 @@ class StrategySystem:
     """An ordered, named family of trace sets over one shared space.
 
     Every family must be nonempty.  The union is the trace set all
-    pair-quantified properties are evaluated on.
+    pair-quantified properties are evaluated on; it is built on first use
+    and kept with the strategy system.
     """
 
     families: tuple[tuple[str, System], ...]
@@ -109,14 +112,15 @@ class StrategySystem:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.families)
 
+    @cached_property
+    def union(self) -> System:
+        """The deduplicated union of all families."""
+        return System(self.space, frozenset().union(*(fam.traces for _, fam in self.families)))
 
-@lru_cache(maxsize=None)
+
 def union_system(ss: StrategySystem) -> System:
-    """The deduplicated union of all families."""
-    traces: set = set()
-    for _, fam in ss.families:
-        traces |= fam.traces
-    return System(ss.space, traces)
+    """The deduplicated union of all families (``ss.union``)."""
+    return ss.union
 
 
 def injectivity_offenders(ss: StrategySystem) -> list[str]:

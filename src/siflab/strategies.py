@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import FormatError, ProtocolError, RunExplosion
 from .properties import StrategySystem, union_system
-from .traces import H_VIEW, LassoTrace, System, TraceSpace, canonicalize, read_json, view
+from .traces import H_VIEW, LassoTrace, System, TraceSpace, _list, canonicalize, read_json, view
 
 Symbol = str
 State = str
@@ -291,31 +291,42 @@ def family_h_view_determined(ss: StrategySystem) -> bool:
 
 
 def _user_protocol_from_obj(obj, label: str) -> UserProtocol:
+    where = f"{label} protocol"
     try:
-        states = tuple(str(s) for s in obj["states"])
+        states = tuple(str(s) for s in _list(obj["states"], f"{where} states"))
         initial = str(obj["initial"])
-        emit = {str(e["state"]): tuple(str(c) for c in e["choices"]) for e in obj["emit"]}
+        emit = {
+            str(e["state"]): tuple(str(c) for c in _list(e["choices"], f"{where} choices"))
+            for e in _list(obj["emit"], f"{where} emit")
+        }
         update = {
-            (str(u["state"]), str(u["input"]), str(u["output"])): str(u["next"]) for u in obj["update"]
+            (str(u["state"]), str(u["input"]), str(u["output"])): str(u["next"])
+            for u in _list(obj["update"], f"{where} update")
         }
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{label}: malformed user protocol ({exc})") from exc
     return UserProtocol(states, initial, emit, update)
 
 
+def _choice_pair(obj) -> tuple[Symbol, Symbol]:
+    """One system-protocol choice; a list that is not a pair raises ``ValueError``."""
+    hi, lo = _list(obj, "a system protocol choice")
+    return str(hi), str(lo)
+
+
 def _system_protocol_from_obj(obj) -> SystemProtocol:
     try:
-        states = tuple(str(s) for s in obj["states"])
+        states = tuple(str(s) for s in _list(obj["states"], "system protocol states"))
         initial = str(obj["initial"])
         output = {
             (str(e["state"]), str(e["hi"]), str(e["li"])): tuple(
-                (str(a), str(b)) for a, b in e["choices"]
+                _choice_pair(c) for c in _list(e["choices"], "system protocol choices")
             )
-            for e in obj["output"]
+            for e in _list(obj["output"], "system protocol output")
         }
         update = {
             (str(u["state"]), str(u["hi"]), str(u["li"]), str(u["ho"]), str(u["lo"])): str(u["next"])
-            for u in obj["update"]
+            for u in _list(obj["update"], "system protocol update")
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed system protocol ({exc})") from exc

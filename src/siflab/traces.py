@@ -51,6 +51,16 @@ HO_VIEW = Component.HO
 LO_VIEW = Component.LO
 
 
+# Component ``COMPONENT_ORDER[i]`` is bit ``i`` of a mask.
+_VIEW_COLUMNS = tuple(tuple(i for i in range(4) if mask >> i & 1) for mask in range(16))
+
+
+def view_columns(mask: int) -> tuple[int, ...]:
+    """The positions of ``mask``'s components in a 4-tuple (and in a row
+    of :attr:`System.view_ids`), in ``COMPONENT_ORDER``."""
+    return _VIEW_COLUMNS[mask]
+
+
 def _primitive_root(cycle: tuple) -> tuple:
     """Shortest word whose repetition equals ``cycle``."""
     n = len(cycle)
@@ -132,7 +142,7 @@ def project(t: LassoTrace, mask: Component) -> LassoTrace:
         raise ValueError("empty component mask")
     if mask == FULL_VIEW:
         return t
-    idx = [i for i, c in enumerate(COMPONENT_ORDER) if c & mask]
+    idx = view_columns(mask)
     pre = tuple(tuple(tup[i] for i in idx) for tup in t.prefix)
     cyc = tuple(tuple(tup[i] for i in idx) for tup in t.cycle)
     return canonicalize(pre, cyc)
@@ -216,9 +226,14 @@ def _sort_key(t: LassoTrace):
 
 
 class System:
-    """A finite set of canonical traces over a shared trace space."""
+    """A finite set of canonical traces over a shared trace space.
 
-    __slots__ = ("space", "traces", "members", "_hash")
+    ``_ids`` and ``_counts`` are filled on first use (by
+    :attr:`view_ids` and ``siftypes.view_counts``) and take no part in
+    equality or hashing.
+    """
+
+    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts")
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
@@ -229,6 +244,26 @@ class System:
         self.traces = tset
         self.members = tuple(sorted(tset, key=_sort_key))
         self._hash = hash((space, tset))
+        self._ids = None
+        self._counts = None
+
+    @property
+    def view_ids(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per member, in ``members`` order, its four interned component views.
+
+        Column ``i`` holds the member's view on ``COMPONENT_ORDER[i]``
+        (:func:`project`), numbered by first occurrence within this
+        system, so equal ids in a column mean equal views.  Word equality
+        is positionwise, so two members share a joint view exactly when
+        they share the id of each of its components.
+        """
+        if self._ids is None:
+            columns = []
+            for comp in COMPONENT_ORDER:
+                seen: dict[LassoTrace, int] = {}
+                columns.append([seen.setdefault(project(t, comp), len(seen)) for t in self.members])
+            self._ids = tuple(zip(*columns))
+        return self._ids
 
     def __contains__(self, t: LassoTrace) -> bool:
         return t in self.traces

@@ -101,13 +101,17 @@ class VerifyContext:
 
 @dataclass(frozen=True)
 class ResultOutcome:
+    """One result's verdict.  ``error`` marks a procedure that raised:
+    it did not pass, and ``detail`` is ``ERROR: <type>: <message>``."""
+
     result_id: str
     passed: bool
     detail: str
     runtime: float
+    error: bool = False
 
     def line(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
+        tag = "ERROR" if self.error else "PASS" if self.passed else "FAIL"
         return f"{tag}  {self.result_id:<13} {self.runtime:7.2f}s  {self.detail}"
 
 
@@ -119,6 +123,11 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(o.passed for o in self.outcomes)
 
+    @property
+    def errors(self) -> tuple[ResultOutcome, ...]:
+        """The outcomes whose procedure raised."""
+        return tuple(o for o in self.outcomes if o.error)
+
     def outcome(self, result_id: str) -> ResultOutcome:
         for o in self.outcomes:
             if o.result_id == result_id:
@@ -127,11 +136,10 @@ class VerificationReport:
 
     def lines(self) -> list[str]:
         out = [o.line() for o in self.outcomes]
-        n_fail = sum(not o.passed for o in self.outcomes)
-        out.append(
-            f"{len(self.outcomes)} results: "
-            + ("all PASS" if n_fail == 0 else f"{n_fail} FAIL")
-        )
+        n_error = len(self.errors)
+        n_fail = sum(not o.passed for o in self.outcomes) - n_error
+        counts = [f"{n} {tag}" for n, tag in ((n_error, "ERROR"), (n_fail, "FAIL")) if n]
+        out.append(f"{len(self.outcomes)} results: " + (", ".join(counts) or "all PASS"))
         return out
 
     def to_obj(self) -> dict:
@@ -468,7 +476,11 @@ RESULT_IDS = tuple(_REGISTRY)
 
 
 def verify_paper(ids=None, context: VerifyContext | None = None) -> VerificationReport:
-    """Reproduce the requested results (all of them by default)."""
+    """Reproduce the requested results (all of them by default).
+
+    A procedure that raises gives an ERROR outcome, and the results after
+    it still run.
+    """
     if ids is None:
         requested = list(RESULT_IDS)
     else:
@@ -483,6 +495,10 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
     for result_id in requested:
         _, procedure = _REGISTRY[result_id]
         start = time.perf_counter()
-        passed, detail = procedure(ctx)
-        outcomes.append(ResultOutcome(result_id, passed, detail, time.perf_counter() - start))
+        try:
+            passed, detail = procedure(ctx)
+            error = False
+        except Exception as exc:  # recorded as this result's outcome; the rest still run
+            passed, detail, error = False, f"ERROR: {type(exc).__name__}: {exc}", True
+        outcomes.append(ResultOutcome(result_id, passed, detail, time.perf_counter() - start, error))
     return VerificationReport(tuple(outcomes))

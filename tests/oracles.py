@@ -10,6 +10,7 @@ therefore meaningful evidence, not a tautology.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -71,8 +72,14 @@ def proj_raw(prefix, cycle, idxs):
 
 def proj_equal(t1, t2, idxs):
     """Word equality of the ``idxs`` projections of two lasso traces."""
-    p1, c1 = proj_raw(t1.prefix, t1.cycle, idxs)
-    p2, c2 = proj_raw(t2.prefix, t2.cycle, idxs)
+    return _proj_words_equal(t1.prefix, t1.cycle, t2.prefix, t2.cycle, tuple(idxs))
+
+
+@lru_cache(maxsize=1 << 16)
+def _proj_words_equal(p1, c1, p2, c2, idxs):
+    """:func:`proj_equal` on raw (prefix, cycle) words, memoized by those words."""
+    p1, c1 = proj_raw(p1, c1, idxs)
+    p2, c2 = proj_raw(p2, c2, idxs)
     return words_equal(p1, c1, p2, c2)
 
 

@@ -139,6 +139,14 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
             ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"],
             _with(F.echo_protocols(), ["system", "output", 0, "choices", 0], ["0"]),
         ),
+        (
+            ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"],
+            _with(F.echo_protocols(), ["system", "output", 0, "choices", 0], "00"),
+        ),
+        (
+            ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"],
+            _with(F.echo_protocols(), ["system", "states"], "run"),
+        ),
     ],
     ids=[
         "traces-not-a-list",
@@ -147,6 +155,8 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
         "collection-member",
         "not-utf8",
         "protocol-choice-not-a-pair",
+        "protocol-choice-a-string",
+        "protocol-states-a-string",
     ],
 )
 def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content):
@@ -442,6 +452,27 @@ def test_verify_paper_only_list_json(capsys):
     assert code == 0
     assert [e["id"] for e in obj["results"]] == ["EX1", "EX2"]
     assert all(e["passed"] for e in obj["results"])
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_paper_error_exits_two_and_runs_the_rest(capsys, monkeypatch, json_flag):
+    from siflab.verify import _REGISTRY
+
+    def boom(ctx):
+        raise RuntimeError("broken procedure")
+
+    monkeypatch.setitem(_REGISTRY, "EX1", (_REGISTRY["EX1"][0], boom))
+    code, out, err = run(capsys, "verify-paper", "--only", "EX1,EX2", *json_flag)
+    assert code == 2
+    assert err == "error: 1 result(s) raised an exception: EX1\n"
+    assert "Traceback" not in out + err
+    assert "ERROR: RuntimeError: broken procedure" in out
+    if json_flag:
+        results = json.loads(out)["results"]
+        assert [(e["id"], e["passed"]) for e in results] == [("EX1", False), ("EX2", True)]
+    else:
+        assert out.splitlines()[0].startswith("ERROR  EX1 ")
+        assert out.splitlines()[1].startswith("PASS  EX2 ")
 
 
 def test_verify_paper_unknown_id(capsys):

@@ -2,10 +2,12 @@
 
 Each example takes a shipped fixture's JSON, often one of another kind
 than the subcommand reads, applies zero to three mutations (drop a key,
-give a value a JSON value of another type, duplicate or delete a list
-entry) and runs one subcommand on it in process.  Whatever the input,
-the exit code is 0, 1 or 2, no exception escapes, and an input error is
-reported as one ``error:`` line.
+give a value a JSON value of another type, write a list as the string of
+its entries, duplicate or delete a list entry) and runs one subcommand
+on it in process.  Whatever the input, the exit code is 0, 1 or 2, no
+exception escapes, and an input error is reported as one ``error:``
+line.  A list written as a string in a file of the kind the subcommand
+reads is always an input error: no reader may split it into characters.
 """
 
 from __future__ import annotations
@@ -53,6 +55,18 @@ def _containers(obj, path=()):
             yield from _containers(value, path + (key,))
 
 
+def _stringify(node, key):
+    """Write the list ``node[key]`` as the string of its entries (``["0", "1"]`` -> ``"01"``)."""
+    node[key] = "".join(map(str, node[key]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def _mutate(data, obj):
     obj = copy.deepcopy(obj)
     for _ in range(data.draw(st.integers(0, 3))):
@@ -64,11 +78,14 @@ def _mutate(data, obj):
             node = node[key]
         key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
         ops = ["drop", "retype"] + (["duplicate"] if isinstance(node, list) else [])
+        ops += ["stringify"] if isinstance(node[key], list) else []
         op = data.draw(st.sampled_from(ops))
         if op == "drop":
             del node[key]
         elif op == "duplicate":
             node.insert(key, copy.deepcopy(node[key]))
+        elif op == "stringify":
+            _stringify(node, key)
         else:
             old = type(node[key])
             node[key] = data.draw(VALUES.filter(lambda v: type(v) is not old))
@@ -85,9 +102,34 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, data):
     path.write_text(json.dumps(_mutate(data, F.fixture_obj(name))))
     other = str(fixture_path(data.draw(st.sampled_from(names))))
     argv = [str(path) if a == "{}" else other if a == "other" else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, err = _run(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_string_for_a_list_is_an_input_error(tmp_path_factory, data):
+    argv, kind = data.draw(st.sampled_from(COMMANDS))
+    names = sorted(kind)
+    obj = F.fixture_obj(data.draw(st.sampled_from(names)))
+    lists = []
+    for path in _containers(obj):
+        node = obj
+        for key in path:
+            node = node[key]
+        if path and isinstance(node, list):
+            lists.append(path)
+    *parents, last = data.draw(st.sampled_from(lists))
+    node = obj
+    for key in parents:
+        node = node[key]
+    _stringify(node, last)
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(obj))
+    other = str(fixture_path(data.draw(st.sampled_from(names))))
+    argv = [str(path) if a == "{}" else other if a == "other" else a for a in argv]
+    code, err = _run(argv)
+    assert code == 2, (argv, parents, last)
+    assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closed_under_type
+from oracles import brute_closed_under_type, brute_property
 from siflab import (
     ALL_SYSTEMS_TYPES,
     FormatError,
@@ -16,6 +19,8 @@ from siflab import (
     SEP_TYPE,
     SifType,
     System,
+    binary_space,
+    canonicalize,
     check_nos,
     check_property,
     closed_under_type,
@@ -38,6 +43,7 @@ from siflab.siftypes import (
     RefutationReport,
     as_plain_system,
     property_predicate,
+    view_counts,
 )
 
 SPACE, UNIVERSE = standard_universe()
@@ -101,6 +107,62 @@ def test_closure_matches_the_literal_oracle_exhaustively():
 def test_closure_matches_the_oracle_on_random_systems(mask, t):
     s = System(SPACE, (UNIVERSE[i] for i in range(16) if mask >> i & 1))
     assert closed_under_type(s, t) == brute_closed_under_type(s.members, t.slots)
+
+
+def _multi_period_system(rng) -> System:
+    """A random binary system of lassos with prefixes of length 0-2 and
+    cycles of length 0-3 (so finite traces and the empty trace occur).
+
+    Half are 0-24 independent draws.  The other half are the product of
+    one or two component words per component, all of one shape, less up
+    to two members, so that many are closed under two-argument types.
+    """
+    if rng.random() < 0.5:
+        tup = lambda: tuple(rng.choice("01") for _ in range(4))
+        lasso = lambda: canonicalize([tup() for _ in range(rng.randint(0, 2))], [tup() for _ in range(rng.randint(0, 3))])
+        return System(binary_space(), {lasso() for _ in range(rng.randint(0, 24))})
+    pre, cyc = rng.randint(0, 2), rng.randint(0, 3)
+    words = [{"".join(rng.choice("01") for _ in range(pre + cyc)) for _ in range(rng.randint(1, 2))} for _ in range(4)]
+    traces = {canonicalize(list(zip(*w))[:pre], list(zip(*w))[pre:]) for w in product(*words)}
+    for t in rng.sample(sorted(traces, key=str), min(len(traces), rng.randint(0, 2))):
+        traces.discard(t)
+    return System(binary_space(), traces)
+
+
+def test_deciders_match_the_oracles_on_multi_period_systems():
+    rng = random.Random(6)
+    kinds = tuple(PropertyKind)
+    seen = set()
+    for _ in range(100):
+        s = _multi_period_system(rng)
+        for t in enumerate_types():
+            verdict = closed_under_type(s, t)
+            assert verdict == brute_closed_under_type(s.members, t.slots), (s.members, t)
+            seen.add(("type", verdict, len(s) > 1 and {1, 2} <= set(t.slots)))
+        for kind in kinds:
+            verdict = check_property(kind, s)
+            assert verdict == brute_property(kind.value, s.members), (s.members, kind)
+            seen.add((kind, verdict))
+        seen.add(("empty trace", any(not t.prefix and not t.cycle for t in s.members)))
+        seen.add(("finite and infinite", len({t.is_finite for t in s.members}) == 2))
+        seen.add(("size", min(len(s) // 8, 2)))
+    # both verdicts of every decider, two-argument types closed on systems
+    # of two or more members, and members of every kind were drawn
+    assert ("type", True, True) in seen and ("type", False, True) in seen
+    assert all((kind, v) in seen for kind in kinds for v in (True, False))
+    assert {("empty trace", True), ("finite and infinite", True), ("size", 0), ("size", 1), ("size", 2)} <= seen
+
+
+def test_filled_lazy_slots_leave_equality_and_hashing_alone():
+    rng = random.Random(7)
+    traces = set()
+    while len(traces) < 6:
+        traces.add(canonicalize([("0", "1", "1", "0")] * rng.randint(0, 2), [("1", "0", "0", "1")] * rng.randint(0, 3)))
+    filled, fresh = System(binary_space(), traces), System(binary_space(), reversed(sorted(traces, key=str)))
+    assert len(filled.view_ids) == 6 and len(view_counts(filled)) == 16
+    assert closed_under_type(filled, SEP_TYPE) == closed_under_type(filled, SEP_TYPE)
+    assert filled == fresh and fresh == filled and hash(filled) == hash(fresh)
+    assert len({filled, fresh}) == 1
 
 
 def test_representation_spot_checks(bit_universe):

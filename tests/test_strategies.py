@@ -218,6 +218,32 @@ def test_protocols_from_obj_validation():
         protocols_from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("system", "states"), "system protocol states"),
+        (("system", "output"), "system protocol output"),
+        (("system", "output", 0, "choices"), "system protocol choices"),
+        (("system", "output", 0, "choices", 0), "a system protocol choice"),
+        (("system", "update"), "system protocol update"),
+        (("low", "states"), "low protocol states"),
+        (("low", "emit"), "low protocol emit"),
+        (("low", "emit", 0, "choices"), "low protocol choices"),
+        (("highs", "H", "update"), "H protocol update"),
+    ],
+)
+def test_a_string_is_not_read_as_a_list(path, field):
+    """A string where a list belongs is rejected by name, not split into characters."""
+    obj = F.echo_protocols()
+    *parents, last = path
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = "".join(map(str, node[last])) if all(isinstance(x, str) for x in node[last]) else "run"
+    with pytest.raises(FormatError, match=f"^{field} must be a list, got '"):
+        protocols_from_obj(obj)
+
+
 def test_load_protocols_roundtrip(tmp_path):
     path = tmp_path / "protocols.json"
     path.write_text(json.dumps(F.echo_protocols()))

@@ -45,6 +45,28 @@ def test_single_results_pass_and_report_shape():
         assert set(e) == {"id", "passed", "detail", "runtime_seconds", "description"}
 
 
+def _raise_in(monkeypatch, result_id):
+    def boom(ctx):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(_REGISTRY, result_id, (_REGISTRY[result_id][0], boom))
+
+
+def test_a_raising_result_is_an_error_and_the_rest_still_run(monkeypatch):
+    _raise_in(monkeypatch, "EX2")
+    report = verify_paper(["EX1", "EX2", "EX3"])
+    assert [o.result_id for o in report.outcomes] == ["EX1", "EX2", "EX3"]
+    ex1, ex2, ex3 = report.outcomes
+    assert ex1.passed and ex3.passed and not ex1.error and not ex3.error
+    assert not ex2.passed and ex2.error
+    assert ex2.detail == "ERROR: ZeroDivisionError: division by zero"
+    assert ex2.line().startswith("ERROR  EX2 ")
+    assert report.errors == (ex2,)
+    assert not report.all_passed
+    assert report.lines()[-1] == "3 results: 1 ERROR"
+    assert report.to_obj()["results"][1]["detail"] == ex2.detail
+
+
 def test_outcome_lookup():
     report = verify_paper(["EX3"])
     assert report.outcome("EX3").passed
