@@ -271,7 +271,7 @@ def _cmd_zl_q_search(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     ids = None
-    if args.only:
+    if args.only is not None:
         ids = [part.strip() for part in args.only.split(",") if part.strip()]
     context = VerifyContext()
     report = verify_paper(ids, context)

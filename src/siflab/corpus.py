@@ -312,14 +312,19 @@ def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem
     """Random event systems, larger than the capped enumeration covers."""
     rng = random.Random(seed)
     out = []
+    # systems with the same level split share one declaration and trace pool
+    shared: dict[tuple, tuple[EventDecl, list]] = {}
     while len(out) < count:
         k = rng.randint(2, ASYNC_MAX_EVENTS)
         names = tuple(f"e{i}" for i in range(1, k + 1))
         levels = tuple(rng.choice("LH") for _ in names)
         if "L" not in levels or "H" not in levels:
             continue
-        decl = EventDecl(tuple(zip(names, levels)))
-        pool = enumerate_event_traces(decl, ASYNC_MAX_LEN)
+        events = tuple(zip(names, levels))
+        if events not in shared:
+            decl = EventDecl(events)
+            shared[events] = (decl, enumerate_event_traces(decl, ASYNC_MAX_LEN))
+        decl, pool = shared[events]
         size = rng.randint(1, ASYNC_MAX_TRACES)
         out.append(AsyncSystem(decl, (tuple(t) for t in rng.sample(pool, size))))
     return out

@@ -38,7 +38,6 @@ from .traces import (
     _sort_key,
     canonicalize,
     format_trace,
-    view,
 )
 
 
@@ -132,16 +131,15 @@ class BitUniverse:
         self.traces = tuple(traces)
         self.n = len(self.traces)
         self.index = {t: i for i, t in enumerate(self.traces)}
+        system = System(space, self.traces)
+        rows = dict(zip(system.members, system.view_ids))
+        ids = [rows[t] for t in self.traces]  # in universe order
         self._eq: dict[Component, np.ndarray] = {}
-        for comp in COMPONENT_ORDER:
-            groups: dict[LassoTrace, int] = {}
-            for i, t in enumerate(self.traces):
-                v = view(t, comp)
-                groups[v] = groups.get(v, 0) | (1 << i)
-            eq = np.zeros(self.n, dtype=np.uint64)
-            for i, t in enumerate(self.traces):
-                eq[i] = groups[view(t, comp)]
-            self._eq[comp] = eq
+        for col, comp in enumerate(COMPONENT_ORDER):
+            groups: dict[int, int] = {}
+            for i, row in enumerate(ids):
+                groups[row[col]] = groups.get(row[col], 0) | (1 << i)
+            self._eq[comp] = np.array([groups[row[col]] for row in ids], dtype=np.uint64)
         self._verdicts: dict[PropertyKind | SifType, np.ndarray] = {}
 
     @classmethod

@@ -34,6 +34,7 @@ from .traces import (
     System,
     TraceSpace,
     _list,
+    _sort_key,
     format_trace,
     read_json,
     space_from_obj,
@@ -55,7 +56,11 @@ class ExtensionalSif:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "ExtensionalSif":
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))))
+        """The table of ``mapping``, in a canonical order: by argument pair,
+        each argument ranked by :func:`~siflab.traces._sort_key`."""
+        args = sorted({t for pair in mapping for t in pair}, key=_sort_key)
+        rank = {t: i for i, t in enumerate(args)}
+        return cls(tuple(sorted(mapping.items(), key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]]))))
 
     def __post_init__(self):
         # reversed, so the first entry for a pair wins, as in a scan of the table

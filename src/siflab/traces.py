@@ -64,7 +64,7 @@ def view_columns(mask: int) -> tuple[int, ...]:
 def _primitive_root(cycle: tuple) -> tuple:
     """Shortest word whose repetition equals ``cycle``."""
     n = len(cycle)
-    for d in range(1, n + 1):
+    for d in range(1, n // 2 + 1):
         if n % d == 0 and cycle[:d] * (n // d) == cycle:
             return cycle[:d]
     return cycle
@@ -76,13 +76,19 @@ class LassoTrace:
 
     Construct through :func:`canonicalize`; the constructor rejects
     non-canonical input so invariants cannot be violated by accident.
+
+    The hash is ``hash((prefix, cycle))``, as a generated dataclass hash
+    would be, but computed once: traces are dict and set keys on every
+    hot path.  Pickling rebuilds the trace from its fields, so a stored
+    hash never outlives the process (and hash seed) that computed it.
     """
 
     prefix: tuple
     cycle: tuple
 
     def __post_init__(self):
-        arities = {len(t) for t in self.prefix} | {len(t) for t in self.cycle}
+        arities = set(map(len, self.prefix))
+        arities.update(map(len, self.cycle))
         if len(arities) > 1:
             raise ValueError("mixed tuple arities in one trace")
         if self.cycle:
@@ -90,6 +96,13 @@ class LassoTrace:
                 raise ValueError("cycle is not primitive; use canonicalize()")
             if self.prefix and self.prefix[-1] == self.cycle[-1]:
                 raise ValueError("prefix not minimal; use canonicalize()")
+        object.__setattr__(self, "_hash", hash((self.prefix, self.cycle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (LassoTrace, (self.prefix, self.cycle))
 
     @property
     def is_finite(self) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus as corpora
 from . import fixtures
 from .enumeration import BitUniverse, implication_violations
-from .errors import UnknownResultError
+from .errors import SiflabError, UnknownResultError
 from .families import (
     closed_under_family,
     conj_family,
@@ -479,12 +479,15 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
     """Reproduce the requested results (all of them by default).
 
     A procedure that raises gives an ERROR outcome, and the results after
-    it still run.
+    it still run.  A selection that names no result raises
+    :class:`SiflabError`.
     """
     if ids is None:
         requested = list(RESULT_IDS)
     else:
         requested = [str(i) for i in ids]
+        if not requested:
+            raise SiflabError("no result id requested")
         unknown = [i for i in requested if i not in _REGISTRY]
         if unknown:
             raise UnknownResultError(f"unknown result id(s): {', '.join(sorted(unknown))}")

@@ -16,6 +16,7 @@ can be re-inserted before any low-only suffix.  A single total function
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
@@ -29,35 +30,30 @@ EventTrace = tuple  # tuple of event names
 
 @dataclass(frozen=True)
 class EventDecl:
-    """Named events, each classified low or high."""
+    """Named events, each classified low or high.
+
+    The name-to-level map and the set of low events (``lows``) are built
+    once here; they take no part in equality or hashing.
+    """
 
     events: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.events]
-        if len(set(names)) != len(names):
+        levels = dict(self.events)
+        if len(levels) != len(self.events):
             raise FormatError("event names must be unique")
         for name, level in self.events:
             if level not in ("L", "H"):
                 raise FormatError(f"event {name}: level must be L or H")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.events)
-
-    @property
-    def low_events(self) -> tuple[str, ...]:
-        return tuple(n for n, lv in self.events if lv == "L")
-
-    @property
-    def high_events(self) -> tuple[str, ...]:
-        return tuple(n for n, lv in self.events if lv == "H")
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "names", tuple(levels))
+        object.__setattr__(self, "low_events", tuple(n for n, lv in self.events if lv == "L"))
+        object.__setattr__(self, "high_events", tuple(n for n, lv in self.events if lv == "H"))
+        object.__setattr__(self, "lows", frozenset(self.low_events))
 
     def level(self, name: str) -> str:
-        for n, lv in self.events:
-            if n == name:
-                return lv
-        raise KeyError(name)
+        """``"L"`` or ``"H"``; a :class:`KeyError` for an undeclared name."""
+        return self._levels[name]
 
 
 class AsyncSystem:
@@ -66,12 +62,10 @@ class AsyncSystem:
     __slots__ = ("decl", "traces", "members", "_hash")
 
     def __init__(self, decl: EventDecl, traces: Iterable[EventTrace]):
-        declared = set(decl.names)
         tset = frozenset(tuple(t) for t in traces)
-        for t in tset:
-            for e in t:
-                if e not in declared:
-                    raise FormatError(f"undeclared event {e!r}")
+        undeclared = set(chain.from_iterable(tset)).difference(decl.names)
+        if undeclared:
+            raise FormatError(f"undeclared event {min(undeclared)!r}")
         self.decl = decl
         self.traces = tset
         self.members = tuple(sorted(tset))
@@ -113,6 +107,17 @@ def lles(t, s: AnySystem) -> frozenset:
     """Members of ``s`` sharing ``t``'s low view."""
     key = low_view_key(t, s)
     return frozenset(x for x in s.members if low_view_key(x, s) == key)
+
+
+def _member_classes(s: AnySystem) -> list[frozenset]:
+    """``lles(t, s)`` for each member ``t``, in ``members`` order, from
+    one pass that groups the members by low view."""
+    keys = [low_view_key(t, s) for t in s.members]
+    groups: dict = {}
+    for key, t in zip(keys, s.members):
+        groups.setdefault(key, []).append(t)
+    classes = {key: frozenset(group) for key, group in groups.items()}
+    return [classes[key] for key in keys]
 
 
 QPredicate = Callable[[frozenset], bool]
@@ -170,7 +175,7 @@ def q_or(q1: QPredicate, q2: QPredicate) -> QPredicate:
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
     """Q holds of every member's low-view equivalence class; vacuous on empty sets."""
-    return all(q(lles(t, s)) for t in s.members)
+    return all(q(c) for c in _member_classes(s))
 
 
 def nos_as_zl(ss: StrategySystem) -> bool:
@@ -208,7 +213,7 @@ def zl_q_search(
             raise SiflabError("every target system must occur in the universe")
         target_keys.add(s.traces)
 
-    classes_of = {key: frozenset(lles(t, s) for t in s.members) for key, s in universe_sets.items()}
+    classes_of = {key: frozenset(_member_classes(s)) for key, s in universe_sets.items()}
     all_classes = set().union(*classes_of.values()) if classes_of else set()
     if (1 << len(all_classes)) > cap:
         raise CapExceeded(
@@ -225,8 +230,7 @@ def zl_q_search(
 
 
 def low_projection(t: EventTrace, decl: EventDecl) -> EventTrace:
-    lows = set(decl.low_events)
-    return tuple(e for e in t if e in lows)
+    return tuple(filter(decl.lows.__contains__, t))
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,9 @@ class InsertionSif:
     On (s1, s2): when s2 ends with a high event e, its remainder is a
     prefix of s1, and the rest of s1 is low-only, the result re-inserts e
     there; otherwise the result is s1's low projection.
+
+    It shares no code with :func:`psp_check` beyond :class:`EventDecl`,
+    so PROP-PSP-SIF compares two independent deciders.
     """
 
     decl: EventDecl
@@ -243,13 +250,13 @@ class InsertionSif:
     def __call__(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
         s1 = tuple(s1)
         s2 = tuple(s2)
-        if s2 and self.decl.level(s2[-1]) == "H":
-            beta, e = s2[:-1], s2[-1]
-            if s1[: len(beta)] == beta:
-                alpha = s1[len(beta):]
-                if all(self.decl.level(x) == "L" for x in alpha):
-                    return beta + (e,) + alpha
-        return low_projection(s1, self.decl)
+        lows = self.decl.lows
+        if s2 and s2[-1] not in lows:
+            # s2 is beta + (e,); s1 must be beta + alpha with alpha low-only
+            cut = len(s2) - 1
+            if s1[:cut] == s2[:cut] and lows.issuperset(s1[cut:]):
+                return s2 + s1[cut:]
+        return tuple(filter(lows.__contains__, s1))
 
 
 def psp_check(s: AsyncSystem) -> bool:

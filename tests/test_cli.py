@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -478,3 +482,24 @@ def test_verify_paper_error_exits_two_and_runs_the_rest(capsys, monkeypatch, jso
 def test_verify_paper_unknown_id(capsys):
     code, _, err = run(capsys, "verify-paper", "--only", "EX999")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_verify_paper_empty_selection_is_an_input_error(capsys, only):
+    code, out, err = run(capsys, "verify-paper", "--only", only)
+    assert code == 2 and out == ""
+    assert err == "error: no result id requested\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "siflab", "verify-paper", "--only", "EX1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS  EX1 ") and "1 results: all PASS" in done.stdout

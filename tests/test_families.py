@@ -28,6 +28,7 @@ from siflab import (
 from siflab import fixtures as F
 from siflab.corpus import disjoint_ten, enumerate_async_systems
 from siflab.families import NosMemberSif, ZigzagSif, load_sif_table, sif_table_from_obj, sif_table_to_obj
+from siflab.traces import _sort_key
 
 SPACE, UNIVERSE = standard_universe()
 
@@ -37,6 +38,19 @@ def test_extensional_sif_lookup():
     f = ExtensionalSif.from_mapping({(a, b): a})
     assert f(a, b) == a
     assert f(b, a) is None
+
+
+def test_from_mapping_is_canonical_in_insertion_order():
+    rng = random.Random(8)
+    items = [((a, b), rng.choice(UNIVERSE)) for a in UNIVERSE[:6] for b in UNIVERSE[:6] if rng.random() < 0.7]
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    f = ExtensionalSif.from_mapping(dict(items))
+    g = ExtensionalSif.from_mapping(dict(shuffled))
+    assert f == g and hash(f) == hash(g) and f.table == g.table
+    pairs = [pair for pair, _ in f.table]
+    assert pairs == sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
+    assert f != ExtensionalSif.from_mapping(dict(items[1:]))
 
 
 def test_nos_member_sif_semantics():

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +33,8 @@ from siflab import (
     view,
 )
 from siflab.traces import load_system, save_system, system_from_obj, system_to_obj, trace_from_obj, trace_to_obj
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BIT = st.sampled_from(("0", "1"))
 TUPLE4 = st.tuples(BIT, BIT, BIT, BIT)
@@ -202,3 +210,36 @@ def test_oracle_helpers_are_sane(raw1, raw2):
     t1 = canonicalize(*raw1)
     t2 = canonicalize(*raw2)
     assert lasso_equal(t1, t2) == (t1 == t2)
+
+
+# ------------------------------------------------------------------- hashing
+
+
+@given(RAW_LASSO)
+@settings(max_examples=60)
+def test_hash_is_the_hash_of_prefix_and_cycle(raw):
+    t = canonicalize(*raw)
+    assert hash(t) == hash((t.prefix, t.cycle))
+
+
+def test_unpickled_trace_hashes_under_the_loading_hash_seed():
+    """A pickled trace, loaded where strings hash differently, is equal to
+    a freshly built copy and finds it as a dict key."""
+    t = canonicalize([("0", "1", "0", "1")], [("1", "1", "0", "0"), ("0", "0", "1", "1")])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    script = (
+        "import pickle, sys\n"
+        "from siflab.traces import canonicalize\n"
+        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = canonicalize(t.prefix, t.cycle)\n"
+        "assert t == fresh and hash(t) == hash(fresh) == hash((t.prefix, t.cycle))\n"
+        "assert {fresh: 'found'}[t] == 'found' and t in {fresh}\n"
+        "print(hash('siflab'))\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(t), capture_output=True, env=env, check=False
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) != hash("siflab")  # the two processes hash differently

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from siflab import UnknownResultError, VerifyContext, verify_paper
+from siflab import SiflabError, UnknownResultError, VerifyContext, verify_paper
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 
@@ -22,6 +22,11 @@ def test_requested_ids_run_in_canonical_order_without_duplicates():
     report = verify_paper(["EX2", "EX1", "EX2"])
     assert [o.result_id for o in report.outcomes] == ["EX1", "EX2"]
     assert report.all_passed
+
+
+def test_an_empty_selection_is_rejected():
+    with pytest.raises(SiflabError, match="no result id"):
+        verify_paper([])
 
 
 def test_unknown_ids_are_rejected():

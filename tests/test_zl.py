@@ -75,6 +75,36 @@ def test_zl_check_is_vacuous_on_empty_system():
     assert not zl_check(System(SPACE, UNIVERSE[:1]), never)
 
 
+def test_zl_check_applies_q_to_each_member_class_in_order():
+    """``zl_check`` calls Q on ``lles(t, s)`` for each member ``t`` in
+    order, stopping at the first rejection, on seeded synchronous and
+    asynchronous systems."""
+    rng = random.Random(21)
+    systems = [System(SPACE, rng.sample(UNIVERSE, rng.randint(0, 8))) for _ in range(80)]
+    systems += async_corpus(80, seed=21)
+    systems += [AsyncSystem(DECL, rng.sample(list(itertools.product("abhk", repeat=2)), 6)) for _ in range(20)]
+    verdicts = set()
+    for s in systems:
+        classes = {lles(t, s) for t in s}
+        accepted = {c for c in classes if rng.random() < 0.8}
+        calls = []
+
+        def q(c):
+            calls.append(c)
+            return c in accepted
+
+        expected = []
+        for t in s.members:
+            expected.append(lles(t, s))
+            if expected[-1] not in accepted:
+                break
+        verdict = zl_check(s, q)
+        assert verdict == all(lles(t, s) in accepted for t in s.members)
+        assert calls == expected
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_zl_conjunction_identity_on_generated_cases():
     for s, q1, q2 in zl_conj_cases(count=150, seed=13):
         assert zl_check(s, q_and(q1, q2)) == (zl_check(s, q1) and zl_check(s, q2))
@@ -258,6 +288,31 @@ def test_event_decl_validation():
 def test_async_system_rejects_unknown_events():
     with pytest.raises(FormatError):
         async_system_from_obj({"events": [{"name": "a", "level": "L"}], "traces": [["z"]]})
+
+
+def test_async_system_names_the_smallest_undeclared_event():
+    rng = random.Random(4)
+    for prefix in ("u", "v", "w", "x", "y"):
+        names = [f"{prefix}{i:02d}" for i in range(40)]
+        rng.shuffle(names)
+        traces = [("a", name, "h") for name in names]
+        with pytest.raises(FormatError, match=f"^undeclared event '{prefix}00'$"):
+            AsyncSystem(DECL, traces)
+        with pytest.raises(FormatError, match=f"^undeclared event '{prefix}00'$"):
+            AsyncSystem(DECL, [tuple(names)])
+
+
+def test_event_decl_levels_and_event_sets():
+    assert [DECL.level(n) for n in DECL.names] == ["L", "L", "H", "H"]
+    assert DECL.names == ("a", "b", "h", "k")
+    assert DECL.low_events == ("a", "b") and DECL.high_events == ("h", "k")
+    assert DECL.lows == frozenset({"a", "b"})
+    with pytest.raises(KeyError):
+        DECL.level("z")
+    # the precomputed tables take no part in equality or hashing
+    copy = EventDecl(DECL.events)
+    assert copy == DECL and hash(copy) == hash(DECL)
+    assert copy != EventDecl((("a", "L"), ("b", "H"), ("h", "H"), ("k", "H")))
 
 
 def test_collection_from_obj_errors():
