@@ -36,7 +36,6 @@ from .families import (
     closed_under_family,
     conj_family,
     family_union,
-    load_sif_table,
     nos_family,
     verify_zigzag_collection,
     zigzag_sif,

@@ -24,7 +24,7 @@ from .strategies import (
     protocols_from_obj,
 )
 from .traces import LassoTrace, System, binary_space
-from .zl import AsyncSystem, EventDecl, ExtensionalQ, lles
+from .zl import AsyncSystem, EventDecl, ExtensionalQ, _member_classes
 
 DEFAULT_SEED = 74911
 
@@ -298,7 +298,7 @@ def enumerate_async_systems(max_events: int = 3, max_len: int = 3, cap: int = 60
         traces = enumerate_event_traces(decl, max_len)
         total = 1 << len(traces)
         for mask in range(min(total, quota)):
-            yield AsyncSystem(decl, (traces[i] for i in range(len(traces)) if mask >> i & 1))
+            yield AsyncSystem(decl, (traces[i] for i in range(mask.bit_length()) if mask >> i & 1))
 
 
 # Random event systems declare at most this many events and draw at
@@ -371,11 +371,11 @@ def zl_conj_cases(
     for size in (1, 2, 3, 4):
         for _ in range(8):
             s = System(space, rng.sample(traces, size))
-            all_classes.extend(lles(t, s) for t in s)
+            all_classes.extend(_member_classes(s))
     class_pool = sorted(set(all_classes), key=lambda c: sorted(map(repr, c)))
     for _ in range(count):
         s = System(space, rng.sample(traces, rng.randint(1, 4)))
-        own = [lles(t, s) for t in s]
+        own = _member_classes(s)
         q1 = ExtensionalQ(
             frozenset(c for c in own if rng.random() < 0.7)
             | frozenset(c for c in rng.sample(class_pool, 4))

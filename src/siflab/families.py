@@ -22,52 +22,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FormatError, InjectivityError, SiflabError
+from .errors import InjectivityError, SiflabError
 from .properties import StrategySystem, check_injectivity
 from .siftypes import SifType, closed_under_type
-from .traces import (
-    L_VIEW,
-    LassoTrace,
-    System,
-    TraceSpace,
-    _list,
-    _sort_key,
-    format_trace,
-    read_json,
-    space_from_obj,
-    space_to_obj,
-    trace_from_obj,
-    trace_to_obj,
-    view,
-)
+from .traces import L_VIEW, LassoTrace, System, _sort_key, view
 
 Sif = Callable[[LassoTrace, LassoTrace], "LassoTrace | frozenset | None"]
 
 
-@dataclass(frozen=True)
 class ExtensionalSif:
     """A finite pair-to-output table (a trace or a trace set); undefined
-    off the table."""
+    off the table.
 
-    table: tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset], ...]
+    Built from a sequence of ``((a, b), output)`` entries, the first entry
+    for a pair wins, as in a scan of the table.  Two tables are equal when
+    they map the same pairs to the same outputs.
+    """
+
+    __slots__ = ("_lookup",)
+
+    def __init__(self, table: Iterable[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset]]):
+        # reversed, so the first entry for a pair wins
+        self._lookup = dict(reversed(tuple(table)))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "ExtensionalSif":
-        """The table of ``mapping``, in a canonical order: by argument pair,
-        each argument ranked by :func:`~siflab.traces._sort_key`."""
-        args = sorted({t for pair in mapping for t in pair}, key=_sort_key)
-        rank = {t: i for i, t in enumerate(args)}
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]]))))
+        """The table of ``mapping``, kept as built."""
+        sif = cls.__new__(cls)
+        sif._lookup = dict(mapping)
+        return sif
 
-    def __post_init__(self):
-        # reversed, so the first entry for a pair wins, as in a scan of the table
-        object.__setattr__(self, "_lookup", dict(reversed(self.table)))
+    @property
+    def table(self) -> tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset], ...]:
+        """The entries in a canonical order: by argument pair, each
+        argument ranked by :func:`~siflab.traces._sort_key`."""
+        args = sorted({t for pair in self._lookup for t in pair}, key=_sort_key)
+        rank = {t: i for i, t in enumerate(args)}
+        return tuple(sorted(self._lookup.items(), key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])))
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | frozenset | None:
         return self._lookup.get((a, b))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExtensionalSif) and self._lookup == other._lookup
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._lookup.items()))
+
+    def __repr__(self) -> str:
+        return f"ExtensionalSif(table={self.table!r})"
 
 
 @dataclass(frozen=True)
@@ -296,33 +301,3 @@ def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionRe
         if not representation_ok and not uniqueness_ok:
             break
     return ZigzagCollectionReport(k, uniqueness_ok, representation_ok, counterexample)
-
-
-def sif_table_from_obj(obj) -> ExtensionalSif:
-    """Load an extensional table from a list of (first, second, output) triples."""
-    if not isinstance(obj, dict) or "alphabets" not in obj or "triples" not in obj:
-        raise FormatError('a table file must contain "alphabets" and "triples"')
-    space = space_from_obj(obj["alphabets"])
-    mapping = {}
-    for triple in _list(obj["triples"], '"triples"'):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise FormatError("each entry must be a [first, second, output] triple")
-        a, b, c = (trace_from_obj(x) for x in triple)
-        for t in (a, b, c):
-            if not space.contains(t):
-                raise FormatError(f"trace {format_trace(t)} does not conform to the alphabets")
-        if (a, b) in mapping and mapping[(a, b)] != c:
-            raise FormatError("conflicting outputs for one argument pair")
-        mapping[(a, b)] = c
-    return ExtensionalSif.from_mapping(mapping)
-
-
-def sif_table_to_obj(sif: ExtensionalSif, space: TraceSpace) -> dict:
-    return {
-        "alphabets": space_to_obj(space),
-        "triples": [[trace_to_obj(a), trace_to_obj(b), trace_to_obj(c)] for (a, b), c in sif.table],
-    }
-
-
-def load_sif_table(path: str | Path) -> ExtensionalSif:
-    return sif_table_from_obj(read_json(path))

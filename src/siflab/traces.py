@@ -293,6 +293,10 @@ class System:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt, so the hash is that of the loading process
+        return (System, (self.space, self.members))
+
     def __repr__(self) -> str:
         return f"System({len(self.traces)} traces)"
 

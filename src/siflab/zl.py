@@ -89,6 +89,10 @@ class AsyncSystem:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt, so the hash is that of the loading process
+        return (AsyncSystem, (self.decl, self.members))
+
     def __repr__(self) -> str:
         return f"AsyncSystem({len(self.traces)} traces)"
 
@@ -243,13 +247,26 @@ class InsertionSif:
 
     It shares no code with :func:`psp_check` beyond :class:`EventDecl`,
     so PROP-PSP-SIF compares two independent deciders.
+
+    Each instance remembers its outputs by argument pair (``_memo``,
+    which takes no part in equality, hashing or ``repr``), so one
+    instance shared by the systems over one trace pool computes each
+    pair once.
     """
 
     decl: EventDecl
 
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+
     def __call__(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
-        s1 = tuple(s1)
-        s2 = tuple(s2)
+        key = (tuple(s1), tuple(s2))
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._insert(*key)
+        return out
+
+    def _insert(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
         lows = self.decl.lows
         if s2 and s2[-1] not in lows:
             # s2 is beta + (e,); s1 must be beta + alpha with alpha low-only
@@ -276,7 +293,7 @@ def psp_check(s: AsyncSystem) -> bool:
     for t in s.members:
         for cut in range(len(t) + 1):
             beta, alpha = t[:cut], t[cut:]
-            if any(decl.level(x) == "H" for x in alpha):
+            if not decl.lows.issuperset(alpha):
                 continue
             for e in highs:
                 if beta + (e,) in traces and beta + (e,) + alpha not in traces:
@@ -304,17 +321,22 @@ def event_decl_to_obj(decl: EventDecl) -> list:
     return [{"name": n, "level": lv} for n, lv in decl.events]
 
 
+def _event_traces_from_objs(objs, where: str) -> set[EventTrace]:
+    """The event traces of a list of event-name lists; duplicates are an error."""
+    seen: set[EventTrace] = set()
+    for raw in _list(objs, where):
+        t = tuple(str(e) for e in _list(raw, "each trace"))
+        if t in seen:
+            raise DuplicateTraceError(f"duplicate trace {t!r} in {where}")
+        seen.add(t)
+    return seen
+
+
 def async_system_from_obj(obj) -> AsyncSystem:
     if not isinstance(obj, dict) or "events" not in obj or "traces" not in obj:
         raise FormatError('an event-trace file must contain "events" and "traces"')
     decl = event_decl_from_obj(obj["events"])
-    seen = []
-    for raw in _list(obj["traces"], '"traces"'):
-        t = tuple(str(e) for e in _list(raw, "each trace"))
-        if t in seen:
-            raise DuplicateTraceError(f"duplicate trace {t!r}")
-        seen.append(t)
-    return AsyncSystem(decl, seen)
+    return AsyncSystem(decl, _event_traces_from_objs(obj["traces"], '"traces"'))
 
 
 def async_system_to_obj(s: AsyncSystem) -> dict:
@@ -345,8 +367,7 @@ def collection_from_obj(obj) -> list[AnySystem]:
         decl = event_decl_from_obj(obj["events"])
         result: list[AnySystem] = []
         for i, entry in enumerate(_list(obj["systems"], '"systems"')):
-            traces = (tuple(str(e) for e in _list(t, "each trace")) for t in _list(entry, f"system {i}"))
-            result.append(AsyncSystem(decl, traces))
+            result.append(AsyncSystem(decl, _event_traces_from_objs(entry, f"system {i}")))
         return result
     raise FormatError('a collection file must contain "alphabets" or "events"')
 

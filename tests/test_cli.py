@@ -442,6 +442,15 @@ def test_zl_q_search_async(capsys):
     assert code == 0 and obj["found"] is True
 
 
+def test_zl_q_search_rejects_a_duplicate_event_trace(tmp_path, capsys):
+    collection = tmp_path / "collection.json"
+    events = [{"name": "a", "level": "L"}, {"name": "h", "level": "H"}]
+    collection.write_text(json.dumps({"events": events, "systems": [[["h"]], [["a"], ["a"]]]}))
+    code, out, err = run(capsys, "zl", "q-search", "--target", str(collection), "--universe", str(collection))
+    assert code == 2 and out == ""
+    assert "duplicate trace" in err and "system 1" in err
+
+
 # ------------------------------------------------------------ verify-paper
 
 

@@ -27,7 +27,7 @@ from siflab import (
 )
 from siflab import fixtures as F
 from siflab.corpus import disjoint_ten, enumerate_async_systems
-from siflab.families import NosMemberSif, ZigzagSif, load_sif_table, sif_table_from_obj, sif_table_to_obj
+from siflab.families import NosMemberSif, ZigzagSif
 from siflab.traces import _sort_key
 
 SPACE, UNIVERSE = standard_universe()
@@ -51,6 +51,15 @@ def test_from_mapping_is_canonical_in_insertion_order():
     pairs = [pair for pair, _ in f.table]
     assert pairs == sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
     assert f != ExtensionalSif.from_mapping(dict(items[1:]))
+
+
+def test_a_direct_table_keeps_the_first_entry_for_a_pair():
+    a, b, c = UNIVERSE[0], UNIVERSE[1], UNIVERSE[2]
+    f = ExtensionalSif((((a, b), c), ((b, a), a), ((a, b), b)))
+    g = ExtensionalSif.from_mapping({(a, b): c, (b, a): a})
+    assert f == g and hash(f) == hash(g) and f.table == g.table
+    assert f(a, b) == c and f(b, a) == a and f(c, c) is None
+    assert f != ExtensionalSif.from_mapping({(a, b): b, (b, a): a})
 
 
 def test_nos_member_sif_semantics():
@@ -238,24 +247,3 @@ def test_union_family_represents_the_union_property():
         assert closed_under_family(s, union) == (s in s1 or s in s2)
         assert closed_under_family(s, f1) == (s in s1)
         assert closed_under_family(s, f2) == (s in s2)
-
-
-# ---------------------------------------------------------------- sif tables
-
-
-def test_sif_table_roundtrip(tmp_path):
-    a, b, c = UNIVERSE[0], UNIVERSE[1], UNIVERSE[2]
-    f = ExtensionalSif.from_mapping({(a, b): c, (b, a): a})
-    obj = sif_table_to_obj(f, SPACE)
-    path = tmp_path / "table.json"
-    path.write_text(__import__("json").dumps(obj))
-    g = load_sif_table(path)
-    assert g(a, b) == c and g(b, a) == a and g(c, c) is None
-
-
-def test_sif_table_rejects_conflicts():
-    a, b, c = UNIVERSE[0], UNIVERSE[1], UNIVERSE[2]
-    obj = sif_table_to_obj(ExtensionalSif.from_mapping({(a, b): c}), SPACE)
-    obj["triples"].append(obj["triples"][0][:2] + [sif_table_to_obj(ExtensionalSif.from_mapping({(a, b): a}), SPACE)["triples"][0][2]])
-    with pytest.raises(Exception):
-        sif_table_from_obj(obj)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from oracles import lasso_equal, proj_raw, unroll, words_equal
 from siflab import (
     AlphabetError,
+    AsyncSystem,
     Component,
     DuplicateTraceError,
+    EventDecl,
     FormatError,
     FULL_VIEW,
     H_VIEW,
@@ -223,23 +225,30 @@ def test_hash_is_the_hash_of_prefix_and_cycle(raw):
 
 
 def test_unpickled_trace_hashes_under_the_loading_hash_seed():
-    """A pickled trace, loaded where strings hash differently, is equal to
-    a freshly built copy and finds it as a dict key."""
+    """A pickled trace, system or event system, loaded where strings hash
+    differently, is equal to a freshly built copy and finds it as a dict
+    key."""
     t = canonicalize([("0", "1", "0", "1")], [("1", "1", "0", "0"), ("0", "0", "1", "1")])
+    s = System(binary_space(), [t, canonicalize([], [("0", "0", "0", "0")])])
+    a = AsyncSystem(EventDecl((("l", "L"), ("h", "H"))), [("l",), ("h", "l"), ()])
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     script = (
         "import pickle, sys\n"
-        "from siflab.traces import canonicalize\n"
-        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "from siflab.traces import System, canonicalize\n"
+        "from siflab.zl import AsyncSystem\n"
+        "t, s, a = pickle.loads(sys.stdin.buffer.read())\n"
         "fresh = canonicalize(t.prefix, t.cycle)\n"
         "assert t == fresh and hash(t) == hash(fresh) == hash((t.prefix, t.cycle))\n"
         "assert {fresh: 'found'}[t] == 'found' and t in {fresh}\n"
+        "for loaded, fresh in ((s, System(s.space, s.members)), (a, AsyncSystem(a.decl, a.members))):\n"
+        "    assert loaded == fresh and hash(loaded) == hash(fresh)\n"
+        "    assert {fresh: 'found'}.get(loaded) == 'found'\n"
         "print(hash('siflab'))\n"
     )
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", script], input=pickle.dumps(t), capture_output=True, env=env, check=False
+        [sys.executable, "-c", script], input=pickle.dumps((t, s, a)), capture_output=True, env=env, check=False
     )
     assert done.returncode == 0, done.stderr.decode()
     assert int(done.stdout) != hash("siflab")  # the two processes hash differently

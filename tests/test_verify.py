@@ -3,12 +3,16 @@ by the CLI smoke test and the acceptance suite)."""
 
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
 from siflab import SiflabError, UnknownResultError, VerifyContext, verify_paper
 from siflab.verify import _REGISTRY, RESULT_IDS
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
 
 
 def test_catalogue_is_complete_and_stable():
@@ -99,7 +103,13 @@ def test_context_defaults_meet_the_claim_sizes():
 
 
 def test_full_catalogue_reproduces():
+    """Every result passes with the detail recorded in
+    ``golden/verify_paper.json``, so a change to what a result counts or
+    enumerates shows here too."""
     report = verify_paper()
     assert [o.result_id for o in report.outcomes] == list(RESULT_IDS)
     assert report.all_passed
     assert report.lines()[-1] == "20 results: all PASS"
+    golden = json.loads(GOLDEN.read_text())
+    got = [{"id": o.result_id, "passed": o.passed, "detail": o.detail} for o in report.outcomes]
+    assert got == golden

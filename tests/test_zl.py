@@ -30,7 +30,14 @@ from siflab import (
     zl_q_search,
 )
 from siflab import fixtures as F
-from siflab.corpus import async_corpus, enumerate_async_systems, strategy_corpus, zl_conj_cases
+from siflab.corpus import (
+    async_corpus,
+    enumerate_async_systems,
+    enumerate_event_decls,
+    enumerate_event_traces,
+    strategy_corpus,
+    zl_conj_cases,
+)
 from siflab.zl import async_system_from_obj, collection_from_obj, event_decl_from_obj, low_projection
 
 SPACE, UNIVERSE = standard_universe()
@@ -234,6 +241,21 @@ def test_insertion_case_analysis():
     assert f((), ()) == ()
 
 
+def test_a_shared_insertion_sif_answers_like_a_fresh_one():
+    """The memo is keyed on the whole argument pair: one instance, called
+    twice over every pair of traces up to length 2, returns what a fresh
+    instance returns, for every declaration of at most two events."""
+    for decl in enumerate_event_decls(2):
+        traces = enumerate_event_traces(decl, 2)
+        shared = InsertionSif(decl)
+        for _ in range(2):
+            for s1 in traces:
+                for s2 in traces:
+                    assert shared(s1, s2) == InsertionSif(decl)(s1, s2), (decl, s1, s2)
+        fresh = InsertionSif(decl)
+        assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
+
+
 def test_psp_check_matches_brute_oracle_small():
     decl = EventDecl((("a", "L"), ("h", "H")))
     words = [(), ("a",), ("h",), ("h", "a"), ("a", "h")]
@@ -261,6 +283,19 @@ def test_psp_equivalence_over_enumerated_sample():
         assert psp_check(s) == closed_under_insertion(s)
         n += 1
     assert n > 100
+
+
+def test_enumerated_event_systems_are_the_first_subsets_of_each_pool():
+    """Per declaration, the systems are the pool subsets of the first
+    ``quota`` masks: distinct, and the full powerset when it fits."""
+    decls = enumerate_event_decls(2)
+    quota = 600 // len(decls)  # 100: all 8 subsets of a 1-event pool, not all 128 of a 2-event one
+    systems = list(enumerate_async_systems(max_events=2, max_len=2, cap=600))
+    for decl in decls:
+        pool = enumerate_event_traces(decl, 2)
+        masks = range(min(quota, 1 << len(pool)))
+        expected = [AsyncSystem(decl, (t for i, t in enumerate(pool) if m >> i & 1)) for m in masks]
+        assert [s for s in systems if s.decl == decl] == expected
 
 
 def test_psp_equivalence_over_random_sample():
