@@ -11,7 +11,6 @@ from .enumeration import (
     BitUniverse,
     enumerate_systems,
     enumerate_traces,
-    refute_all_types_over_universe,
     represents_over_universe,
     standard_universe,
     uniform_alphabets,

@@ -1,4 +1,8 @@
-"""The pair sweep, the hot loop behind every exhaustive system scan.
+"""The pair sweep, which decides a pair-quantified property for every
+system of a universe at once.
+
+``BitUniverse.property_ok`` runs it once per property; closure under a
+type is decided by distinct-view counts instead (``enumeration``).
 
 A system is a bitmask over an n-trace universe.  Given an n-by-n table of
 witness masks, a system passes when it intersects ``table[a, b]`` for

@@ -1,11 +1,12 @@
-"""Enumeration of trace universes and exhaustive system sweeps.
+"""Enumeration of trace universes and exhaustive system verdicts.
 
 Small trace universes (at most 24 traces) admit a bit-parallel encoding:
-a system is a bitmask over the universe, and the pair-quantified checks
-(property membership, closure under a type, conjunctions of types) all
-reduce to one primitive, the pair sweep.  For every ordered pair (a, b)
-of members the system must intersect a precomputed witness mask; the
-masks are derived from per-component view equality.
+a system is a bitmask over the universe, and a verdict vector holds one
+verdict per system.  Two deciders fill such vectors.  Property membership
+uses the pair sweep: for every ordered pair (a, b) of members the system
+must intersect a precomputed witness mask, derived from per-component
+view equality.  Closure under a type uses distinct-view counts, the
+identity of ``siftypes`` evaluated for every system at once.
 """
 
 from __future__ import annotations
@@ -18,16 +19,7 @@ import numpy as np
 from ._accel import powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
-from .siftypes import (
-    REFUTED_CLOSED_NOT_HOLDS,
-    REFUTED_HOLDS_NOT_CLOSED,
-    UNREFUTED,
-    Refutation,
-    RefutationReport,
-    SifType,
-    Slot,
-    enumerate_types,
-)
+from .siftypes import _ARGUMENT_MASKS, SifType, Slot
 from .traces import (
     COMPONENT_ORDER,
     _COMPONENT_KEYS,
@@ -117,13 +109,17 @@ def enumerate_systems(
 
 
 class BitUniverse:
-    """Bit-parallel encoding of a trace universe of at most 24 traces.
+    """Bit-parallel encoding of a nonempty trace universe of at most 24 traces.
 
-    Verdicts come from sweeping the whole powerset; each witness table is
-    swept once and its verdict vector is cached.
+    Property verdicts come from sweeping the whole powerset; each
+    property's witness table is swept once and its verdict vector is
+    cached.  Closure verdicts come from the distinct-view counts of every
+    system, built on the first closure query (16 bytes per system).
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
+        if not traces:
+            raise SiflabError("a universe needs at least one trace")
         powerset_size(len(traces))  # raises CapExceeded past the sweep limit
         if len(set(traces)) != len(traces):
             raise SiflabError("universe traces must be distinct")
@@ -140,7 +136,8 @@ class BitUniverse:
             for i, row in enumerate(ids):
                 groups[row[col]] = groups.get(row[col], 0) | (1 << i)
             self._eq[comp] = np.array([groups[row[col]] for row in ids], dtype=np.uint64)
-        self._verdicts: dict[PropertyKind | SifType, np.ndarray] = {}
+        self._verdicts: dict[PropertyKind, np.ndarray] = {}
+        self._counts: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def standard(cls) -> "BitUniverse":
@@ -181,26 +178,54 @@ class BitUniverse:
         start = 0 if include_empty else 1
         return np.arange(start, powerset_size(self.n), dtype=np.uint64)
 
-    def _select(self, key: PropertyKind | SifType, make_table, systems: np.ndarray | None) -> np.ndarray:
-        """Verdicts over ``systems`` (default: all nonempty) from the cached
-        vector of ``key``, which holds one verdict per mask 0 .. 2^n - 1."""
-        verdicts = self._verdicts.get(key)
-        if verdicts is None:
-            verdicts = sweep_pairs(make_table(), self.all_system_masks(include_empty=True), self.n)
-            verdicts.flags.writeable = False
-            self._verdicts[key] = verdicts
-        return verdicts[1:] if systems is None else verdicts[systems]
+    def _view_counts(self) -> tuple[np.ndarray, ...]:
+        """``counts[mask][S]``: the number of distinct ``mask``-views in
+        system ``S``, for the 16 component masks and every mask S.
+
+        A view class is a value of :meth:`view_eq_mask`.  Every system
+        starts at the number of classes and loses one for each class it
+        misses, in one strided write on the ``(2,) * n`` cube per class
+        (bit i of a mask is axis n - 1 - i).
+        """
+        if self._counts is None:
+            n = self.n
+            counts = []
+            for mask in range(16):
+                classes = set(self.view_eq_mask(Component(mask)).tolist())
+                count = np.full(1 << n, len(classes), dtype=np.uint8)
+                cube = count.reshape((2,) * n)
+                for members in classes:
+                    index = [slice(None)] * n
+                    for i in range(n):
+                        if members >> i & 1:
+                            index[n - 1 - i] = 0
+                    cube[tuple(index)] -= 1
+                count.flags.writeable = False
+                counts.append(count)
+            self._counts = tuple(counts)
+        return self._counts
 
     def property_ok(self, kind: PropertyKind, systems: np.ndarray | None = None) -> np.ndarray:
-        """Property verdicts over ``systems`` (default: all nonempty)."""
+        """Property verdicts over ``systems`` (default: all nonempty), from
+        the cached sweep of the property's witness table."""
         kind = PropertyKind(kind)
         if kind is PropertyKind.DGNI:
             return self.property_ok(PropertyKind.GNI, systems) & self.property_ok(PropertyKind.RGNI, systems)
-        return self._select(kind, lambda: self.property_table(kind), systems)
+        verdicts = self._verdicts.get(kind)
+        if verdicts is None:
+            verdicts = sweep_pairs(self.property_table(kind), self.all_system_masks(include_empty=True), self.n)
+            verdicts.flags.writeable = False
+            self._verdicts[kind] = verdicts
+        return verdicts[1:] if systems is None else verdicts[systems]
 
     def type_ok(self, t: SifType, systems: np.ndarray | None = None) -> np.ndarray:
-        """Closure verdicts over ``systems`` (default: all nonempty)."""
-        return self._select(t, lambda: self.type_table(t), systems)
+        """Closure verdicts over ``systems`` (default: all nonempty), by
+        ``count[C1 | C2] == count[C1] * count[C2]`` per system (see
+        ``siftypes``); the product is widened, as it can pass 255."""
+        first, second = _ARGUMENT_MASKS[t]
+        counts = self._view_counts()
+        pick = slice(1, None) if systems is None else systems
+        return counts[first | second][pick] == counts[first][pick].astype(np.uint16) * counts[second][pick]
 
     def system_from_mask(self, mask: int) -> System:
         return System(self.space, (self.traces[i] for i in range(self.n) if mask >> i & 1))
@@ -233,23 +258,6 @@ def represents_over_universe(
     first = int(np.argmax(diff))
     masks = bu.all_system_masks()
     return False, int(masks[first])
-
-
-def refute_all_types_over_universe(bu: BitUniverse, kind: PropertyKind) -> RefutationReport:
-    """Per-type disagreement search over every nonempty system of the universe."""
-    masks = bu.all_system_masks()
-    prop = bu.property_ok(kind)
-    entries = []
-    for t in enumerate_types():
-        clos = bu.type_ok(t)
-        diff = prop != clos
-        if diff.any():
-            first = int(np.argmax(diff))
-            status = REFUTED_HOLDS_NOT_CLOSED if prop[first] else REFUTED_CLOSED_NOT_HOLDS
-            entries.append(Refutation(t, status, f"mask {int(masks[first])}"))
-        else:
-            entries.append(Refutation(t, UNREFUTED))
-    return RefutationReport(tuple(entries))
 
 
 def implication_violations(antecedent: np.ndarray, consequent: np.ndarray) -> int:

@@ -20,7 +20,9 @@ Proof: closure says s|C1 x s|C2 is a subset of Q; Q is always a subset
 of that product, and |Q| = count[C1 | C2] since C1 and C2 are disjoint,
 so the inclusion holds exactly when the sizes agree.  The empty system
 gives 0 == 0, and count[no components] = 1 on any other system, so
-sixteen counts per system settle all 81 types.
+sixteen counts per system settle all 81 types.  The identity is used on
+one system at a time here (:func:`closed_under_type`) and on every
+system of a bit universe at once (``BitUniverse.type_ok``).
 """
 
 from __future__ import annotations

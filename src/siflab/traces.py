@@ -187,9 +187,16 @@ _COMPONENT_KEYS = ("hi", "li", "ho", "lo")
 
 
 class TraceSpace:
-    """Per-component alphabets."""
+    """Per-component alphabets.
 
-    __slots__ = ("alphabets", "_key")
+    ``_allowed`` holds the alphabets in ``_COMPONENT_KEYS`` order for
+    :meth:`contains`; equality and hashing use ``_key`` only.  It holds
+    tuples, not sets: alphabets have a few symbols, so a scan costs no
+    more than a lookup, and every system read from a file has its own
+    space, which four sets would enlarge.
+    """
+
+    __slots__ = ("alphabets", "_key", "_allowed")
 
     def __init__(self, alphabets: Mapping[str, Sequence[Symbol]]):
         missing = [k for k in _COMPONENT_KEYS if k not in alphabets]
@@ -204,6 +211,7 @@ class TraceSpace:
             cleaned[key] = syms
         self.alphabets = cleaned
         self._key = tuple((k, cleaned[k]) for k in _COMPONENT_KEYS)
+        self._allowed = tuple(cleaned[k] for k in _COMPONENT_KEYS)
 
     def contains(self, t: LassoTrace) -> bool:
         """True when every symbol of ``t`` belongs to its component alphabet."""
@@ -211,9 +219,8 @@ class TraceSpace:
             return True
         if t.arity != 4:
             return False
-        alpha = [set(self.alphabets[k]) for k in _COMPONENT_KEYS]
         for tup in t.prefix + t.cycle:
-            for sym, allowed in zip(tup, alpha):
+            for sym, allowed in zip(tup, self._allowed):
                 if sym not in allowed:
                     return False
         return True
@@ -351,16 +358,18 @@ def space_to_obj(space: TraceSpace) -> dict:
 
 
 def traces_from_objs(objs, space: TraceSpace, where: str = "traces") -> tuple:
-    """Canonicalize a list of trace objects; duplicates are an error."""
-    seen = []
+    """Canonicalize a list of trace objects, in order; duplicates are an error."""
+    out = []
+    seen: set[LassoTrace] = set()
     for obj in _list(objs, where):
         t = trace_from_obj(obj)
         if not space.contains(t):
             raise AlphabetError(f"trace {format_trace(t)} in {where} does not conform to the alphabets")
         if t in seen:
             raise DuplicateTraceError(f"duplicate trace {format_trace(t)} in {where} after canonicalization")
-        seen.append(t)
-    return tuple(seen)
+        seen.add(t)
+        out.append(t)
+    return tuple(out)
 
 
 def system_from_obj(obj) -> System:

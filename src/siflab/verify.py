@@ -461,7 +461,13 @@ def _lem_swap(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = int(bu.property_ok(PropertyKind.SEP).size)
     bad = [t for t in enumerate_types() if not np.array_equal(bu.type_ok(t), bu.type_ok(swap_type(t)))]
-    ok = not bad
+    # the certificate, for every subset of the universe: swapping the
+    # roles transposes the witness table, and a system meets W[a, b] for
+    # all its pairs exactly when it meets W.T[a, b] for all of them
+    untransposed = [
+        t for t in enumerate_types() if not np.array_equal(bu.type_table(swap_type(t)), bu.type_table(t).T)
+    ]
+    ok = not bad and not untransposed
     return ok, f"closure tables equal under role swap for all 81 types over {n} systems"
 
 
@@ -471,7 +477,16 @@ def _lem_allsys(ctx) -> tuple[bool, str]:
     n = int(bu.property_ok(PropertyKind.SEP).size)
     candidates = list(ALL_SYSTEMS_TYPES) + [swap_type(t) for t in ALL_SYSTEMS_TYPES]
     bad = [t for t in candidates if int(bu.type_ok(t).sum()) != n]
-    ok = not bad
+    # the certificate, for every subset of the universe: W[a, b] holds a
+    # (b for the swaps), so every system holding a and b meets it
+    own = np.left_shift(np.uint64(1), np.arange(bu.n, dtype=np.uint64))[:, None]
+    uncertified = [
+        t
+        for t in ALL_SYSTEMS_TYPES
+        for table in (bu.type_table(t), bu.type_table(swap_type(t)).T)
+        if ((table & own) != own).any()
+    ]
+    ok = not bad and not uncertified
     return ok, (
         f"{len(set(candidates))} one-argument types (the sixteen and their swaps) "
         f"close every one of the {n} systems"

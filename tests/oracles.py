@@ -5,7 +5,9 @@ Everything here works on raw data.  Lasso traces are handled as
 equality and projection are decided at the word level (bounded
 unrolling), never through the library's canonical forms.  Event traces
 are plain tuples.  Agreement between these oracles and the package is
-therefore meaningful evidence, not a tautology.
+therefore meaningful evidence, not a tautology.  The one exception,
+:func:`swept_type_verdicts`, is a second decider over a bit universe's
+own view classes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import lcm
+
+import numpy as np
+
+from siflab._accel import sweep_pairs
 
 # Component indexes inside a synchronous 4-tuple.
 HI, LI, HO, LO = 0, 1, 2, 3
@@ -147,6 +153,22 @@ def brute_closed_under_type(members, slots):
             if not found:
                 return False
     return True
+
+
+def swept_type_verdicts(bu, slots):
+    """Closure verdicts under a four-slot copy type for every mask
+    0 .. 2^n - 1 of the bit universe ``bu``, by the pair sweep.
+
+    The witness table is ``W[a, b] = eq_C1[a] & eq_C2[b]``, where C1 and
+    C2 are the components the type copies from its first and its second
+    argument and ``eq_C`` is ``bu.view_eq_mask(C)``.  Those masks come
+    from the library, so a test relying on this oracle checks them
+    against :func:`proj_equal` first.
+    """
+    first = sum(1 << i for i, slot in enumerate(slots) if slot == 1)
+    second = sum(1 << i for i, slot in enumerate(slots) if slot == 2)
+    table = bu.view_eq_mask(first)[:, None] & bu.view_eq_mask(second)[None, :]
+    return sweep_pairs(table, np.arange(1 << bu.n, dtype=np.uint64), bu.n)
 
 
 def brute_injective(families):

@@ -264,6 +264,12 @@ def test_represent_param_validation(capsys):
     assert code == 2 and "24-trace sweep limit" in err
 
 
+def test_represent_rejects_an_empty_universe(capsys):
+    code, out, err = run(capsys, "represent", "--property", "sep", "--universe-params", "max-cycle=0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: a universe needs at least one trace"]
+
+
 # ------------------------------------------------------------------ refute
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_closed_under_type, brute_property
+from oracles import brute_closed_under_type, brute_property, proj_equal, swept_type_verdicts
 from siflab import (
     FULL_VIEW,
     H_VIEW,
@@ -24,17 +24,17 @@ from siflab import (
     closed_under_type,
     enumerate_systems,
     enumerate_traces,
+    enumerate_types,
+    format_type,
     standard_universe,
     swap_type,
     view,
 )
 from siflab.enumeration import (
     implication_violations,
-    refute_all_types_over_universe,
     represents_over_universe,
     uniform_alphabets,
 )
-from siflab.siftypes import UNREFUTED
 from siflab.traces import TraceSpace
 
 SPACE, UNIVERSE = standard_universe()
@@ -94,6 +94,8 @@ def test_enumerate_systems_counts_and_cap():
 def test_bit_universe_validation():
     with pytest.raises(SiflabError):
         BitUniverse(SPACE, list(UNIVERSE) + [UNIVERSE[0]])
+    with pytest.raises(SiflabError, match="at least one trace"):
+        BitUniverse(SPACE, [])
     space, traces = standard_universe(max_cycle=2)
     with pytest.raises(CapExceeded, match="24-trace"):
         BitUniverse(space, traces)  # 256 > 24
@@ -175,6 +177,19 @@ def test_type_sweeps_match_the_plain_closure_on_random_masks(bit_universe, mixed
                 assert bool(verdict) == brute_closed_under_type(s.members, slots)
 
 
+def test_view_counts_decide_every_type_like_the_witness_table_sweep(bit_universe, mixed_universe):
+    for bu in (bit_universe, mixed_universe):
+        # the sweep's view classes are those of word-level projection
+        for mask in range(16):
+            idxs = tuple(i for i in range(4) if mask >> i & 1)
+            eq = bu.view_eq_mask(Component(mask)).tolist()
+            for i, t in enumerate(bu.traces):
+                for j, u in enumerate(bu.traces):
+                    assert bool(eq[i] >> j & 1) == proj_equal(t, u, idxs), (mask, i, j)
+        for t in enumerate_types():
+            assert np.array_equal(bu.type_ok(t), swept_type_verdicts(bu, t.slots)[1:]), t
+
+
 def test_dgni_table_is_the_conjunction(bit_universe):
     bu = bit_universe
     assert np.array_equal(
@@ -231,14 +246,16 @@ def test_represents_over_universe_agreement_and_counterexample(bit_universe):
     assert check_property(PropertyKind.GNI, s) != closed_under_type(s, SEP_TYPE)
 
 
-def test_refutation_report_statuses(bit_universe):
-    report = refute_all_types_over_universe(bit_universe, PropertyKind.SEP)
-    assert len(report.entries) == 81
-    unrefuted = {e.type for e in report.entries if e.status is UNREFUTED}
-    assert unrefuted == {SEP_TYPE, swap_type(SEP_TYPE)}
-    for e in report.entries:
-        if e.status is not UNREFUTED:
-            assert e.witness and e.witness.startswith("mask ")
+def test_represent_sets_over_the_standard_universe(bit_universe):
+    expected = {
+        PropertyKind.SEP: {"1:2/1:2", "2:1/2:1"},
+        PropertyKind.GNI: {"1:2/0:2", "2:1/0:1"},
+        PropertyKind.RGNI: {"1:2/1:0", "2:1/2:0"},
+        PropertyKind.DGNI: set(),
+    }
+    for kind, types in expected.items():
+        got = {format_type(t) for t in enumerate_types() if represents_over_universe(bit_universe, t, kind)[0]}
+        assert got == types, kind
 
 
 def test_implication_violations_counts():

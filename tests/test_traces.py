@@ -34,7 +34,15 @@ from siflab import (
     project,
     view,
 )
-from siflab.traces import load_system, save_system, system_from_obj, system_to_obj, trace_from_obj, trace_to_obj
+from siflab.traces import (
+    load_system,
+    save_system,
+    system_from_obj,
+    system_to_obj,
+    trace_from_obj,
+    trace_to_obj,
+    traces_from_objs,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -203,6 +211,25 @@ def test_system_file_rejects_duplicates_after_canonicalization():
     ]
     with pytest.raises(DuplicateTraceError):
         system_from_obj(obj)
+
+
+def test_traces_from_objs_keeps_file_order_and_names_the_duplicate():
+    sp = binary_space()
+    objs = [{"cycle": [[str(i >> b & 1) for b in range(4)]]} for i in (9, 2, 14, 0)]
+    assert [t.cycle[0] for t in traces_from_objs(objs, sp)] == [tuple(o["cycle"][0]) for o in objs]
+    with pytest.raises(DuplicateTraceError) as err:
+        traces_from_objs(objs + [{"prefix": objs[2]["cycle"], "cycle": objs[2]["cycle"]}], sp, where="pool")
+    assert str(err.value) == "duplicate trace [(0,1,1,1)]^w in pool after canonicalization"
+
+
+def test_a_space_checks_symbols_the_same_after_pickling():
+    sp = TraceSpace({"hi": ("0", "1"), "li": ("a",), "ho": ("0",), "lo": ("x", "y")})
+    loaded = pickle.loads(pickle.dumps(sp))
+    assert loaded == sp and hash(loaded) == hash(sp)
+    inside = canonicalize((("1", "a", "0", "y"),), (("0", "a", "0", "x"),))
+    outside = canonicalize((), (("0", "b", "0", "x"),))
+    for space in (sp, loaded):
+        assert space.contains(inside) and not space.contains(outside)
 
 
 @given(RAW_LASSO, RAW_LASSO)
