@@ -63,7 +63,6 @@ from .siftypes import (
     format_type,
     parse_type,
     refute_all_types,
-    represents,
     swap_type,
 )
 from .strategies import (

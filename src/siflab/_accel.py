@@ -3,6 +3,8 @@ system of a universe at once.
 
 ``BitUniverse.property_ok`` runs it once per property; closure under a
 type is decided by distinct-view counts instead (``enumeration``).
+``families.closed_over_pool`` runs it once per event declaration in
+PROP-PSP-SIF, over the first traces of the declaration's pool.
 
 A system is a bitmask over an n-trace universe.  Given an n-by-n table of
 witness masks, a system passes when it intersects ``table[a, b]`` for

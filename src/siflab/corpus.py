@@ -285,20 +285,30 @@ def enumerate_event_traces(decl: EventDecl, max_len: int = 3) -> list[tuple[str,
     return out
 
 
-def enumerate_async_systems(max_events: int = 3, max_len: int = 3, cap: int = 60000) -> Iterator[AsyncSystem]:
-    """Deterministic capped enumeration of event systems.
+def enumerate_async_pools(
+    max_events: int = 3, max_len: int = 3, cap: int = 60000
+) -> Iterator[tuple[EventDecl, list[tuple[str, ...]], int]]:
+    """The plan of the capped enumeration: ``(decl, pool, count)`` per
+    event declaration.
 
-    The cap is split evenly across event declarations; within each, the
-    subsets of the length-sorted trace list are walked in mask order,
-    from the empty system on, until the quota runs out.
+    The cap is split evenly across declarations.  A declaration's systems
+    are the subsets of its length-sorted trace pool with masks
+    ``0 .. count - 1`` (bit i stands for ``pool[i]``), from the empty
+    system on, until the quota or the powerset runs out.
     """
     decls = enumerate_event_decls(max_events)
     quota = max(1, cap // len(decls))
     for decl in decls:
-        traces = enumerate_event_traces(decl, max_len)
-        total = 1 << len(traces)
-        for mask in range(min(total, quota)):
-            yield AsyncSystem(decl, (traces[i] for i in range(mask.bit_length()) if mask >> i & 1))
+        pool = enumerate_event_traces(decl, max_len)
+        yield decl, pool, min(1 << len(pool), quota)
+
+
+def enumerate_async_systems(max_events: int = 3, max_len: int = 3, cap: int = 60000) -> Iterator[AsyncSystem]:
+    """Deterministic capped enumeration of event systems, in the order of
+    :func:`enumerate_async_pools`."""
+    for decl, pool, count in enumerate_async_pools(max_events, max_len, cap):
+        for mask in range(count):
+            yield AsyncSystem(decl, (pool[i] for i in range(mask.bit_length()) if mask >> i & 1))
 
 
 # Random event systems declare at most this many events and draw at

@@ -255,9 +255,8 @@ def represents_over_universe(
     diff = prop != clos
     if not diff.any():
         return True, None
-    first = int(np.argmax(diff))
-    masks = bu.all_system_masks()
-    return False, int(masks[first])
+    # the verdicts cover masks 1 .. 2^n - 1, so index i is mask i + 1
+    return False, int(np.argmax(diff)) + 1
 
 
 def implication_violations(antecedent: np.ndarray, consequent: np.ndarray) -> int:

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from ._accel import sweep_pairs
 from .errors import InjectivityError, SiflabError
 from .properties import StrategySystem, check_injectivity
 from .siftypes import SifType, closed_under_type
@@ -228,6 +231,23 @@ def closed_under_family(s: System, family: TypeConjFamily | Iterable[Sif]) -> bo
             else:
                 return False
     return True
+
+
+def closed_over_pool(f: Sif, pool: Sequence, count: int) -> np.ndarray:
+    """``closed_under_family(S, (f,))`` for the subsets S of ``pool`` with
+    masks ``0 .. count - 1`` (bit i stands for ``pool[i]``), by one pair
+    sweep; ``f`` must be scalar valued.
+
+    Those subsets draw on the first ``width = (count - 1).bit_length()``
+    traces only.  A subset holding a and b lands ``f(a, b)`` exactly when
+    it holds that output, so the witness mask of the pair is the output's
+    bit when the output is one of those traces, and 0 otherwise.
+    """
+    width = (count - 1).bit_length()
+    traces = pool[:width]
+    bit = {t: 1 << i for i, t in enumerate(traces)}
+    table = [[bit.get(f(a, b), 0) for b in traces] for a in traces]
+    return sweep_pairs(table, np.arange(count, dtype=np.uint64), width)
 
 
 def family_union(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[Sif, ...]:

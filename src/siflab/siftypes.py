@@ -149,14 +149,6 @@ def closed_under_type(s: System, t: SifType) -> bool:
     return counts[first | second] == counts[first] * counts[second]
 
 
-def represents(t: SifType, kind: PropertyKind, universe: Iterable[System]) -> bool:
-    """True when property membership and closure under ``t`` coincide on every system."""
-    for s in universe:
-        if check_property(kind, s) != closed_under_type(s, t):
-            return False
-    return True
-
-
 REFUTED_HOLDS_NOT_CLOSED = "property-holds-not-closed"
 REFUTED_CLOSED_NOT_HOLDS = "closed-property-fails"
 UNREFUTED = "unrefuted"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import fixtures
 from .enumeration import BitUniverse, implication_violations
 from .errors import SiflabError, UnknownResultError
 from .families import (
+    closed_over_pool,
     closed_under_family,
     conj_family,
     family_union,
@@ -46,7 +48,7 @@ from .siftypes import (
     swap_type,
 )
 from .strategies import GenerationMode, build_strategy_system, family_h_view_determined, protocols_from_obj
-from .zl import EventDecl, InsertionSif, nos_as_zl, psp_check, q_and, zl_check, zl_q_search
+from .zl import InsertionSif, closed_under_insertion, nos_as_zl, psp_check, q_and, zl_check, zl_q_search
 
 # Result id -> (description, procedure), in catalogue order: the order in
 # which the procedures below are defined.
@@ -432,27 +434,23 @@ def _thm_zl_conj(ctx) -> tuple[bool, str]:
 
 @_result("PROP-PSP-SIF", "the insertion property equals closure under the insertion function")
 def _prop_psp_sif(ctx) -> tuple[bool, str]:
-    def count(systems) -> tuple[int, int]:
-        """(systems, mismatches).  One insertion function per declaration:
-        the systems of a declaration draw on one trace pool, so its memo
-        answers most pairs.  The memos die with each call, so the
-        enumerated ones are gone before the random systems are built."""
-        insertion: dict[EventDecl, InsertionSif] = {}
-        n = bad = 0
-        for s in systems:
-            f = insertion.get(s.decl)
-            if f is None:
-                f = insertion[s.decl] = InsertionSif(s.decl)
-            n += 1
-            bad += psp_check(s) != closed_under_family(s, (f,))
-        return n, bad
-
-    n_enum, bad_enum = count(corpora.enumerate_async_systems(cap=ctx.psp_cap))
-    n_rand, bad_rand = count(corpora.async_corpus(ctx.async_count, ctx.seed))
+    # A declaration's enumerated systems are the first subsets of one
+    # trace pool, so one sweep of the insertion function's table over the
+    # pool decides closure for all of them; psp_check runs per system.
+    pools = corpora.enumerate_async_pools(cap=ctx.psp_cap)
+    closed = chain.from_iterable(
+        closed_over_pool(InsertionSif(decl), pool, count).tolist() for decl, pool, count in pools
+    )
+    n_enum = bad_enum = 0
+    for s, verdict in zip(corpora.enumerate_async_systems(cap=ctx.psp_cap), closed, strict=True):
+        n_enum += 1
+        bad_enum += psp_check(s) != verdict
+    randomized = corpora.async_corpus(ctx.async_count, ctx.seed)
+    bad_rand = sum(psp_check(s) != closed_under_insertion(s) for s in randomized)
     ok = bad_enum + bad_rand == 0
     return ok, (
         f"insertion property <=> closure under the insertion function on "
-        f"{n_enum} enumerated and {n_rand} randomized event systems"
+        f"{n_enum} enumerated and {len(randomized)} randomized event systems"
     )
 
 

@@ -16,7 +16,6 @@ can be re-inserted before any low-only suffix.  A single total function
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
@@ -62,8 +61,8 @@ class AsyncSystem:
     __slots__ = ("decl", "traces", "members", "_hash")
 
     def __init__(self, decl: EventDecl, traces: Iterable[EventTrace]):
-        tset = frozenset(tuple(t) for t in traces)
-        undeclared = set(chain.from_iterable(tset)).difference(decl.names)
+        tset = frozenset(map(tuple, traces))
+        undeclared = set().union(*tset).difference(decl.names)
         if undeclared:
             raise FormatError(f"undeclared event {min(undeclared)!r}")
         self.decl = decl
@@ -247,26 +246,13 @@ class InsertionSif:
 
     It shares no code with :func:`psp_check` beyond :class:`EventDecl`,
     so PROP-PSP-SIF compares two independent deciders.
-
-    Each instance remembers its outputs by argument pair (``_memo``,
-    which takes no part in equality, hashing or ``repr``), so one
-    instance shared by the systems over one trace pool computes each
-    pair once.
     """
 
     decl: EventDecl
 
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
-
     def __call__(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
-        key = (tuple(s1), tuple(s2))
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = self._insert(*key)
-        return out
-
-    def _insert(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
+        s1 = tuple(s1)
+        s2 = tuple(s2)
         lows = self.decl.lows
         if s2 and s2[-1] not in lows:
             # s2 is beta + (e,); s1 must be beta + alpha with alpha low-only
@@ -289,12 +275,16 @@ def psp_check(s: AsyncSystem) -> bool:
     for t in traces:
         if low_projection(t, decl) not in traces:
             return False
+    lows = decl.lows
     highs = decl.high_events
     for t in s.members:
-        for cut in range(len(t) + 1):
+        # alpha = t[cut:] is nonempty and low-only exactly for the cuts
+        # from the end of t back to just after its last high event; an
+        # empty alpha makes the insertion beta+e itself
+        cut = len(t)
+        while cut and t[cut - 1] in lows:
+            cut -= 1
             beta, alpha = t[:cut], t[cut:]
-            if not decl.lows.issuperset(alpha):
-                continue
             for e in highs:
                 if beta + (e,) in traces and beta + (e,) + alpha not in traces:
                     return False

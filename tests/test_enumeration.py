@@ -253,8 +253,17 @@ def test_represent_sets_over_the_standard_universe(bit_universe):
         PropertyKind.RGNI: {"1:2/1:0", "2:1/2:0"},
         PropertyKind.DGNI: set(),
     }
+    systems = [bit_universe.system_from_mask(m) for m in range(1, 1 << 9)]
     for kind, types in expected.items():
-        got = {format_type(t) for t in enumerate_types() if represents_over_universe(bit_universe, t, kind)[0]}
+        got = set()
+        for t in enumerate_types():
+            ok, mask = represents_over_universe(bit_universe, t, kind)
+            if ok:
+                got.add(format_type(t))
+                continue
+            # the smallest disagreeing system, by the per-system deciders
+            agree = [check_property(kind, s) == closed_under_type(s, t) for s in systems[:mask]]
+            assert agree == [True] * (mask - 1) + [False], (kind, format_type(t), mask)
         assert got == types, kind
 
 

@@ -26,8 +26,8 @@ from siflab import (
     zigzag_sif,
 )
 from siflab import fixtures as F
-from siflab.corpus import disjoint_ten, enumerate_async_systems
-from siflab.families import NosMemberSif, ZigzagSif
+from siflab.corpus import disjoint_ten, enumerate_async_pools, enumerate_async_systems
+from siflab.families import NosMemberSif, ZigzagSif, closed_over_pool
 from siflab.traces import _sort_key
 
 SPACE, UNIVERSE = standard_universe()
@@ -142,6 +142,28 @@ def test_closed_under_family_matches_the_oracle(kind):
         assert closed == brute_closed_under_family(s.members, fam), (s, fam)
         verdicts.add(closed)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("cap", [14, 600, 20000])
+def test_pool_sweep_matches_the_closure_of_every_enumerated_system(cap):
+    """One sweep per declaration gives ``closed_under_family`` of every
+    enumerated system; at cap 14 each pool sweeps width 0 for the empty
+    system alone."""
+    systems = enumerate_async_systems(cap=cap)
+    verdicts = []
+    for decl, pool, count in enumerate_async_pools(cap=cap):
+        f = InsertionSif(decl)
+        swept = closed_over_pool(f, pool, count)
+        assert swept.shape == (count,)
+        for mask, closed in enumerate(swept.tolist()):
+            s = next(systems)
+            assert s.decl == decl and closed == closed_under_family(s, (f,)), (decl, mask)
+            verdicts.append(closed)
+    assert next(systems, None) is None
+    if cap == 14:
+        assert verdicts == [True] * 14
+    else:
+        assert set(verdicts) == {True, False}
 
 
 def test_pairing_identity_on_event_systems():

@@ -44,7 +44,7 @@ def _random_case(rng, n):
 
 def test_sweep_agrees_with_the_reference_on_random_tables():
     rng = random.Random(47)
-    for n in (1, 2, 7, 16, 20, 24):
+    for n in (1, 2, 7, 16, 20, 24, 0):
         match, systems = _random_case(rng, n)
         got = sweep_pairs(match, systems, n)
         assert np.array_equal(got, _reference_sweep(match, systems, n)), n

@@ -28,7 +28,6 @@ from siflab import (
     format_type,
     parse_type,
     refute_all_types,
-    represents,
     represents_over_universe,
     standard_universe,
     swap_type,
@@ -165,7 +164,6 @@ def test_filled_lazy_slots_leave_equality_and_hashing_alone():
 
 
 def test_representation_spot_checks(bit_universe):
-    assert represents(SEP_TYPE, PropertyKind.SEP, [F.lo_equals_li_8(), F.gni_not_dgni_4()])
     ok, counter = represents_over_universe(bit_universe, SEP_TYPE, PropertyKind.SEP)
     assert ok and counter is None
     ok, counter = represents_over_universe(bit_universe, SEP_TYPE, PropertyKind.GNI)

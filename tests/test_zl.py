@@ -242,7 +242,7 @@ def test_insertion_case_analysis():
 
 
 def test_a_shared_insertion_sif_answers_like_a_fresh_one():
-    """The memo is keyed on the whole argument pair: one instance, called
+    """An instance keeps no state between calls: one instance, called
     twice over every pair of traces up to length 2, returns what a fresh
     instance returns, for every declaration of at most two events."""
     for decl in enumerate_event_decls(2):
