@@ -9,7 +9,6 @@ finite SIF families, pinning functions, and generalized pair families.
 
 from .enumeration import (
     BitUniverse,
-    enumerate_systems,
     enumerate_traces,
     represents_over_universe,
     standard_universe,
@@ -89,9 +88,7 @@ from .traces import (
     canonicalize,
     format_trace,
     load_system,
-    prefix_of,
     project,
-    save_system,
     view,
 )
 from .verify import RESULT_IDS, VerificationReport, VerifyContext, verify_paper
@@ -109,7 +106,6 @@ from .zl import (
     nos_as_zl,
     psp_check,
     q_and,
-    q_or,
     zl_check,
     zl_q_search,
 )

@@ -35,21 +35,31 @@ def powerset_size(n: int) -> int:
     return 1 << n
 
 
+def cube_index(n: int, absent: int, present: int = 0) -> tuple:
+    """The index, into the powerset of ``n`` traces viewed as the ``(2,) * n``
+    cube, of every system that avoids the traces of mask ``absent`` and
+    holds those of mask ``present``.
+
+    Bit i of a system mask is axis n - 1 - i of the C-ordered cube.
+    """
+    index = [slice(None)] * n
+    for i in range(n):
+        if absent >> i & 1:
+            index[n - 1 - i] = 0
+        elif present >> i & 1:
+            index[n - 1 - i] = 1
+    return tuple(index)
+
+
 def sweep_pairs(table, systems, n: int) -> np.ndarray:
     """Boolean verdict for each system mask in ``systems``."""
     ok = np.ones(powerset_size(n), dtype=bool)
     cube = ok.reshape((2,) * n)
     witnesses = np.asarray(table, dtype=np.uint64).reshape(n, n).tolist()
-    # bit i of a mask is axis n - 1 - i of the C-ordered cube
     for a in range(n):
         for b in range(n):
             witness = witnesses[a][b]
             if witness >> a & 1 or witness >> b & 1:
                 continue
-            index = [slice(None)] * n
-            for i in range(n):
-                if witness >> i & 1:
-                    index[n - 1 - i] = 0
-            index[n - 1 - a] = index[n - 1 - b] = 1
-            cube[tuple(index)] = False
+            cube[cube_index(n, witness, 1 << a | 1 << b)] = False
     return ok[systems]

@@ -93,12 +93,10 @@ def _cmd_closure(args) -> int:
         t1, t2 = (parse_type(lit) for lit in args.gen_conj)
         closed = closed_under_family(s, conj_family(t1, t2))
         what = f"paired family [{format_type(t1)}, {format_type(t2)}]"
-    elif args.type:
+    else:
         t = parse_type(args.type)
         closed = closed_under_type(s, t)
         what = f"type {format_type(t)}"
-    else:
-        raise FormatError("closure needs --type or --gen-conj")
     _emit(
         args,
         {"path": args.system, "subject": what, "closed": closed},
@@ -304,8 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("closure", help="check closure of a system under a type or paired family")
-    p.add_argument("--type", help='type literal "a:b/c:d" with 0=free, 1=first, 2=second')
-    p.add_argument("--gen-conj", nargs=2, metavar=("T1", "T2"), help="two type literals")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--type", help='type literal "a:b/c:d" with 0=free, 1=first, 2=second')
+    subject.add_argument("--gen-conj", nargs=2, metavar=("T1", "T2"), help="two type literals")
     p.add_argument("--system", required=True)
     _add_json_flag(p)
     p.set_defaults(func=_cmd_closure)

@@ -12,11 +12,12 @@ identity of ``siftypes`` evaluated for every system at once.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Sequence
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
-from ._accel import powerset_size, sweep_pairs
+from ._accel import cube_index, powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
 from .siftypes import _ARGUMENT_MASKS, SifType, Slot
@@ -44,35 +45,27 @@ def enumerate_traces(
     space: TraceSpace,
     max_prefix: int = 0,
     max_cycle: int = 1,
-    include_finite: bool = False,
     cap: int = 1 << 22,
 ) -> tuple[LassoTrace, ...]:
-    """All distinct canonical traces with bounded prefix and cycle lengths.
+    """All distinct canonical eventually periodic traces (nonempty cycle)
+    with bounded prefix and cycle lengths.
 
-    By default only eventually periodic traces (nonempty cycle) are
-    produced; ``include_finite`` adds the finite traces up to the prefix
-    bound.  ``cap`` bounds the raw candidate count before deduplication.
+    ``cap`` bounds the raw candidate count before deduplication; it is
+    checked from the alphabet sizes, before any candidate is built.
     """
     if max_prefix < 0 or max_cycle < 0:
         raise SiflabError("length bounds must be nonnegative")
-    tuples = [tuple(p) for p in product(*(space.alphabets[k] for k in _COMPONENT_KEYS))]
-    nt = len(tuples)
-    raw = 0
-    for plen in range(max_prefix + 1):
-        for clen in range(1, max_cycle + 1):
-            raw += nt ** (plen + clen)
-        if include_finite:
-            raw += nt**plen
+    nt = prod(len(space.alphabets[k]) for k in _COMPONENT_KEYS)
+    raw = sum(nt ** (plen + clen) for plen in range(max_prefix + 1) for clen in range(1, max_cycle + 1))
     if raw > cap:
         raise CapExceeded(f"{raw} candidate lassos exceed the cap of {cap}", cap)
+    tuples = list(product(*(space.alphabets[k] for k in _COMPONENT_KEYS)))
     seen: set[LassoTrace] = set()
     for plen in range(max_prefix + 1):
         for pre in product(tuples, repeat=plen):
             for clen in range(1, max_cycle + 1):
                 for cyc in product(tuples, repeat=clen):
                     seen.add(canonicalize(pre, cyc))
-            if include_finite:
-                seen.add(canonicalize(pre, ()))
     return tuple(sorted(seen, key=_sort_key))
 
 
@@ -80,32 +73,9 @@ def standard_universe(
     alphabet_size: int = 2,
     max_prefix: int = 0,
     max_cycle: int = 1,
-    include_finite: bool = False,
 ) -> tuple[TraceSpace, tuple[LassoTrace, ...]]:
     space = TraceSpace(uniform_alphabets(alphabet_size))
-    return space, enumerate_traces(space, max_prefix, max_cycle, include_finite)
-
-
-def enumerate_systems(
-    space: TraceSpace,
-    max_prefix: int = 0,
-    max_cycle: int = 1,
-    include_finite: bool = False,
-    include_empty: bool = False,
-    cap: int = 1 << 20,
-) -> Iterator[System]:
-    """All systems over the generated universe, in deterministic order.
-
-    Raises :class:`CapExceeded` when the subset count would pass ``cap``.
-    """
-    universe = enumerate_traces(space, max_prefix, max_cycle, include_finite)
-    n = len(universe)
-    count = (1 << n) - (0 if include_empty else 1)
-    if count > cap:
-        raise CapExceeded(f"{count} systems exceed the cap of {cap}", cap)
-    start = 0 if include_empty else 1
-    for mask in range(start, 1 << n):
-        yield System(space, (universe[i] for i in range(n) if mask >> i & 1))
+    return space, enumerate_traces(space, max_prefix, max_cycle)
 
 
 class BitUniverse:
@@ -126,7 +96,6 @@ class BitUniverse:
         self.space = space
         self.traces = tuple(traces)
         self.n = len(self.traces)
-        self.index = {t: i for i, t in enumerate(self.traces)}
         system = System(space, self.traces)
         rows = dict(zip(system.members, system.view_ids))
         ids = [rows[t] for t in self.traces]  # in universe order
@@ -174,18 +143,13 @@ class BitUniverse:
                 table &= eq[None, :]
         return table
 
-    def all_system_masks(self, include_empty: bool = False) -> np.ndarray:
-        start = 0 if include_empty else 1
-        return np.arange(start, powerset_size(self.n), dtype=np.uint64)
-
     def _view_counts(self) -> tuple[np.ndarray, ...]:
         """``counts[mask][S]``: the number of distinct ``mask``-views in
         system ``S``, for the 16 component masks and every mask S.
 
         A view class is a value of :meth:`view_eq_mask`.  Every system
         starts at the number of classes and loses one for each class it
-        misses, in one strided write on the ``(2,) * n`` cube per class
-        (bit i of a mask is axis n - 1 - i).
+        misses, in one strided write on the powerset cube per class.
         """
         if self._counts is None:
             n = self.n
@@ -195,48 +159,36 @@ class BitUniverse:
                 count = np.full(1 << n, len(classes), dtype=np.uint8)
                 cube = count.reshape((2,) * n)
                 for members in classes:
-                    index = [slice(None)] * n
-                    for i in range(n):
-                        if members >> i & 1:
-                            index[n - 1 - i] = 0
-                    cube[tuple(index)] -= 1
+                    cube[cube_index(n, members)] -= 1
                 count.flags.writeable = False
                 counts.append(count)
             self._counts = tuple(counts)
         return self._counts
 
-    def property_ok(self, kind: PropertyKind, systems: np.ndarray | None = None) -> np.ndarray:
-        """Property verdicts over ``systems`` (default: all nonempty), from
-        the cached sweep of the property's witness table."""
+    def property_ok(self, kind: PropertyKind) -> np.ndarray:
+        """Property verdicts over the nonempty systems (index i is mask
+        i + 1), from the cached sweep of the property's witness table."""
         kind = PropertyKind(kind)
         if kind is PropertyKind.DGNI:
-            return self.property_ok(PropertyKind.GNI, systems) & self.property_ok(PropertyKind.RGNI, systems)
+            return self.property_ok(PropertyKind.GNI) & self.property_ok(PropertyKind.RGNI)
         verdicts = self._verdicts.get(kind)
         if verdicts is None:
-            verdicts = sweep_pairs(self.property_table(kind), self.all_system_masks(include_empty=True), self.n)
+            systems = np.arange(powerset_size(self.n), dtype=np.uint64)
+            verdicts = sweep_pairs(self.property_table(kind), systems, self.n)[1:]
             verdicts.flags.writeable = False
             self._verdicts[kind] = verdicts
-        return verdicts[1:] if systems is None else verdicts[systems]
+        return verdicts
 
-    def type_ok(self, t: SifType, systems: np.ndarray | None = None) -> np.ndarray:
-        """Closure verdicts over ``systems`` (default: all nonempty), by
-        ``count[C1 | C2] == count[C1] * count[C2]`` per system (see
-        ``siftypes``); the product is widened, as it can pass 255."""
+    def type_ok(self, t: SifType) -> np.ndarray:
+        """Closure verdicts over the nonempty systems (index i is mask
+        i + 1), by ``count[C1 | C2] == count[C1] * count[C2]`` per system
+        (see ``siftypes``); the product is widened, as it can pass 255."""
         first, second = _ARGUMENT_MASKS[t]
         counts = self._view_counts()
-        pick = slice(1, None) if systems is None else systems
-        return counts[first | second][pick] == counts[first][pick].astype(np.uint16) * counts[second][pick]
+        return counts[first | second][1:] == counts[first][1:].astype(np.uint16) * counts[second][1:]
 
     def system_from_mask(self, mask: int) -> System:
         return System(self.space, (self.traces[i] for i in range(self.n) if mask >> i & 1))
-
-    def mask_from_system(self, s: System) -> int:
-        mask = 0
-        for t in s.traces:
-            if t not in self.index:
-                raise SiflabError(f"trace {format_trace(t)} is not in the universe")
-            mask |= 1 << self.index[t]
-        return mask
 
     def describe_mask(self, mask: int) -> str:
         names = [format_trace(self.traces[i]) for i in range(self.n) if mask >> i & 1]

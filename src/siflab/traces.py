@@ -167,22 +167,6 @@ def view(t: LassoTrace, mask: Component) -> LassoTrace:
     return project(t, mask)
 
 
-def prefix_of(t: LassoTrace, n: int) -> tuple:
-    """First ``n`` tuples of the denoted word.
-
-    A finite trace shorter than ``n`` is returned whole.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= len(t.prefix):
-        return t.prefix[:n]
-    if not t.cycle:
-        return t.prefix
-    k = n - len(t.prefix)
-    q, r = divmod(k, len(t.cycle))
-    return t.prefix + t.cycle * q + t.cycle[:r]
-
-
 _COMPONENT_KEYS = ("hi", "li", "ho", "lo")
 
 
@@ -387,8 +371,9 @@ def read_json(path: str | Path):
     """The parsed contents of a JSON file.
 
     This is the package's one file reader: a missing file, a path that
-    cannot be read (a directory, say), bytes that are not UTF-8 and text
-    that is not JSON all raise :class:`FormatError`.
+    cannot be read (a directory, say), bytes that are not UTF-8, text
+    that is not JSON, nesting too deep for the parser and an integer too
+    long to convert all raise :class:`FormatError`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -397,14 +382,11 @@ def read_json(path: str | Path):
         raise FormatError(f"{path}: no such file") from None
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_system(path: str | Path) -> System:
     """Read a system file (JSON)."""
     return system_from_obj(read_json(path))
-
-
-def save_system(s: System, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(system_to_obj(s), indent=2) + "\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import CapExceeded, DuplicateTraceError, FormatError, SiflabError
+from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
 from .properties import StrategySystem, union_system
 from .traces import L_VIEW, System, _list, read_json, space_from_obj, traces_from_objs, view
@@ -70,9 +70,6 @@ class AsyncSystem:
         self.members = tuple(sorted(tset))
         self._hash = hash((decl, tset))
 
-    def low(self, t: EventTrace) -> EventTrace:
-        return low_projection(t, self.decl)
-
     def __contains__(self, t) -> bool:
         return tuple(t) in self.traces
 
@@ -102,7 +99,7 @@ AnySystem = Union[System, AsyncSystem]
 def low_view_key(t, s: AnySystem):
     """The low view of ``t`` in the trace kind of ``s``."""
     if isinstance(s, AsyncSystem):
-        return s.low(tuple(t))
+        return low_projection(t, s.decl)
     return view(t, L_VIEW)
 
 
@@ -159,21 +156,8 @@ class AndQ:
         return self.q1(a) and self.q2(a)
 
 
-@dataclass(frozen=True)
-class OrQ:
-    q1: QPredicate
-    q2: QPredicate
-
-    def __call__(self, a: frozenset) -> bool:
-        return self.q1(a) or self.q2(a)
-
-
 def q_and(q1: QPredicate, q2: QPredicate) -> QPredicate:
     return AndQ(q1, q2)
-
-
-def q_or(q1: QPredicate, q2: QPredicate) -> QPredicate:
-    return OrQ(q1, q2)
 
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
@@ -186,9 +170,7 @@ def nos_as_zl(ss: StrategySystem) -> bool:
     return zl_check(union_system(ss), NosPredicate(ss))
 
 
-def zl_q_search(
-    target: Sequence[AnySystem], universe: Sequence[AnySystem], cap: int = 1 << 20
-) -> ExtensionalQ | None:
+def zl_q_search(target: Sequence[AnySystem], universe: Sequence[AnySystem]) -> ExtensionalQ | None:
     """Find a predicate realizing ``target`` as a low-view-local property
     over ``universe``, or report that none exists.
 
@@ -196,13 +178,12 @@ def zl_q_search(
     every such property vacuously, so they carry no information and would
     otherwise make any target excluding them trivially unrealizable.
 
-    The search covers all assignments over the finitely many distinct
-    low-view classes arising in the universe.  It is organized around the
-    minimal candidate: classes of target members are forced to true, and
-    any valid assignment agrees on them, so the candidate accepting
-    exactly the forced classes succeeds iff any assignment does.  The cap
-    bounds the implied assignment space (2^classes) and is reported when
-    exceeded.
+    Any predicate over the low-view classes arising in the universe is a
+    candidate, but one suffices.  A realizing predicate accepts every
+    class of every target system, so the candidate accepting exactly
+    those forced classes accepts every target and only systems that any
+    realizing predicate accepts too: it succeeds iff any predicate does.
+    Checking it takes one pass over the members.
     """
     universe_sets = {}
     for s in universe:
@@ -217,13 +198,6 @@ def zl_q_search(
         target_keys.add(s.traces)
 
     classes_of = {key: frozenset(_member_classes(s)) for key, s in universe_sets.items()}
-    all_classes = set().union(*classes_of.values()) if classes_of else set()
-    if (1 << len(all_classes)) > cap:
-        raise CapExceeded(
-            f"2^{len(all_classes)} assignments over {len(all_classes)} view classes exceed the cap of {cap}",
-            cap,
-        )
-
     forced = frozenset().union(*(classes_of[k] for k in target_keys)) if target_keys else frozenset()
     candidate = ExtensionalQ(forced)
     for key, s in universe_sets.items():

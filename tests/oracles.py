@@ -318,3 +318,8 @@ def q_search_exists(system_classes, target):
         if ok:
             return True
     return False
+
+
+def q_or(q1, q2):
+    """The class predicate accepting a set that ``q1`` or ``q2`` accepts."""
+    return lambda a: q1(a) or q2(a)

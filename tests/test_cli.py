@@ -16,7 +16,7 @@ from siflab.cli import main
 from siflab.fixtures import fixture_path
 from siflab.properties import load_strategy_system, save_strategy_system, strategy_system_from_mapping
 from siflab.strategies import load_protocols, protocols_from_obj
-from siflab.traces import load_system, read_json
+from siflab.traces import load_system, read_json, space_to_obj, trace_to_obj
 from siflab.zl import load_async_system, load_collection
 
 
@@ -109,6 +109,18 @@ def test_check_malformed_json(tmp_path, capsys):
     bad.write_text("{]")
     code, _, err = run(capsys, "check", "--property", "sep", "--system", str(bad))
     assert code == 2 and "JSON" in err
+
+
+_LONG_INT_SYSTEM = json.dumps(F.fixture_obj("lo_equals_li_8")).replace('"hi": [', '"hi": [' + "7" * 5000 + ", ", 1)
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, _LONG_INT_SYSTEM], ids=["nested-too-deep", "integer-too-long"])
+def test_json_the_parser_refuses_is_an_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", "--property", "sep", "--system", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def _with(obj, path, value):
@@ -206,8 +218,18 @@ def test_closure_gen_conj(capsys):
 
 
 def test_closure_requires_a_subject(capsys):
-    code, _, err = run(capsys, "closure", "--system", str(fixture_path("zl_pair")))
-    assert code == 2 and "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--system", str(fixture_path("zl_pair"))])
+    assert exc.value.code == 2
+    assert "one of the arguments --type --gen-conj is required" in capsys.readouterr().err
+
+
+def test_closure_refuses_both_subjects(capsys):
+    path = str(fixture_path("dgni_not_sep_15"))
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--type", "2:2/2:2", "--gen-conj", "1:2/0:2", "1:2/1:0", "--system", path])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_closure_bad_type_literal(capsys):
@@ -446,6 +468,18 @@ def test_zl_q_search_async(capsys):
         str(fixture_path("zl_universe_async")),
     )
     assert code == 0 and obj["found"] is True
+
+
+def test_zl_q_search_answers_21_singleton_systems(tmp_path, capsys):
+    space, traces = standard_universe(max_cycle=2)
+    alphabets = space_to_obj(space)
+    universe = tmp_path / "universe.json"
+    universe.write_text(json.dumps({"alphabets": alphabets, "systems": [[trace_to_obj(t)] for t in traces[:21]]}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"alphabets": alphabets, "systems": [[trace_to_obj(traces[0])]]}))
+    code, obj, _ = run_json(capsys, "zl", "q-search", "--target", str(target), "--universe", str(universe))
+    assert code == 0 and obj["found"] is True
+    assert obj["accepted_classes"] == [[trace_to_obj(traces[0])]]
 
 
 def test_zl_q_search_rejects_a_duplicate_event_trace(tmp_path, capsys):

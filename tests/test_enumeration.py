@@ -19,10 +19,8 @@ from siflab import (
     PropertyKind,
     SifType,
     SiflabError,
-    System,
     check_property,
     closed_under_type,
-    enumerate_systems,
     enumerate_traces,
     enumerate_types,
     format_type,
@@ -46,12 +44,6 @@ SPACE, UNIVERSE = standard_universe()
 def test_standard_universe_has_sixteen_period_one_lassos():
     assert len(UNIVERSE) == 16
     assert all(not t.prefix and len(t.cycle) == 1 for t in UNIVERSE)
-
-
-def test_include_finite_adds_only_the_empty_trace_at_prefix_zero():
-    got = enumerate_traces(SPACE, max_prefix=0, max_cycle=1, include_finite=True)
-    assert len(got) == 17
-    assert sum(1 for t in got if not t.cycle and not t.prefix) == 1
 
 
 def test_longer_cycles_collapse_to_canonical_forms():
@@ -79,13 +71,14 @@ def test_enumerate_traces_cap_and_validation():
         uniform_alphabets(0)
 
 
-def test_enumerate_systems_counts_and_cap():
-    small = TraceSpace({"hi": ("0",), "li": ("0", "1"), "ho": ("0",), "lo": ("0",)})
-    systems = list(enumerate_systems(small, include_empty=True))
-    assert len(systems) == 4  # two traces -> four subsets
-    assert len(list(enumerate_systems(small))) == 3
-    with pytest.raises(CapExceeded):
-        list(enumerate_systems(SPACE, cap=100))
+def test_enumerate_traces_checks_the_cap_before_building_candidates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("candidates built before the cap check")
+
+    monkeypatch.setattr("siflab.enumeration.product", refuse)
+    # 33^4 = 1,185,921 one-step candidates
+    with pytest.raises(CapExceeded, match="1185921 candidate lassos"):
+        enumerate_traces(TraceSpace(uniform_alphabets(33)), cap=1 << 20)
 
 
 # ------------------------------------------------------------ bit universe
@@ -156,7 +149,7 @@ def test_sweep_verdicts_match_the_plain_checker_on_random_masks(bit_universe, mi
         masks = _random_masks(rng, bu.n, 120)
         arr = np.array(masks, dtype=np.uint64)
         for kind in PropertyKind:
-            got = bu.property_ok(kind, arr)
+            got = bu.property_ok(kind)[arr - 1]
             for m, verdict in zip(masks, got):
                 s = bu.system_from_mask(m)
                 assert bool(verdict) == check_property(kind, s)
@@ -169,7 +162,7 @@ def test_type_sweeps_match_the_plain_closure_on_random_masks(bit_universe, mixed
     for bu in (bit_universe, mixed_universe):
         masks = np.array(_random_masks(rng, bu.n, 40), dtype=np.uint64)
         for t in types:
-            got = bu.type_ok(t, masks)
+            got = bu.type_ok(t)[masks - 1]
             slots = (t.in_h, t.in_l, t.out_h, t.out_l)
             for m, verdict in zip(masks.tolist(), got):
                 s = bu.system_from_mask(int(m))
@@ -204,26 +197,6 @@ def test_known_property_counts(bit_universe):
     assert int(bu.property_ok(PropertyKind.GNI).sum()) == 10509
     assert int(bu.property_ok(PropertyKind.RGNI).sum()) == 10509
     assert int(bu.property_ok(PropertyKind.DGNI).sum()) == 3417
-
-
-def test_mask_system_roundtrip(bit_universe):
-    bu = bit_universe
-    rng = random.Random(41)
-    for _ in range(50):
-        mask = rng.randrange(0, 1 << 16)
-        assert bu.mask_from_system(bu.system_from_mask(mask)) == mask
-    space2, traces2 = standard_universe(max_prefix=1)
-    foreign = System(space2, traces2[20:22])
-    with pytest.raises(SiflabError):
-        bu.mask_from_system(foreign)
-
-
-def test_all_system_masks_bounds(bit_universe):
-    bu = bit_universe
-    masks = bu.all_system_masks()
-    assert masks[0] == 1 and masks[-1] == (1 << 16) - 1 and masks.size == (1 << 16) - 1
-    with_empty = bu.all_system_masks(include_empty=True)
-    assert with_empty[0] == 0 and with_empty.size == 1 << 16
 
 
 def test_describe_mask_lists_members(bit_universe):

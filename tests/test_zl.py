@@ -7,14 +7,14 @@ import random
 
 import pytest
 
-from oracles import brute_nos, brute_psp, low_filter, q_search_exists
+from oracles import brute_nos, brute_psp, low_filter, q_or, q_search_exists
 from siflab import (
     AsyncSystem,
-    CapExceeded,
     EventDecl,
     ExtensionalQ,
     FormatError,
     InsertionSif,
+    L_VIEW,
     NosPredicate,
     SiflabError,
     System,
@@ -24,8 +24,8 @@ from siflab import (
     nos_as_zl,
     psp_check,
     q_and,
-    q_or,
     standard_universe,
+    view,
     zl_check,
     zl_q_search,
 )
@@ -48,8 +48,6 @@ DECL = EventDecl((("a", "L"), ("b", "L"), ("h", "H"), ("k", "H")))
 
 
 def test_lles_sync_groups_by_low_view():
-    from siflab import L_VIEW, view
-
     s = System(SPACE, UNIVERSE[:6])
     for t in s.members:
         cls = lles(t, s)
@@ -71,9 +69,7 @@ def test_q_combinators():
     q1 = ExtensionalQ(frozenset({frozenset({1})}))
     q2 = ExtensionalQ(frozenset({frozenset({1}), frozenset({2})}))
     both = q_and(q1, q2)
-    either = q_or(q1, q2)
     assert both(frozenset({1})) and not both(frozenset({2}))
-    assert either(frozenset({2})) and not either(frozenset({3}))
 
 
 def test_zl_check_is_vacuous_on_empty_system():
@@ -181,10 +177,30 @@ def test_q_search_rejects_target_outside_universe():
         zl_q_search([foreign], universe)
 
 
-def test_q_search_cap():
-    universe = _sync_universe()
-    with pytest.raises(CapExceeded):
-        zl_q_search([universe[0]], universe, cap=1)
+def test_q_search_answers_256_singleton_systems():
+    """One candidate settles the search however many classes there are:
+    the 256 singleton systems of the period-2 universe have 256 classes.
+    Over the nonempty subsets of three traces, two of which share their
+    low view, every target agrees with the all-assignments oracle."""
+    space, traces = standard_universe(max_cycle=2)
+    universe = [System(space, [t]) for t in traces]
+    assert len(universe) == 256
+    rng = random.Random(53)
+    for target in ([], universe, rng.sample(universe, 1), rng.sample(universe, 100)):
+        q = zl_q_search(target, universe)
+        assert q is not None
+        for s in universe:
+            assert zl_check(s, q) == (s in target)
+    low = {t: view(t, L_VIEW) for t in traces}
+    a = traces[0]
+    b = next(t for t in traces[1:] if low[t] == low[a])
+    c = next(t for t in traces if low[t] != low[a])
+    small = [System(space, m) for r in (1, 2, 3) for m in itertools.combinations((a, b, c), r)]
+    sys_classes = {i: frozenset(lles(t, s) for t in s) for i, s in enumerate(small)}
+    for bits in range(1 << len(small)):
+        chosen = {i for i in range(len(small)) if bits >> i & 1}
+        got = zl_q_search([small[i] for i in sorted(chosen)], small)
+        assert (got is not None) == q_search_exists(sys_classes, chosen), bits
 
 
 # ------------------------------------------------------- NOS as a ZL property
