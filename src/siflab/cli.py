@@ -11,7 +11,13 @@ import argparse
 import json
 import sys
 
-from .enumeration import BitUniverse, enumerate_traces, represents_over_universe, uniform_alphabets
+from .enumeration import (
+    BitUniverse,
+    check_candidates,
+    enumerate_traces,
+    represents_over_universe,
+    uniform_alphabets,
+)
 from .errors import CapExceeded, FormatError, SiflabError
 from .families import closed_under_family, conj_family
 from .properties import (
@@ -128,7 +134,11 @@ def _cmd_represent(args) -> int:
     if prop not in PLAIN_PROPERTIES:
         raise FormatError("represent supports the trace-set properties: " + ", ".join(PLAIN_PROPERTIES))
     params = _parse_universe_params(args.universe_params)
-    space = TraceSpace(uniform_alphabets(params["alphabet-size"]))
+    size = params["alphabet-size"]
+    # refused from the parameters, before the alphabet is built; a size
+    # below 1 counts no letters here and is refused by uniform_alphabets
+    check_candidates(max(size, 0) ** 4, params["max-prefix"], params["max-cycle"], params["cap"])
+    space = TraceSpace(uniform_alphabets(size))
     traces = enumerate_traces(space, params["max-prefix"], params["max-cycle"], cap=params["cap"])
     bu = BitUniverse(space, traces)
     n_systems = (1 << len(traces)) - 1

@@ -303,14 +303,6 @@ def enumerate_async_pools(
         yield decl, pool, min(1 << len(pool), quota)
 
 
-def enumerate_async_systems(max_events: int = 3, max_len: int = 3, cap: int = 60000) -> Iterator[AsyncSystem]:
-    """Deterministic capped enumeration of event systems, in the order of
-    :func:`enumerate_async_pools`."""
-    for decl, pool, count in enumerate_async_pools(max_events, max_len, cap):
-        for mask in range(count):
-            yield AsyncSystem(decl, (pool[i] for i in range(mask.bit_length()) if mask >> i & 1))
-
-
 # Random event systems declare at most this many events and draw at
 # most this many traces of at most this length.
 ASYNC_MAX_EVENTS = 4

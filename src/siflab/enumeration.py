@@ -41,6 +41,16 @@ def uniform_alphabets(alphabet_size: int) -> dict[str, tuple[str, ...]]:
     return {k: syms for k in _COMPONENT_KEYS}
 
 
+def check_candidates(letters: int, max_prefix: int, max_cycle: int, cap: int) -> None:
+    """Refuse a lasso enumeration over ``letters`` distinct 4-tuples whose
+    raw candidate count exceeds ``cap``; only the count is computed."""
+    if max_prefix < 0 or max_cycle < 0:
+        raise SiflabError("length bounds must be nonnegative")
+    raw = sum(letters ** (plen + clen) for plen in range(max_prefix + 1) for clen in range(1, max_cycle + 1))
+    if raw > cap:
+        raise CapExceeded(f"{raw} candidate lassos exceed the cap of {cap}", cap)
+
+
 def enumerate_traces(
     space: TraceSpace,
     max_prefix: int = 0,
@@ -53,12 +63,7 @@ def enumerate_traces(
     ``cap`` bounds the raw candidate count before deduplication; it is
     checked from the alphabet sizes, before any candidate is built.
     """
-    if max_prefix < 0 or max_cycle < 0:
-        raise SiflabError("length bounds must be nonnegative")
-    nt = prod(len(space.alphabets[k]) for k in _COMPONENT_KEYS)
-    raw = sum(nt ** (plen + clen) for plen in range(max_prefix + 1) for clen in range(1, max_cycle + 1))
-    if raw > cap:
-        raise CapExceeded(f"{raw} candidate lassos exceed the cap of {cap}", cap)
+    check_candidates(prod(len(space.alphabets[k]) for k in _COMPONENT_KEYS), max_prefix, max_cycle, cap)
     tuples = list(product(*(space.alphabets[k] for k in _COMPONENT_KEYS)))
     seen: set[LassoTrace] = set()
     for plen in range(max_prefix + 1):

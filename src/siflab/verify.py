@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -48,7 +47,16 @@ from .siftypes import (
     swap_type,
 )
 from .strategies import GenerationMode, build_strategy_system, family_h_view_determined, protocols_from_obj
-from .zl import InsertionSif, closed_under_insertion, nos_as_zl, psp_check, q_and, zl_check, zl_q_search
+from .zl import (
+    InsertionSif,
+    closed_under_insertion,
+    nos_as_zl,
+    psp_check,
+    psp_over_pool,
+    q_and,
+    zl_check,
+    zl_q_search,
+)
 
 # Result id -> (description, procedure), in catalogue order: the order in
 # which the procedures below are defined.
@@ -435,16 +443,16 @@ def _thm_zl_conj(ctx) -> tuple[bool, str]:
 @_result("PROP-PSP-SIF", "the insertion property equals closure under the insertion function")
 def _prop_psp_sif(ctx) -> tuple[bool, str]:
     # A declaration's enumerated systems are the first subsets of one
-    # trace pool, so one sweep of the insertion function's table over the
-    # pool decides closure for all of them; psp_check runs per system.
-    pools = corpora.enumerate_async_pools(cap=ctx.psp_cap)
-    closed = chain.from_iterable(
-        closed_over_pool(InsertionSif(decl), pool, count).tolist() for decl, pool, count in pools
-    )
+    # trace pool, so each side decides all of them at once: one sweep of
+    # the insertion function's table, and the decomposition's obligations
+    # as masks over the pool (zl.psp_over_pool).  No system is built;
+    # only the randomized systems are decided one by one.
     n_enum = bad_enum = 0
-    for s, verdict in zip(corpora.enumerate_async_systems(cap=ctx.psp_cap), closed, strict=True):
-        n_enum += 1
-        bad_enum += psp_check(s) != verdict
+    for decl, pool, count in corpora.enumerate_async_pools(cap=ctx.psp_cap):
+        psp = psp_over_pool(decl, pool, count).tolist()
+        closed = closed_over_pool(InsertionSif(decl), pool, count).tolist()
+        n_enum += count
+        bad_enum += sum(p != c for p, c in zip(psp, closed, strict=True))
     randomized = corpora.async_corpus(ctx.async_count, ctx.seed)
     bad_rand = sum(psp_check(s) != closed_under_insertion(s) for s in randomized)
     ok = bad_enum + bad_rand == 0

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
@@ -236,33 +238,70 @@ class InsertionSif:
         return tuple(filter(lows.__contains__, s1))
 
 
-def psp_check(s: AsyncSystem) -> bool:
-    """Decide the insertion property by exhaustive decomposition.
+def psp_obligations(t: EventTrace, decl: EventDecl) -> Iterator[tuple[EventTrace | None, EventTrace]]:
+    """What the insertion property asks of a system holding ``t``, as
+    ``(premise, conclusion)`` pairs: when the premise is a member too (or
+    is ``None``), the conclusion must be one.
 
-    Two requirements: the low projection of every member is a member;
-    and whenever a member splits as beta+alpha with alpha low-only and
-    beta extended by a high event e is also a member, the insertion
-    beta+e+alpha is a member too.
+    The low projection of ``t`` is obliged outright.  For each split of
+    ``t`` as beta+alpha with alpha nonempty and low-only, and each high
+    event e, a member beta+e obliges the insertion beta+e+alpha.
     """
-    decl = s.decl
-    traces = s.traces
-    for t in traces:
-        if low_projection(t, decl) not in traces:
-            return False
     lows = decl.lows
-    highs = decl.high_events
-    for t in s.members:
-        # alpha = t[cut:] is nonempty and low-only exactly for the cuts
-        # from the end of t back to just after its last high event; an
-        # empty alpha makes the insertion beta+e itself
-        cut = len(t)
-        while cut and t[cut - 1] in lows:
-            cut -= 1
-            beta, alpha = t[:cut], t[cut:]
-            for e in highs:
-                if beta + (e,) in traces and beta + (e,) + alpha not in traces:
-                    return False
-    return True
+    yield None, low_projection(t, decl)
+    # alpha = t[cut:] is nonempty and low-only exactly for the cuts from
+    # the end of t back to just after its last high event; an empty alpha
+    # makes the insertion beta+e itself
+    cut = len(t)
+    while cut and t[cut - 1] in lows:
+        cut -= 1
+        beta, alpha = t[:cut], t[cut:]
+        for e in decl.high_events:
+            yield beta + (e,), beta + (e,) + alpha
+
+
+def psp_check(s: AsyncSystem) -> bool:
+    """Decide the insertion property by exhaustive decomposition: every
+    obligation of every member (:func:`psp_obligations`) is met."""
+    traces = s.traces
+    return all(
+        conclusion in traces
+        for t in s.members
+        for premise, conclusion in psp_obligations(t, s.decl)
+        if premise is None or premise in traces
+    )
+
+
+def psp_over_pool(decl: EventDecl, pool: Sequence[EventTrace], count: int) -> np.ndarray:
+    """``psp_check`` of the subsets of ``pool`` with masks
+    ``0 .. count - 1`` (bit i stands for ``pool[i]``), all at once.
+
+    Those subsets draw on the first ``width = (count - 1).bit_length()``
+    traces only.  Each obligation of such a trace t is a pair of masks:
+    ``need``, the bits of t and of the premise, and ``have``, the bit of
+    the conclusion.  It rules out every subset that holds ``need`` and
+    misses ``have``.  A conclusion past the first ``width`` traces is
+    never held; a premise past them is never held either, so its
+    obligation never fires.
+    """
+    width = (count - 1).bit_length()
+    bit = {t: 1 << i for i, t in enumerate(pool[:width])}
+    masks = np.arange(count)
+    ok = np.ones(count, dtype=bool)
+    for t, t_bit in bit.items():
+        for premise, conclusion in psp_obligations(t, decl):
+            if premise is None:
+                need = t_bit
+            elif premise in bit:
+                need = t_bit | bit[premise]
+            else:
+                continue
+            have = bit.get(conclusion, 0)
+            if have & need:
+                continue  # the conclusion is part of the premise
+            # ruled out: the subsets whose bits among need | have are need
+            ok &= (masks & (need | have)) != need
+    return ok
 
 
 def closed_under_insertion(s: AsyncSystem) -> bool:

@@ -5,9 +5,10 @@ Everything here works on raw data.  Lasso traces are handled as
 equality and projection are decided at the word level (bounded
 unrolling), never through the library's canonical forms.  Event traces
 are plain tuples.  Agreement between these oracles and the package is
-therefore meaningful evidence, not a tautology.  The one exception,
-:func:`swept_type_verdicts`, is a second decider over a bit universe's
-own view classes.
+therefore meaningful evidence, not a tautology.  Two exceptions:
+:func:`swept_type_verdicts` is a second decider over a bit universe's
+own view classes, and :func:`enumerate_async_systems` builds the
+library's event systems one by one, for the per-system deciders.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from math import lcm
 import numpy as np
 
 from siflab._accel import sweep_pairs
+from siflab.corpus import enumerate_async_pools
+from siflab.zl import AsyncSystem
 
 # Component indexes inside a synchronous 4-tuple.
 HI, LI, HO, LO = 0, 1, 2, 3
@@ -249,10 +252,18 @@ def brute_psp(traces, level):
     (2) For every member beta+alpha with alpha all-low and every high
         event e with beta+(e,) a member, beta+(e,)+alpha is a member.
     """
+    return brute_psp_projection(traces, level) and brute_psp_insertion(traces, level)
+
+
+def brute_psp_projection(traces, level):
+    """Requirement (1) of :func:`brute_psp` alone."""
     trace_list = [tuple(t) for t in traces]
-    for t in trace_list:
-        if low_filter(t, level) not in trace_list:
-            return False
+    return all(low_filter(t, level) in trace_list for t in trace_list)
+
+
+def brute_psp_insertion(traces, level):
+    """Requirement (2) of :func:`brute_psp` alone."""
+    trace_list = [tuple(t) for t in traces]
     highs = [e for e, lv in level.items() if lv == "H"]
     for t in trace_list:
         for cut in range(len(t) + 1):
@@ -263,6 +274,16 @@ def brute_psp(traces, level):
                 if beta + (e,) in trace_list and beta + (e,) + alpha not in trace_list:
                     return False
     return True
+
+
+def enumerate_async_systems(max_events=3, max_len=3, cap=60000):
+    """The capped enumeration of event systems, one ``AsyncSystem`` per
+    mask of each ``(decl, pool, count)`` plan of
+    ``siflab.corpus.enumerate_async_pools``, for per-system deciders to
+    check the pool-wide ones against."""
+    for decl, pool, count in enumerate_async_pools(max_events, max_len, cap):
+        for mask in range(count):
+            yield AsyncSystem(decl, (pool[i] for i in range(mask.bit_length()) if mask >> i & 1))
 
 
 # -------------------------------------------------------------- pinning

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 
-from oracles import brute_psp
+from oracles import brute_psp, enumerate_async_systems
 from siflab import (
     ALL_SYSTEMS_TYPES,
     GNI_TYPE,
@@ -45,7 +45,6 @@ from siflab import fixtures as F
 from siflab.corpus import (
     async_corpus,
     conj_cases,
-    enumerate_async_systems,
     zl_conj_cases,
 )
 from siflab.enumeration import implication_violations

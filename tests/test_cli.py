@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,20 @@ def test_represent_param_validation(capsys):
         capsys, "represent", "--property", "sep", "--universe-params", "max-cycle=2"
     )
     assert code == 2 and "24-trace sweep limit" in err
+
+
+def test_represent_refuses_a_huge_alphabet_from_its_parameters(capsys):
+    """10^6 symbols per component give 10^24 one-step candidates; the
+    refusal comes before the alphabet is built."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "represent", "--property", "sep", "--universe-params", "alphabet-size=1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {10**24} candidate lassos exceed the cap of {1 << 20}"]
+    assert peak < 1 << 20
 
 
 def test_represent_rejects_an_empty_universe(capsys):

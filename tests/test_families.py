@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import brute_closed_under_family, zigzag_expected
+from oracles import brute_closed_under_family, enumerate_async_systems, zigzag_expected
 from siflab import (
     ExtensionalSif,
     InjectivityError,
@@ -26,7 +26,7 @@ from siflab import (
     zigzag_sif,
 )
 from siflab import fixtures as F
-from siflab.corpus import disjoint_ten, enumerate_async_pools, enumerate_async_systems
+from siflab.corpus import disjoint_ten, enumerate_async_pools
 from siflab.families import NosMemberSif, ZigzagSif, closed_over_pool
 from siflab.traces import _sort_key
 

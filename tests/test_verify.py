@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from siflab import SiflabError, UnknownResultError, VerifyContext, verify_paper
+from siflab import AsyncSystem, SiflabError, UnknownResultError, VerifyContext, verify_paper
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
@@ -92,6 +92,22 @@ def test_determinism_of_seeded_results():
     # smaller corpora than the published claim are reported as failures,
     # not silently accepted
     assert not r1.all_passed
+
+
+def test_psp_sif_builds_only_the_randomized_systems(monkeypatch):
+    """The enumerated phase decides whole pools: of the 50 randomized and
+    536 enumerated event systems, only the randomized ones are built."""
+    built = []
+    init = AsyncSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AsyncSystem, "__init__", counting_init)
+    report = verify_paper(["PROP-PSP-SIF"], context=VerifyContext(psp_cap=600, async_count=50))
+    assert report.outcome("PROP-PSP-SIF").detail.endswith("on 536 enumerated and 50 randomized event systems")
+    assert len(built) == 50
 
 
 def test_context_defaults_meet_the_claim_sizes():

@@ -7,7 +7,16 @@ import random
 
 import pytest
 
-from oracles import brute_nos, brute_psp, low_filter, q_or, q_search_exists
+from oracles import (
+    brute_nos,
+    brute_psp,
+    brute_psp_insertion,
+    brute_psp_projection,
+    enumerate_async_systems,
+    low_filter,
+    q_or,
+    q_search_exists,
+)
 from siflab import (
     AsyncSystem,
     EventDecl,
@@ -32,13 +41,13 @@ from siflab import (
 from siflab import fixtures as F
 from siflab.corpus import (
     async_corpus,
-    enumerate_async_systems,
+    enumerate_async_pools,
     enumerate_event_decls,
     enumerate_event_traces,
     strategy_corpus,
     zl_conj_cases,
 )
-from siflab.zl import async_system_from_obj, collection_from_obj, event_decl_from_obj, low_projection
+from siflab.zl import async_system_from_obj, collection_from_obj, event_decl_from_obj, low_projection, psp_over_pool
 
 SPACE, UNIVERSE = standard_universe()
 DECL = EventDecl((("a", "L"), ("b", "L"), ("h", "H"), ("k", "H")))
@@ -299,6 +308,65 @@ def test_psp_equivalence_over_enumerated_sample():
         assert psp_check(s) == closed_under_insertion(s)
         n += 1
     assert n > 100
+
+
+@pytest.mark.parametrize("cap", [14, 600, 20000])
+def test_pool_decomposition_matches_psp_check_on_every_enumerated_system(cap):
+    """``psp_over_pool`` gives ``psp_check`` of every enumerated system;
+    at cap 14 each pool holds the empty system alone."""
+    systems = enumerate_async_systems(cap=cap)
+    verdicts = []
+    for decl, pool, count in enumerate_async_pools(cap=cap):
+        pooled = psp_over_pool(decl, pool, count)
+        assert pooled.shape == (count,)
+        for mask, holds in enumerate(pooled.tolist()):
+            s = next(systems)
+            assert s.decl == decl and holds == psp_check(s), (decl, mask)
+            verdicts.append(holds)
+    assert next(systems, None) is None
+    if cap == 14:
+        assert verdicts == [True] * 14
+    else:
+        assert set(verdicts) == {True, False}
+
+
+def test_pool_decomposition_matches_the_brute_oracle():
+    """Both kinds of obligation decide some systems alone: some fail only
+    the low projection, some only the insertion, so a pool decider that
+    drops either kind disagrees with the oracle."""
+    failing_only = set()
+    systems = enumerate_async_systems(cap=600)
+    for decl, pool, count in enumerate_async_pools(cap=600):
+        levels = dict(decl.events)
+        for mask, holds in enumerate(psp_over_pool(decl, pool, count).tolist()):
+            members = next(systems).members
+            projection = brute_psp_projection(members, levels)
+            insertion = brute_psp_insertion(members, levels)
+            assert holds == (projection and insertion), (decl, mask)
+            if projection != insertion:
+                failing_only.add("insertion" if projection else "projection")
+    assert next(systems, None) is None
+    assert failing_only == {"projection", "insertion"}
+
+
+def test_pool_decomposition_shares_nothing_with_the_closure_side(monkeypatch):
+    """``psp_over_pool`` reaches neither the insertion function nor the
+    pair sweep, so PROP-PSP-SIF compares two independent deciders."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pool decomposition reached the closure side")
+
+    for target in (
+        "siflab._accel.sweep_pairs",
+        "siflab._accel.cube_index",
+        "siflab.families.sweep_pairs",
+        "siflab.enumeration.cube_index",
+        "siflab.zl.InsertionSif.__call__",
+        "siflab.zl.InsertionSif.__init__",
+    ):
+        monkeypatch.setattr(target, refuse)
+    decl, pool, count = next(p for p in enumerate_async_pools(cap=600) if p[0].low_events and p[0].high_events)
+    assert set(psp_over_pool(decl, pool, count).tolist()) == {True, False}
 
 
 def test_enumerated_event_systems_are_the_first_subsets_of_each_pool():
