@@ -43,34 +43,30 @@ def constant_user(bit: str) -> UserProtocol:
     )
 
 
-def copy_low_machine() -> SystemProtocol:
-    """Both outputs repeat the current low input."""
+def _one_state_machine(outputs) -> SystemProtocol:
+    """A one-state machine answering inputs ``(hi, li)`` with the single
+    output pair ``outputs(hi, li)``."""
     return SystemProtocol(
         ("m",),
         "m",
-        {("m", hi, li): ((li, li),) for hi in _BITS for li in _BITS},
+        {("m", hi, li): (outputs(hi, li),) for hi in _BITS for li in _BITS},
         {("m", hi, li, ho, lo): "m" for hi in _BITS for li in _BITS for ho in _BITS for lo in _BITS},
     )
+
+
+def copy_low_machine() -> SystemProtocol:
+    """Both outputs repeat the current low input."""
+    return _one_state_machine(lambda hi, li: (li, li))
 
 
 def echo_high_machine() -> SystemProtocol:
     """High output repeats the high input; low output stays silent."""
-    return SystemProtocol(
-        ("m",),
-        "m",
-        {("m", hi, li): ((hi, "0"),) for hi in _BITS for li in _BITS},
-        {("m", hi, li, ho, lo): "m" for hi in _BITS for li in _BITS for ho in _BITS for lo in _BITS},
-    )
+    return _one_state_machine(lambda hi, li: (hi, "0"))
 
 
 def leak_high_machine() -> SystemProtocol:
     """Both outputs repeat the high input; the low user sees everything."""
-    return SystemProtocol(
-        ("m",),
-        "m",
-        {("m", hi, li): ((hi, hi),) for hi in _BITS for li in _BITS},
-        {("m", hi, li, ho, lo): "m" for hi in _BITS for li in _BITS for ho in _BITS for lo in _BITS},
-    )
+    return _one_state_machine(lambda hi, li: (hi, hi))
 
 
 def alternating_user() -> UserProtocol:

@@ -4,9 +4,10 @@ Small trace universes (at most 24 traces) admit a bit-parallel encoding:
 a system is a bitmask over the universe, and a verdict vector holds one
 verdict per system.  Two deciders fill such vectors.  Property membership
 uses the pair sweep: for every ordered pair (a, b) of members the system
-must intersect a precomputed witness mask, derived from per-component
-view equality.  Closure under a type uses distinct-view counts, the
-identity of ``siftypes`` evaluated for every system at once.
+must intersect the witness mask ``W[a, b]``, the traces sharing a's C1
+view and b's C2 view (``siftypes.argument_masks``).  Closure under a type
+uses distinct-view counts, the identity of ``siftypes`` evaluated for
+every system at once.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from ._accel import cube_index, powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
-from .properties import PROPERTY_VIEWS, PropertyKind
-from .siftypes import _ARGUMENT_MASKS, SifType, Slot
+from .properties import PropertyKind
+from .siftypes import SifType, argument_masks
 from .traces import (
     COMPONENT_ORDER,
     _COMPONENT_KEYS,
@@ -43,12 +44,23 @@ def uniform_alphabets(alphabet_size: int) -> dict[str, tuple[str, ...]]:
 
 def check_candidates(letters: int, max_prefix: int, max_cycle: int, cap: int) -> None:
     """Refuse a lasso enumeration over ``letters`` distinct 4-tuples whose
-    raw candidate count exceeds ``cap``; only the count is computed."""
+    raw candidate count exceeds ``cap``; no candidate is built.
+
+    The count is the sum of ``letters ** (plen + clen)``.  Its terms are
+    added in order only until the sum passes ``cap``, so huge bounds or
+    alphabets cost a few terms, and the count itself is never printed.
+    """
     if max_prefix < 0 or max_cycle < 0:
         raise SiflabError("length bounds must be nonnegative")
-    raw = sum(letters ** (plen + clen) for plen in range(max_prefix + 1) for clen in range(1, max_cycle + 1))
-    if raw > cap:
-        raise CapExceeded(f"{raw} candidate lassos exceed the cap of {cap}", cap)
+    if letters > 1 and max_cycle:
+        terms = (letters ** (plen + clen) for plen in range(max_prefix + 1) for clen in range(1, max_cycle + 1))
+    else:  # no term, or every term is ``letters`` itself
+        terms = (letters * (max_prefix + 1) * max_cycle,)
+    raw = 0
+    for term in terms:
+        raw += term
+        if raw > cap:
+            raise CapExceeded(f"candidate lassos exceed the cap of {cap}", cap)
 
 
 def enumerate_traces(
@@ -64,6 +76,8 @@ def enumerate_traces(
     checked from the alphabet sizes, before any candidate is built.
     """
     check_candidates(prod(len(space.alphabets[k]) for k in _COMPONENT_KEYS), max_prefix, max_cycle, cap)
+    if not max_cycle:
+        return ()  # every lasso here has a nonempty cycle; no prefix is built
     tuples = list(product(*(space.alphabets[k] for k in _COMPONENT_KEYS)))
     seen: set[LassoTrace] = set()
     for plen in range(max_prefix + 1):
@@ -87,8 +101,8 @@ class BitUniverse:
     """Bit-parallel encoding of a nonempty trace universe of at most 24 traces.
 
     Property verdicts come from sweeping the whole powerset; each
-    property's witness table is swept once and its verdict vector is
-    cached.  Closure verdicts come from the distinct-view counts of every
+    property's :meth:`witness_table` is swept once and its verdict vector
+    is cached.  Closure verdicts come from the distinct-view counts of every
     system, built on the first closure query (16 bytes per system).
     """
 
@@ -130,23 +144,14 @@ class BitUniverse:
                 out &= self._eq[comp]
         return out
 
-    def property_table(self, kind: PropertyKind) -> np.ndarray:
-        """Witness-mask table for a pair-quantified property (not DGNI)."""
-        m1, m2 = PROPERTY_VIEWS[PropertyKind(kind)]
-        e1 = self.view_eq_mask(m1)
-        e2 = self.view_eq_mask(m2)
-        return e1[:, None] & e2[None, :]
-
-    def type_table(self, t: SifType) -> np.ndarray:
-        """Witness-mask table for closure under a type."""
-        table = np.full((self.n, self.n), (1 << self.n) - 1, dtype=np.uint64)
-        for comp, which in t.constraints():
-            eq = self._eq[comp]
-            if which == Slot.FIRST:
-                table &= eq[:, None]
-            else:
-                table &= eq[None, :]
-        return table
+    def witness_table(self, x: SifType | PropertyKind) -> np.ndarray:
+        """``W[a, b]``: the traces sharing trace a's C1 view and trace b's
+        C2 view, where (C1, C2) is ``argument_masks(x)``, for a type or a
+        pair-quantified property (not DGNI).  A system is closed under
+        the type, or has the property, exactly when it meets ``W[a, b]``
+        for every ordered pair of its members."""
+        first, second = argument_masks(x)
+        return self.view_eq_mask(first)[:, None] & self.view_eq_mask(second)[None, :]
 
     def _view_counts(self) -> tuple[np.ndarray, ...]:
         """``counts[mask][S]``: the number of distinct ``mask``-views in
@@ -179,7 +184,7 @@ class BitUniverse:
         verdicts = self._verdicts.get(kind)
         if verdicts is None:
             systems = np.arange(powerset_size(self.n), dtype=np.uint64)
-            verdicts = sweep_pairs(self.property_table(kind), systems, self.n)[1:]
+            verdicts = sweep_pairs(self.witness_table(kind), systems, self.n)[1:]
             verdicts.flags.writeable = False
             self._verdicts[kind] = verdicts
         return verdicts
@@ -188,7 +193,7 @@ class BitUniverse:
         """Closure verdicts over the nonempty systems (index i is mask
         i + 1), by ``count[C1 | C2] == count[C1] * count[C2]`` per system
         (see ``siftypes``); the product is widened, as it can pass 255."""
-        first, second = _ARGUMENT_MASKS[t]
+        first, second = argument_masks(t)
         counts = self._view_counts()
         return counts[first | second][1:] == counts[first][1:].astype(np.uint16) * counts[second][1:]
 

@@ -102,16 +102,6 @@ class StrategySystem:
     def space(self) -> TraceSpace:
         return self.families[0][1].space
 
-    def family(self, name: str) -> System:
-        for fam_name, fam in self.families:
-            if fam_name == name:
-                return fam
-        raise KeyError(name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.families)
-
     @cached_property
     def union(self) -> System:
         """The deduplicated union of all families."""

@@ -20,28 +20,26 @@ Proof: closure says s|C1 x s|C2 is a subset of Q; Q is always a subset
 of that product, and |Q| = count[C1 | C2] since C1 and C2 are disjoint,
 so the inclusion holds exactly when the sizes agree.  The empty system
 gives 0 == 0, and count[no components] = 1 on any other system, so
-sixteen counts per system settle all 81 types.  The identity is used on
-one system at a time here (:func:`closed_under_type`) and on every
-system of a bit universe at once (``BitUniverse.type_ok``).
+sixteen counts per system (``System.view_counts``) settle all 81 types.
+The identity is used on one system at a time here
+(:func:`closed_under_type`) and on every system of a bit universe at
+once (``BitUniverse.type_ok``).
+
+SEP, GNI and RGNI are the same kind of condition with the views of
+``PROPERTY_VIEWS``: :func:`argument_masks` gives the pair (C1, C2) of a
+type or of one of these properties.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import IntEnum
 from itertools import chain, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FormatError
-from .properties import PropertyKind, StrategySystem, check_nos, check_property, union_system
-from .traces import HI_VIEW, HO_VIEW, LI_VIEW, LO_VIEW, Component, System, view_columns
-
-
-class Slot(IntEnum):
-    FREE = 0
-    FIRST = 1
-    SECOND = 2
+from .errors import FormatError, SiflabError
+from .properties import PROPERTY_VIEWS, PropertyKind, StrategySystem, check_nos, check_property, union_system
+from .traces import HI_VIEW, HO_VIEW, LI_VIEW, LO_VIEW, System
 
 
 _SLOT_COMPONENTS = (
@@ -69,12 +67,6 @@ class SifType:
     @property
     def slots(self) -> tuple[int, int, int, int]:
         return (self.in_h, self.in_l, self.out_h, self.out_l)
-
-    def constraints(self) -> tuple[tuple[Component, int], ...]:
-        """The non-free slots as (component view, argument index) pairs."""
-        return tuple(
-            (comp, getattr(self, name)) for name, comp in _SLOT_COMPONENTS if getattr(self, name) != Slot.FREE
-        )
 
     def __str__(self) -> str:
         return format_type(self)
@@ -120,32 +112,37 @@ RGNI_TYPE = SifType(1, 2, 1, 0)
 ALL_SYSTEMS_TYPES = tuple(t for t in enumerate_types() if all(s in (0, 1) for s in t.slots))
 
 
-def view_counts(s: System) -> tuple[int, ...]:
-    """``counts[mask]``: the number of distinct ``mask``-views among the
-    members of ``s``, for each of the 16 component masks (``counts[0]`` is
-    1, or 0 for the empty system).  Computed once per system.
-    """
-    if s._counts is None:
-        ids = s.view_ids
-        s._counts = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in ids}) for mask in range(16))
-    return s._counts
-
-
-def _argument_masks(t: SifType) -> tuple[int, int]:
-    """The component masks ``t`` copies from its first and its second argument."""
-    masks = [0, 0, 0]
+def _slot_masks(t: SifType) -> tuple[int, int]:
+    """The components whose slot in ``t`` is 1 (first argument) and 2 (second)."""
+    masks = [0, 0, 0]  # by slot value; slot 0 (free) is dropped
     for (_, comp), slot in zip(_SLOT_COMPONENTS, t.slots):
         masks[slot] |= int(comp)
-    return masks[Slot.FIRST], masks[Slot.SECOND]
+    return masks[1], masks[2]
 
 
-_ARGUMENT_MASKS = {t: _argument_masks(t) for t in enumerate_types()}
+# (C1, C2) for every type and for SEP, GNI and RGNI, built once, since
+# closure checks look a type up 81 times per system.
+_MASKS: dict[SifType | PropertyKind, tuple[int, int]] = {t: _slot_masks(t) for t in enumerate_types()}
+_MASKS.update((kind, (int(first), int(second))) for kind, (first, second) in PROPERTY_VIEWS.items())
+
+
+def argument_masks(x: SifType | PropertyKind) -> tuple[int, int]:
+    """The component masks (C1, C2) that the type or pair-quantified
+    property ``x`` takes from its first and its second argument.
+
+    DGNI is the conjunction of GNI and RGNI, not one such pair, so it
+    raises :class:`SiflabError`.
+    """
+    try:
+        return _MASKS[x]
+    except KeyError:
+        raise SiflabError(f"{x} is not a single copy condition with one mask pair") from None
 
 
 def closed_under_type(s: System, t: SifType) -> bool:
     """Pair-quantified closure of ``s`` under ``t``, by distinct-view counts."""
-    first, second = _ARGUMENT_MASKS[t]
-    counts = view_counts(s)
+    first, second = _MASKS[t]
+    counts = s.view_counts
     return counts[first | second] == counts[first] * counts[second]
 
 

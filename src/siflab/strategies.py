@@ -259,13 +259,11 @@ def build_strategy_system(
     pl: UserProtocol,
     hs: Mapping[str, UserProtocol],
     mode: GenerationMode,
-    space: TraceSpace | None = None,
 ) -> StrategySystem:
     """Run every named high protocol against the shared pair (system, low user)."""
     if not hs:
         raise FormatError("at least one high protocol is required")
-    if space is None:
-        space = derive_space(ps, pl, list(hs.values()))
+    space = derive_space(ps, pl, list(hs.values()))
     families = tuple((name, generate_sigma_h(ps, pl, h, mode, space)) for name, h in hs.items())
     return StrategySystem(families)
 

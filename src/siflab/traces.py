@@ -40,7 +40,6 @@ class Component(IntFlag):
 
 
 COMPONENT_ORDER = (Component.HI, Component.LI, Component.HO, Component.LO)
-COMPONENT_NAMES = {Component.HI: "hi", Component.LI: "li", Component.HO: "ho", Component.LO: "lo"}
 
 FULL_VIEW = Component.HI | Component.LI | Component.HO | Component.LO
 L_VIEW = Component.LI | Component.LO
@@ -233,7 +232,7 @@ class System:
     """A finite set of canonical traces over a shared trace space.
 
     ``_ids`` and ``_counts`` are filled on first use (by
-    :attr:`view_ids` and ``siftypes.view_counts``) and take no part in
+    :attr:`view_ids` and :attr:`view_counts`) and take no part in
     equality or hashing.
     """
 
@@ -268,6 +267,16 @@ class System:
                 columns.append([seen.setdefault(project(t, comp), len(seen)) for t in self.members])
             self._ids = tuple(zip(*columns))
         return self._ids
+
+    @property
+    def view_counts(self) -> tuple[int, ...]:
+        """``view_counts[mask]``: the number of distinct ``mask``-views
+        among the members, for each of the 16 component masks
+        (``view_counts[0]`` is 1, or 0 for the empty system)."""
+        if self._counts is None:
+            ids = self.view_ids
+            self._counts = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in ids}) for mask in range(16))
+        return self._counts
 
     def __contains__(self, t: LassoTrace) -> bool:
         return t in self.traces

@@ -471,7 +471,7 @@ def _lem_swap(ctx) -> tuple[bool, str]:
     # roles transposes the witness table, and a system meets W[a, b] for
     # all its pairs exactly when it meets W.T[a, b] for all of them
     untransposed = [
-        t for t in enumerate_types() if not np.array_equal(bu.type_table(swap_type(t)), bu.type_table(t).T)
+        t for t in enumerate_types() if not np.array_equal(bu.witness_table(swap_type(t)), bu.witness_table(t).T)
     ]
     ok = not bad and not untransposed
     return ok, f"closure tables equal under role swap for all 81 types over {n} systems"
@@ -489,7 +489,7 @@ def _lem_allsys(ctx) -> tuple[bool, str]:
     uncertified = [
         t
         for t in ALL_SYSTEMS_TYPES
-        for table in (bu.type_table(t), bu.type_table(swap_type(t)).T)
+        for table in (bu.witness_table(t), bu.witness_table(swap_type(t)).T)
         if ((table & own) != own).any()
     ]
     ok = not bad and not uncertified

@@ -6,8 +6,8 @@ equality and projection are decided at the word level (bounded
 unrolling), never through the library's canonical forms.  Event traces
 are plain tuples.  Agreement between these oracles and the package is
 therefore meaningful evidence, not a tautology.  Two exceptions:
-:func:`swept_type_verdicts` is a second decider over a bit universe's
-own view classes, and :func:`enumerate_async_systems` builds the
+:func:`swept_type_verdicts` runs the library's sweep kernel (on a
+word-level table), and :func:`enumerate_async_systems` builds the
 library's event systems one by one, for the per-system deciders.
 """
 
@@ -158,19 +158,29 @@ def brute_closed_under_type(members, slots):
     return True
 
 
+def type_idx(slots):
+    """The component indexes a four-slot copy type takes from its first
+    argument (slot 1) and from its second (slot 2)."""
+    return tuple(tuple(idx for slot, idx in zip(slots, _SLOT_IDX) if slot == arg) for arg in (1, 2))
+
+
+def witness_table(traces, first_idx, second_idx):
+    """``W[a, b]``: the traces x (bit i for ``traces[i]``) whose
+    ``first_idx`` projection equals that of ``traces[a]`` and whose
+    ``second_idx`` projection equals that of ``traces[b]``, compared as
+    words (:func:`proj_equal`)."""
+    eq1, eq2 = (
+        np.array([sum(1 << i for i, x in enumerate(traces) if proj_equal(x, a, idx)) for a in traces], dtype=np.uint64)
+        for idx in (first_idx, second_idx)
+    )
+    return eq1[:, None] & eq2[None, :]
+
+
 def swept_type_verdicts(bu, slots):
     """Closure verdicts under a four-slot copy type for every mask
-    0 .. 2^n - 1 of the bit universe ``bu``, by the pair sweep.
-
-    The witness table is ``W[a, b] = eq_C1[a] & eq_C2[b]``, where C1 and
-    C2 are the components the type copies from its first and its second
-    argument and ``eq_C`` is ``bu.view_eq_mask(C)``.  Those masks come
-    from the library, so a test relying on this oracle checks them
-    against :func:`proj_equal` first.
-    """
-    first = sum(1 << i for i, slot in enumerate(slots) if slot == 1)
-    second = sum(1 << i for i, slot in enumerate(slots) if slot == 2)
-    table = bu.view_eq_mask(first)[:, None] & bu.view_eq_mask(second)[None, :]
+    0 .. 2^n - 1 of the bit universe ``bu``, by sweeping the word-level
+    :func:`witness_table` of ``bu.traces``."""
+    table = witness_table(bu.traces, *type_idx(slots))
     return sweep_pairs(table, np.arange(1 << bu.n, dtype=np.uint64), bu.n)
 
 

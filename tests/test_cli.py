@@ -297,8 +297,27 @@ def test_represent_refuses_a_huge_alphabet_from_its_parameters(capsys):
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"error: {10**24} candidate lassos exceed the cap of {1 << 20}"]
+    assert err.splitlines() == [f"error: candidate lassos exceed the cap of {1 << 20}"]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["max-prefix=5000"], f"candidate lassos exceed the cap of {1 << 20}"),
+        (["alphabet-size=" + "9" * 1101], f"candidate lassos exceed the cap of {1 << 20}"),
+        (["alphabet-size=0", f"max-prefix={10**9}"], "alphabet size must be at least 1"),
+        (["max-cycle=0", f"max-prefix={10**9}"], "a universe needs at least one trace"),
+    ],
+)
+def test_represent_refuses_huge_bounds_without_summing_every_term(capsys, params, message):
+    """The first two pass the cap within a few terms (16^5001 candidates,
+    a 4404-digit letter count), and the message names the cap, not the
+    count.  With no letters or no cycle length, nothing is counted or
+    built for each of the 10^9 prefix lengths."""
+    code, out, err = run(capsys, "represent", "--property", "sep", "--universe-params", *params)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_represent_rejects_an_empty_universe(capsys):

@@ -7,7 +7,15 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_closed_under_type, brute_property, proj_equal, swept_type_verdicts
+from oracles import (
+    PROPERTY_IDX,
+    brute_closed_under_type,
+    brute_property,
+    proj_equal,
+    swept_type_verdicts,
+    type_idx,
+    witness_table,
+)
 from siflab import (
     FULL_VIEW,
     H_VIEW,
@@ -77,7 +85,7 @@ def test_enumerate_traces_checks_the_cap_before_building_candidates(monkeypatch)
 
     monkeypatch.setattr("siflab.enumeration.product", refuse)
     # 33^4 = 1,185,921 one-step candidates
-    with pytest.raises(CapExceeded, match="1185921 candidate lassos"):
+    with pytest.raises(CapExceeded, match="^candidate lassos exceed the cap of 1048576$"):
         enumerate_traces(TraceSpace(uniform_alphabets(33)), cap=1 << 20)
 
 
@@ -180,7 +188,10 @@ def test_view_counts_decide_every_type_like_the_witness_table_sweep(bit_universe
                 for j, u in enumerate(bu.traces):
                     assert bool(eq[i] >> j & 1) == proj_equal(t, u, idxs), (mask, i, j)
         for t in enumerate_types():
+            assert np.array_equal(bu.witness_table(t), witness_table(bu.traces, *type_idx(t.slots))), t
             assert np.array_equal(bu.type_ok(t), swept_type_verdicts(bu, t.slots)[1:]), t
+        for kind, idxs in PROPERTY_IDX.items():
+            assert np.array_equal(bu.witness_table(PropertyKind(kind)), witness_table(bu.traces, *idxs)), kind
 
 
 def test_dgni_table_is_the_conjunction(bit_universe):

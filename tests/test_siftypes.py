@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closed_under_type, brute_property
+from oracles import PROPERTY_IDX, brute_closed_under_type, brute_property
 from siflab import (
     ALL_SYSTEMS_TYPES,
     FormatError,
@@ -18,6 +18,7 @@ from siflab import (
     RGNI_TYPE,
     SEP_TYPE,
     SifType,
+    SiflabError,
     System,
     binary_space,
     canonicalize,
@@ -39,9 +40,9 @@ from siflab.siftypes import (
     UNREFUTED,
     Refutation,
     RefutationReport,
+    argument_masks,
     as_plain_system,
     property_predicate,
-    view_counts,
 )
 
 SPACE, UNIVERSE = standard_universe()
@@ -54,6 +55,19 @@ def test_enumerate_types_is_the_full_81():
     ts = enumerate_types()
     assert len(ts) == 81 and len(set(ts)) == 81
     assert SEP_TYPE in ts and GNI_TYPE in ts and RGNI_TYPE in ts
+
+
+def test_argument_masks_are_the_components_each_argument_supplies():
+    """Bit i of a mask is the i-th slot's component (hi, li, ho, lo)."""
+    for t in enumerate_types():
+        walked = [0, 0, 0]
+        for i, slot in enumerate(t.slots):
+            walked[slot] |= 1 << i
+        assert argument_masks(t) == (walked[1], walked[2]), t
+    for kind, idxs in PROPERTY_IDX.items():
+        assert argument_masks(PropertyKind(kind)) == tuple(sum(1 << i for i in idx) for idx in idxs), kind
+    with pytest.raises(SiflabError, match="^dgni is not a single copy condition"):
+        argument_masks(PropertyKind.DGNI)
 
 
 def test_literal_roundtrip_for_all_types():
@@ -157,7 +171,7 @@ def test_filled_lazy_slots_leave_equality_and_hashing_alone():
     while len(traces) < 6:
         traces.add(canonicalize([("0", "1", "1", "0")] * rng.randint(0, 2), [("1", "0", "0", "1")] * rng.randint(0, 3)))
     filled, fresh = System(binary_space(), traces), System(binary_space(), reversed(sorted(traces, key=str)))
-    assert len(filled.view_ids) == 6 and len(view_counts(filled)) == 16
+    assert len(filled.view_ids) == 6 and len(filled.view_counts) == 16
     assert closed_under_type(filled, SEP_TYPE) == closed_under_type(filled, SEP_TYPE)
     assert filled == fresh and fresh == filled and hash(filled) == hash(fresh)
     assert len({filled, fresh}) == 1
