@@ -52,7 +52,12 @@ _SLOT_COMPONENTS = (
 
 @dataclass(frozen=True, order=True)
 class SifType:
-    """Four copy slots: inputs and outputs, high and low."""
+    """Four copy slots: inputs and outputs, high and low.
+
+    The hash is ``hash(slots)``, as a generated dataclass hash would be,
+    but computed once: closure checks look types up in a dict, 81 per system.
+    Pickling rebuilds the type from its slots, as for ``LassoTrace``.
+    """
 
     in_h: int
     in_l: int
@@ -63,6 +68,13 @@ class SifType:
         for name, _ in _SLOT_COMPONENTS:
             if getattr(self, name) not in (0, 1, 2):
                 raise FormatError(f"slot {name} must be 0, 1 or 2")
+        object.__setattr__(self, "_hash", hash(self.slots))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SifType, self.slots)
 
     @property
     def slots(self) -> tuple[int, int, int, int]:

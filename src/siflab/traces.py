@@ -128,20 +128,25 @@ def format_trace(t: LassoTrace) -> str:
     return head + "[" + tail + "]^w"
 
 
+def _canonical_form(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:
+    """The canonical ``(prefix, cycle)`` of ``prefix + cycle^w`` over any
+    hashable letters: the cycle's primitive root, with every prefix letter
+    that repeats the cycle's last letter absorbed into the cycle."""
+    if not cycle:
+        return prefix, cycle
+    cycle = _primitive_root(cycle)
+    k = len(prefix)
+    while k and prefix[k - 1] == cycle[-1]:
+        k -= 1
+        cycle = (cycle[-1],) + cycle[:-1]
+    return prefix[:k], cycle
+
+
 def canonicalize(prefix: Sequence, cycle: Sequence) -> LassoTrace:
     """Return the unique canonical lasso denoting ``prefix + cycle^w``
     (or the finite word ``prefix`` when ``cycle`` is empty).  Idempotent.
     """
-    pre = tuple(tuple(t) for t in prefix)
-    cyc = tuple(tuple(t) for t in cycle)
-    if cyc:
-        cyc = _primitive_root(cyc)
-        work = list(pre)
-        while work and work[-1] == cyc[-1]:
-            work.pop()
-            cyc = (cyc[-1],) + cyc[:-1]
-        pre = tuple(work)
-    return LassoTrace(pre, cyc)
+    return LassoTrace(*_canonical_form(tuple(tuple(t) for t in prefix), tuple(tuple(t) for t in cycle)))
 
 
 def project(t: LassoTrace, mask: Component) -> LassoTrace:
@@ -162,7 +167,9 @@ def project(t: LassoTrace, mask: Component) -> LassoTrace:
 
 @lru_cache(maxsize=None)
 def view(t: LassoTrace, mask: Component) -> LassoTrace:
-    """Cached :func:`project`; the hot path for property and closure checks."""
+    """Cached :func:`project`, for the callers that need ``LassoTrace``
+    views (low views in ``zl``, ``check_nos``, families and strategies);
+    property and closure checks read :attr:`System.view_ids` instead."""
     return project(t, mask)
 
 
@@ -224,6 +231,9 @@ def binary_space() -> TraceSpace:
     return TraceSpace({k: ("0", "1") for k in _COMPONENT_KEYS})
 
 
+_NO_COLUMNS = ((), (), (), ())
+
+
 def _sort_key(t: LassoTrace):
     return (len(t.prefix), len(t.cycle), t.prefix, t.cycle)
 
@@ -254,17 +264,21 @@ class System:
     def view_ids(self) -> tuple[tuple[int, int, int, int], ...]:
         """Per member, in ``members`` order, its four interned component views.
 
-        Column ``i`` holds the member's view on ``COMPONENT_ORDER[i]``
-        (:func:`project`), numbered by first occurrence within this
-        system, so equal ids in a column mean equal views.  Word equality
-        is positionwise, so two members share a joint view exactly when
-        they share the id of each of its components.
+        Column ``i`` holds the id of the member's view
+        ``project(t, COMPONENT_ORDER[i])``, numbered by first occurrence
+        within this system, so equal ids in a column mean equal views.
+        Word equality is positionwise, so two members share a joint view
+        exactly when they share the id of each of its components.
         """
         if self._ids is None:
+            # One transposition per member gives its four component words
+            # (an empty prefix or cycle gives four empty ones).
+            prefixes = [tuple(zip(*t.prefix)) or _NO_COLUMNS for t in self.members]
+            cycles = [tuple(zip(*t.cycle)) or _NO_COLUMNS for t in self.members]
             columns = []
-            for comp in COMPONENT_ORDER:
-                seen: dict[LassoTrace, int] = {}
-                columns.append([seen.setdefault(project(t, comp), len(seen)) for t in self.members])
+            for i in range(4):
+                seen: dict[tuple[tuple, tuple], int] = {}
+                columns.append([seen.setdefault(_canonical_form(pre[i], cyc[i]), len(seen)) for pre, cyc in zip(prefixes, cycles)])
             self._ids = tuple(zip(*columns))
         return self._ids
 
@@ -274,8 +288,13 @@ class System:
         among the members, for each of the 16 component masks
         (``view_counts[0]`` is 1, or 0 for the empty system)."""
         if self._counts is None:
-            ids = self.view_ids
-            self._counts = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in ids}) for mask in range(16))
+            # ids are below len(members), so each fits in `width` bits and
+            # a row packs into one int with column i at bits [i*width, (i+1)*width)
+            width = len(self.members).bit_length()
+            keys = [a | b << width | c << 2 * width | d << 3 * width for a, b, c, d in self.view_ids]
+            field = (1 << width) - 1
+            masks = [sum(field << i * width for i in view_columns(mask)) for mask in range(16)]
+            self._counts = tuple(len({key & m for key in keys}) for m in masks)
         return self._counts
 
     def __contains__(self, t: LassoTrace) -> bool:

@@ -5,10 +5,12 @@ Everything here works on raw data.  Lasso traces are handled as
 equality and projection are decided at the word level (bounded
 unrolling), never through the library's canonical forms.  Event traces
 are plain tuples.  Agreement between these oracles and the package is
-therefore meaningful evidence, not a tautology.  Two exceptions:
+therefore meaningful evidence, not a tautology.  Three exceptions:
 :func:`swept_type_verdicts` runs the library's sweep kernel (on a
-word-level table), and :func:`enumerate_async_systems` builds the
-library's event systems one by one, for the per-system deciders.
+word-level table), :func:`enumerate_async_systems` builds the
+library's event systems one by one, for the per-system deciders, and
+:func:`projected_view_ids` interns the library's ``project`` views, as
+the reference numbering for ``System.view_ids``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from siflab._accel import sweep_pairs
 from siflab.corpus import enumerate_async_pools
+from siflab.traces import COMPONENT_ORDER, project
 from siflab.zl import AsyncSystem
 
 # Component indexes inside a synchronous 4-tuple.
@@ -94,6 +97,17 @@ def _proj_words_equal(p1, c1, p2, c2, idxs):
 
 def lasso_equal(t1, t2):
     return words_equal(t1.prefix, t1.cycle, t2.prefix, t2.cycle)
+
+
+def projected_view_ids(system):
+    """``System.view_ids`` computed one :func:`siflab.traces.project` per
+    member and component: column ``i`` numbers the members'
+    ``COMPONENT_ORDER[i]`` views by first occurrence in ``members`` order."""
+    columns = []
+    for comp in COMPONENT_ORDER:
+        seen = {}
+        columns.append([seen.setdefault(project(t, comp), len(seen)) for t in system.members])
+    return tuple(zip(*columns))
 
 
 def proj_key(traces, idxs):

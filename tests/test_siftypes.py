@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PROPERTY_IDX, brute_closed_under_type, brute_property
+from oracles import PROPERTY_IDX, brute_closed_under_type, brute_property, proj_equal, proj_raw, projected_view_ids
 from siflab import (
     ALL_SYSTEMS_TYPES,
     FormatError,
@@ -55,6 +56,12 @@ def test_enumerate_types_is_the_full_81():
     ts = enumerate_types()
     assert len(ts) == 81 and len(set(ts)) == 81
     assert SEP_TYPE in ts and GNI_TYPE in ts and RGNI_TYPE in ts
+
+
+def test_a_type_hashes_as_its_slots_before_and_after_pickling():
+    for t in enumerate_types():
+        loaded = pickle.loads(pickle.dumps(t))
+        assert loaded == t and hash(t) == hash(loaded) == hash(t.slots)
 
 
 def test_argument_masks_are_the_components_each_argument_supplies():
@@ -163,6 +170,23 @@ def test_deciders_match_the_oracles_on_multi_period_systems():
     assert ("type", True, True) in seen and ("type", False, True) in seen
     assert all((kind, v) in seen for kind in kinds for v in (True, False))
     assert {("empty trace", True), ("finite and infinite", True), ("size", 0), ("size", 1), ("size", 2)} <= seen
+
+
+def test_view_ids_share_an_id_exactly_when_the_component_words_are_equal():
+    """Ids agree with word equality of each component and with interning
+    the library's ``project`` views; some members share an id only once a
+    projected prefix is absorbed into its cycle."""
+    rng = random.Random(8)
+    absorbed = False
+    for _ in range(100):
+        s = _multi_period_system(rng)
+        assert s.view_ids == projected_view_ids(s)
+        for (a, ids_a), (b, ids_b) in product(zip(s.members, s.view_ids), repeat=2):
+            for i in range(4):
+                assert (ids_a[i] == ids_b[i]) == proj_equal(a, b, (i,)), (a, b, i)
+                if ids_a[i] == ids_b[i]:
+                    absorbed |= len(proj_raw(a.prefix, a.cycle, (i,))[0]) != len(proj_raw(b.prefix, b.cycle, (i,))[0])
+    assert absorbed
 
 
 def test_filled_lazy_slots_leave_equality_and_hashing_alone():

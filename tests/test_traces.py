@@ -41,6 +41,7 @@ from siflab.traces import (
     trace_from_obj,
     trace_to_obj,
     traces_from_objs,
+    view_columns,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -178,6 +179,22 @@ def test_system_rejects_foreign_traces_and_dedupes():
         System(sp, [canonicalize((), (("2", "0", "0", "0"),))])
     s = System(sp, [good, good])
     assert len(s) == 1 and good in s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257])
+def test_view_counts_count_each_mask_at_every_packing_width(n):
+    """Systems of ``n`` finite binary words whose LI column has ``n``
+    distinct views (ids 0 .. n-1), with the other columns distinct,
+    constant or paired, so the masked counts are n, about n/2 or 1."""
+    length = max(1, (n - 1).bit_length())
+    words = [format(i, f"0{length}b") for i in range(n)]
+    zeros = ["0" * length] * n
+    pairs = [words[i // 2] for i in range(n)]
+    for columns in ((words, words, words, words), (zeros, words, words, words), (words, words, pairs, zeros)):
+        s = System(binary_space(), [canonicalize(list(zip(*(col[i] for col in columns))), ()) for i in range(n)])
+        assert len(s) == n and {row[1] for row in s.view_ids} == set(range(n))
+        direct = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in s.view_ids}) for mask in range(16))
+        assert s.view_counts == direct
 
 
 def test_system_json_roundtrip(tmp_path):
