@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -29,8 +30,8 @@ from .traces import (
     read_json,
     space_from_obj,
     space_to_obj,
+    system_from_objs,
     trace_to_obj,
-    traces_from_objs,
     view,
     view_columns,
 )
@@ -55,23 +56,36 @@ PROPERTY_VIEWS: dict[PropertyKind, tuple[Component, Component]] = {
 }
 
 
+# Per kind, the two functions that take a row of ``System.view_ids`` to
+# its first-view and second-view key (one id, or a tuple of ids).
+_VIEW_KEYS = {kind: tuple(itemgetter(*view_columns(m)) for m in views) for kind, views in PROPERTY_VIEWS.items()}
+
+
 def check_property(kind: PropertyKind, s: System) -> bool:
     """Decide ``kind`` on ``s``.
 
     For SEP/GNI/RGNI this is the pair-quantified formula: for all members
     s1, s2 there is a member whose first-view equals s1's and whose
-    second-view equals s2's.  Views are compared as tuples of the
-    system's interned component ids.  The empty system satisfies
-    everything (vacuous quantification).
+    second-view equals s2's.  Views are compared as keys of the system's
+    interned component ids.  The empty system satisfies everything
+    (vacuous quantification).  Each verdict is kept on ``s``, so DGNI and
+    a repeated question read it instead of deciding again.
     """
     kind = PropertyKind(kind)
     if kind is PropertyKind.DGNI:
         return check_property(PropertyKind.GNI, s) and check_property(PropertyKind.RGNI, s)
-    c1, c2 = (view_columns(m) for m in PROPERTY_VIEWS[kind])
-    have = {(tuple(ids[i] for i in c1), tuple(ids[i] for i in c2)) for ids in s.view_ids}
-    firsts = {a for a, _ in have}
-    seconds = {b for _, b in have}
-    return all((a, b) in have for a in firsts for b in seconds)
+    verdicts = s._verdicts
+    if verdicts is None:
+        verdicts = s._verdicts = {}
+    elif kind in verdicts:
+        return verdicts[kind]
+    first, second = _VIEW_KEYS[kind]
+    rows = s.view_ids
+    have = set(zip(map(first, rows), map(second, rows)))
+    firsts = set(map(first, rows))
+    seconds = set(map(second, rows))
+    verdicts[kind] = holds = all((a, b) in have for a in firsts for b in seconds)
+    return holds
 
 
 @dataclass(frozen=True)
@@ -167,7 +181,7 @@ def strategy_system_from_obj(obj) -> StrategySystem:
             entry = entry["traces"]
         if not isinstance(entry, list):
             raise FormatError(f"family {name} must be a list of traces")
-        built.append((name, System(space, traces_from_objs(entry, space, where=f"family {name}"))))
+        built.append((name, system_from_objs(entry, space, where=f"family {name}")))
     return StrategySystem(tuple(built))
 
 

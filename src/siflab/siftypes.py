@@ -54,9 +54,12 @@ _SLOT_COMPONENTS = (
 class SifType:
     """Four copy slots: inputs and outputs, high and low.
 
-    The hash is ``hash(slots)``, as a generated dataclass hash would be,
-    but computed once: closure checks look types up in a dict, 81 per system.
-    Pickling rebuilds the type from its slots, as for ``LassoTrace``.
+    Each slot is the int 0, 1 or 2.  Construction also computes the
+    type's argument masks (C1, C2), which closure checks read 81 times per
+    system, and its hash, ``hash(slots)`` as a generated dataclass hash
+    would be.  Pickling rebuilds the type from its slots, as for
+    ``LassoTrace``, so a stored hash never outlives the process that
+    computed it.
     """
 
     in_h: int
@@ -65,9 +68,13 @@ class SifType:
     out_l: int
 
     def __post_init__(self):
-        for name, _ in _SLOT_COMPONENTS:
-            if getattr(self, name) not in (0, 1, 2):
-                raise FormatError(f"slot {name} must be 0, 1 or 2")
+        masks = [0, 0, 0]  # by slot value; slot 0 (free) is dropped
+        for name, comp in _SLOT_COMPONENTS:
+            slot = getattr(self, name)
+            if type(slot) is not int or slot not in (0, 1, 2):
+                raise FormatError(f"slot {name} must be the int 0, 1 or 2, got {slot!r}")
+            masks[slot] |= int(comp)
+        object.__setattr__(self, "_masks", (masks[1], masks[2]))
         object.__setattr__(self, "_hash", hash(self.slots))
 
     def __hash__(self) -> int:
@@ -124,18 +131,10 @@ RGNI_TYPE = SifType(1, 2, 1, 0)
 ALL_SYSTEMS_TYPES = tuple(t for t in enumerate_types() if all(s in (0, 1) for s in t.slots))
 
 
-def _slot_masks(t: SifType) -> tuple[int, int]:
-    """The components whose slot in ``t`` is 1 (first argument) and 2 (second)."""
-    masks = [0, 0, 0]  # by slot value; slot 0 (free) is dropped
-    for (_, comp), slot in zip(_SLOT_COMPONENTS, t.slots):
-        masks[slot] |= int(comp)
-    return masks[1], masks[2]
-
-
-# (C1, C2) for every type and for SEP, GNI and RGNI, built once, since
-# closure checks look a type up 81 times per system.
-_MASKS: dict[SifType | PropertyKind, tuple[int, int]] = {t: _slot_masks(t) for t in enumerate_types()}
-_MASKS.update((kind, (int(first), int(second))) for kind, (first, second) in PROPERTY_VIEWS.items())
+# (C1, C2) for SEP, GNI and RGNI; a type carries its own.
+_MASKS: dict[PropertyKind, tuple[int, int]] = {
+    kind: (int(first), int(second)) for kind, (first, second) in PROPERTY_VIEWS.items()
+}
 
 
 def argument_masks(x: SifType | PropertyKind) -> tuple[int, int]:
@@ -145,6 +144,8 @@ def argument_masks(x: SifType | PropertyKind) -> tuple[int, int]:
     DGNI is the conjunction of GNI and RGNI, not one such pair, so it
     raises :class:`SiflabError`.
     """
+    if isinstance(x, SifType):
+        return x._masks
     try:
         return _MASKS[x]
     except KeyError:
@@ -153,7 +154,7 @@ def argument_masks(x: SifType | PropertyKind) -> tuple[int, int]:
 
 def closed_under_type(s: System, t: SifType) -> bool:
     """Pair-quantified closure of ``s`` under ``t``, by distinct-view counts."""
-    first, second = _MASKS[t]
+    first, second = t._masks
     counts = s.view_counts
     return counts[first | second] == counts[first] * counts[second]
 

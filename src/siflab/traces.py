@@ -205,14 +205,14 @@ class TraceSpace:
 
     def contains(self, t: LassoTrace) -> bool:
         """True when every symbol of ``t`` belongs to its component alphabet."""
-        if t.arity is None:
-            return True
-        if t.arity != 4:
-            return False
+        hi, li, ho, lo = self._allowed
+        # a trace's tuples share one arity, so an empty trace has none to check
         for tup in t.prefix + t.cycle:
-            for sym, allowed in zip(tup, self._allowed):
-                if sym not in allowed:
-                    return False
+            if len(tup) != 4:
+                return False
+            a, b, c, d = tup
+            if a not in hi or b not in li or c not in ho or d not in lo:
+                return False
         return True
 
     def __eq__(self, other) -> bool:
@@ -241,12 +241,13 @@ def _sort_key(t: LassoTrace):
 class System:
     """A finite set of canonical traces over a shared trace space.
 
-    ``_ids`` and ``_counts`` are filled on first use (by
-    :attr:`view_ids` and :attr:`view_counts`) and take no part in
-    equality or hashing.
+    Three slots are filled on first use and take no part in equality,
+    hashing or pickling: ``_ids`` and ``_counts`` by :attr:`view_ids` and
+    :attr:`view_counts`, and ``_verdicts``, a dict from property kind to
+    verdict created by the first ``properties.check_property`` call.
     """
 
-    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts")
+    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts", "_verdicts")
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
@@ -259,6 +260,7 @@ class System:
         self._hash = hash((space, tset))
         self._ids = None
         self._counts = None
+        self._verdicts = None
 
     @property
     def view_ids(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -321,11 +323,15 @@ class System:
 
 
 def _coerce_symbol(x) -> Symbol:
-    if isinstance(x, bool):
-        raise FormatError(f"symbols must be strings or integers, got {x!r}")
+    # exact types first: they are what JSON gives, and bool is not int
+    cls = type(x)
+    if cls is str:
+        return x
+    if cls is int:
+        return str(x)
     if isinstance(x, str):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return str(x)
     raise FormatError(f"symbols must be strings or integers, got {x!r}")
 
@@ -340,7 +346,7 @@ def _list(obj, what: str):
 def _tuple_from_obj(obj) -> tuple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise FormatError(f"each trace tuple must be a 4-element list, got {obj!r}")
-    return tuple(_coerce_symbol(x) for x in obj)
+    return tuple(map(_coerce_symbol, obj))
 
 
 def trace_from_obj(obj) -> LassoTrace:
@@ -350,9 +356,9 @@ def trace_from_obj(obj) -> LassoTrace:
     unknown = set(obj) - {"prefix", "cycle"}
     if unknown:
         raise FormatError(f"unknown trace keys: {sorted(unknown)}")
-    pre = [_tuple_from_obj(x) for x in _list(obj.get("prefix", []), "a trace prefix")]
-    cyc = [_tuple_from_obj(x) for x in _list(obj.get("cycle", []), "a trace cycle")]
-    return canonicalize(pre, cyc)
+    pre = tuple(map(_tuple_from_obj, _list(obj.get("prefix", []), "a trace prefix")))
+    cyc = tuple(map(_tuple_from_obj, _list(obj.get("cycle", []), "a trace cycle")))
+    return LassoTrace(*_canonical_form(pre, cyc))
 
 
 def trace_to_obj(t: LassoTrace) -> dict:
@@ -369,14 +375,16 @@ def space_to_obj(space: TraceSpace) -> dict:
     return {k: list(space.alphabets[k]) for k in _COMPONENT_KEYS}
 
 
-def traces_from_objs(objs, space: TraceSpace, where: str = "traces") -> tuple:
-    """Canonicalize a list of trace objects, in order; duplicates are an error."""
+def traces_from_objs(objs, where: str = "traces") -> tuple:
+    """Canonicalize a list of trace objects, in order; duplicates are an error.
+
+    Alphabets are not checked here: :func:`system_from_objs` leaves that
+    to the ``System`` constructor, so each trace is checked once.
+    """
     out = []
     seen: set[LassoTrace] = set()
     for obj in _list(objs, where):
         t = trace_from_obj(obj)
-        if not space.contains(t):
-            raise AlphabetError(f"trace {format_trace(t)} in {where} does not conform to the alphabets")
         if t in seen:
             raise DuplicateTraceError(f"duplicate trace {format_trace(t)} in {where} after canonicalization")
         seen.add(t)
@@ -384,11 +392,20 @@ def traces_from_objs(objs, space: TraceSpace, where: str = "traces") -> tuple:
     return tuple(out)
 
 
+def system_from_objs(objs, space: TraceSpace, where: str = "traces") -> System:
+    """The system of a list of trace objects over ``space``; a duplicate or
+    a trace outside the alphabets is an error that names ``where``."""
+    traces = traces_from_objs(objs, where)
+    try:
+        return System(space, traces)
+    except AlphabetError as exc:
+        raise AlphabetError(f"{exc}, in {where}") from None
+
+
 def system_from_obj(obj) -> System:
     if not isinstance(obj, dict) or "alphabets" not in obj or "traces" not in obj:
         raise FormatError('a system file must contain "alphabets" and "traces"')
-    space = space_from_obj(obj["alphabets"])
-    return System(space, traces_from_objs(obj["traces"], space))
+    return system_from_objs(obj["traces"], space_from_obj(obj["alphabets"]))
 
 
 def system_to_obj(s: System) -> dict:

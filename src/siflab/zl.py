@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
 from .properties import StrategySystem, union_system
-from .traces import L_VIEW, System, _list, read_json, space_from_obj, traces_from_objs, view
+from .traces import L_VIEW, System, _list, read_json, space_from_obj, system_from_objs, view
 
 EventTrace = tuple  # tuple of event names
 
@@ -364,7 +364,7 @@ def collection_from_obj(obj) -> list[AnySystem]:
         space = space_from_obj(obj["alphabets"])
         out: list[AnySystem] = []
         for i, entry in enumerate(_list(obj["systems"], '"systems"')):
-            out.append(System(space, traces_from_objs(entry, space, where=f"system {i}")))
+            out.append(system_from_objs(entry, space, where=f"system {i}"))
         return out
     if "events" in obj:
         decl = event_decl_from_obj(obj["events"])

@@ -164,6 +164,10 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
             ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"],
             _with(F.echo_protocols(), ["system", "states"], "run"),
         ),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 0], True)),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 1], 1.5)),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 2], None)),
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 3], [0])),
     ],
     ids=[
         "traces-not-a-list",
@@ -174,6 +178,10 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
         "protocol-choice-not-a-pair",
         "protocol-choice-a-string",
         "protocol-states-a-string",
+        "symbol-true",
+        "symbol-float",
+        "symbol-null",
+        "symbol-list",
     ],
 )
 def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content):
@@ -185,6 +193,48 @@ def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content
     code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_integer_and_string_symbols_read_as_the_same_trace(tmp_path, capsys):
+    text = json.dumps(_MALFORMED_SYSTEM)
+    as_ints = tmp_path / "ints.json"
+    as_ints.write_text(text.replace('"0"', "0").replace('"1"', "1"))
+    assert '"0"' not in as_ints.read_text()
+    assert load_system(as_ints) == load_system(fixture_path("lo_equals_li_8"))
+    code, out, _ = run(capsys, "check", "--property", "sep", "--system", str(as_ints))
+    assert code == 0 and "holds" in out
+
+
+@pytest.mark.parametrize(
+    "argv, content, where",
+    [
+        (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 1, "cycle", 0, 0], "2"), "in traces"),
+        (
+            ["check", "--property", "nos", "--system", "FILE"],
+            {
+                "alphabets": space_to_obj(F.nos_two_trace().space),
+                "families": {
+                    "a": [{"cycle": [["0", "0", "0", "2"]]}],
+                    "b": [{"cycle": [["0", "0", "0", "0"]]}],
+                },
+            },
+            "in family a",
+        ),
+        (
+            ["zl", "q-search", "--target", "FILE", "--universe", "FILE"],
+            _with(F.fixture_obj("zl_universe_sync"), ["systems", 1, 0, "cycle", 0, 2], "2"),
+            "in system 1",
+        ),
+    ],
+    ids=["system-file", "strategy-family", "collection-member"],
+)
+def test_a_symbol_outside_the_alphabets_is_an_input_error_that_names_where(tmp_path, capsys, argv, content, where):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: trace ") and "does not conform" in err and err.endswith(f", {where}\n")
     assert "Traceback" not in err
 
 

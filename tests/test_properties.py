@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_injective, brute_nos, brute_property
+from test_siftypes import _multi_period_system
 from siflab import (
     FormatError,
     InjectivityError,
@@ -78,6 +82,34 @@ def test_oracle_agreement_on_random_systems(mask):
     s = _system(mask)
     for kind in KINDS:
         assert check_property(kind, s) == brute_property(kind.value, s.members)
+
+
+def test_each_verdict_is_the_oracles_in_either_order_of_asking():
+    """Verdicts are kept per system: asking DGNI first, or last, and
+    asking again, gives the oracle's verdict on every system."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(100):
+        drawn = _multi_period_system(rng)
+        expected = {kind: brute_property(kind.value, drawn.members) for kind in KINDS}
+        for order in (KINDS, KINDS[::-1]):
+            s = System(drawn.space, drawn.members)
+            for _ in range(2):
+                assert {kind: check_property(kind, s) for kind in order} == expected, (drawn.members, order)
+        seen.add((expected[PropertyKind.GNI], expected[PropertyKind.RGNI]))
+    # DGNI was asked first on systems where each of its halves fails alone
+    assert {(True, True), (True, False), (False, True)} <= seen
+
+
+def test_a_reloaded_system_decides_afresh():
+    rng = random.Random(12)
+    for _ in range(30):
+        s = _multi_period_system(rng)
+        verdicts = {kind: check_property(kind, s) for kind in KINDS}
+        loaded = pickle.loads(pickle.dumps(s))
+        assert loaded == s and loaded._verdicts is None
+        assert {kind: check_property(kind, loaded) for kind in KINDS[::-1]} == verdicts
+        assert verdicts == {kind: brute_property(kind.value, s.members) for kind in KINDS}
 
 
 def test_check_property_accepts_string_kinds():

@@ -96,6 +96,15 @@ def test_bad_slots_rejected_at_construction():
         SifType(3, 0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 3])
+def test_a_slot_must_be_the_int_0_1_or_2(bad):
+    for i in range(4):
+        slots = [1, 2, 1, 2]
+        slots[i] = bad
+        with pytest.raises(FormatError, match="must be the int 0, 1 or 2"):
+            SifType(*slots)
+
+
 def test_swap_is_an_involution_exchanging_roles():
     for t in enumerate_types():
         assert swap_type(swap_type(t)) == t

@@ -172,6 +172,13 @@ def test_space_validation():
     assert sp.contains(inside) and not sp.contains(outside)
 
 
+def test_a_space_holds_the_empty_trace_and_no_other_arity():
+    sp = binary_space()
+    assert sp.contains(canonicalize((), ()))
+    assert not sp.contains(canonicalize((("0", "1", "0"),), ()))
+    assert not sp.contains(canonicalize((), (("0", "1", "0", "1", "0"),)))
+
+
 def test_system_rejects_foreign_traces_and_dedupes():
     sp = binary_space()
     good = canonicalize((), (("0", "0", "0", "0"),))
@@ -225,9 +232,9 @@ def test_system_file_rejects_duplicates_after_canonicalization():
 def test_traces_from_objs_keeps_file_order_and_names_the_duplicate():
     sp = binary_space()
     objs = [{"cycle": [[str(i >> b & 1) for b in range(4)]]} for i in (9, 2, 14, 0)]
-    assert [t.cycle[0] for t in traces_from_objs(objs, sp)] == [tuple(o["cycle"][0]) for o in objs]
+    assert [t.cycle[0] for t in traces_from_objs(objs)] == [tuple(o["cycle"][0]) for o in objs]
     with pytest.raises(DuplicateTraceError) as err:
-        traces_from_objs(objs + [{"prefix": objs[2]["cycle"], "cycle": objs[2]["cycle"]}], sp, where="pool")
+        traces_from_objs(objs + [{"prefix": objs[2]["cycle"], "cycle": objs[2]["cycle"]}], where="pool")
     assert str(err.value) == "duplicate trace [(0,1,1,1)]^w in pool after canonicalization"
 
 
