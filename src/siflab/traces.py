@@ -251,9 +251,10 @@ class System:
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
-        for t in tset:
-            if not space.contains(t):
-                raise AlphabetError(f"trace {format_trace(t)} does not conform to the system's space")
+        outside = [t for t in tset if not space.contains(t)]
+        if outside:
+            # the least rendering, so the message does not depend on set order
+            raise AlphabetError(f"trace {min(map(format_trace, outside))} does not conform to the system's space")
         self.space = space
         self.traces = tset
         self.members = tuple(sorted(tset, key=_sort_key))

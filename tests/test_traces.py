@@ -179,6 +179,14 @@ def test_a_space_holds_the_empty_trace_and_no_other_arity():
     assert not sp.contains(canonicalize((), (("0", "1", "0", "1", "0"),)))
 
 
+def test_a_foreign_trace_error_names_the_least_rendering():
+    foreign = [canonicalize((), ((str(i), "0", "0", "0"),)) for i in range(2, 10)]
+    for order in (foreign, foreign[::-1]):
+        with pytest.raises(AlphabetError) as err:
+            System(binary_space(), order)
+        assert str(err.value) == "trace [(2,0,0,0)]^w does not conform to the system's space"
+
+
 def test_system_rejects_foreign_traces_and_dedupes():
     sp = binary_space()
     good = canonicalize((), (("0", "0", "0", "0"),))
