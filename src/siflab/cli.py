@@ -38,7 +38,7 @@ from .siftypes import (
     refute_all_types,
 )
 from .strategies import GenerationMode, build_strategy_system, load_protocols
-from .traces import TraceSpace, format_trace, load_system, read_json, system_from_obj, trace_to_obj
+from .traces import TraceSpace, format_trace, load_json, load_system, system_from_obj, trace_to_obj
 from .verify import VerifyContext, verify_paper
 from .zl import load_async_system, load_collection, psp_check, zl_q_search
 
@@ -178,8 +178,7 @@ def _cmd_represent(args) -> int:
 # ------------------------------------------------------------------ refute
 
 
-def _load_pool_member(path: str):
-    obj = read_json(path)
+def _pool_member_from_obj(obj):
     if isinstance(obj, dict) and "families" in obj:
         return strategy_system_from_obj(obj)
     return system_from_obj(obj)
@@ -189,8 +188,8 @@ def _cmd_refute(args) -> int:
     prop = args.property
     if prop not in PLAIN_PROPERTIES + ("nos",):
         raise FormatError("refute supports sep, gni, rgni, dgni and nos")
-    load = load_strategy_system if prop == "nos" else _load_pool_member
-    pool = [(path, load(path)) for path in args.pool]
+    build = strategy_system_from_obj if prop == "nos" else _pool_member_from_obj
+    pool = [(path, load_json(path, build)) for path in args.pool]
     report = refute_all_types(property_predicate(prop), pool)
     n_unrefuted = len(report.unrefuted)
     human = report.lines()

@@ -5,7 +5,8 @@ a system is a bitmask over the universe, and a verdict vector holds one
 verdict per system.  Two deciders fill such vectors.  Property membership
 uses the pair sweep: for every ordered pair (a, b) of members the system
 must intersect the witness mask ``W[a, b]``, the traces sharing a's C1
-view and b's C2 view (``siftypes.argument_masks``).  Closure under a type
+view and b's C2 view, for each (C1, C2) pair of the property's entry in
+``properties.PROPERTY_VIEWS``.  Closure under a type
 uses distinct-view counts, the identity of ``siftypes`` evaluated for
 every system at once.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 from ._accel import cube_index, powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
-from .properties import PropertyKind
-from .siftypes import SifType, argument_masks
+from .properties import PROPERTY_VIEWS, PropertyKind
+from .siftypes import SifType
 from .traces import (
     COMPONENT_ORDER,
     _COMPONENT_KEYS,
@@ -100,10 +101,11 @@ def standard_universe(
 class BitUniverse:
     """Bit-parallel encoding of a nonempty trace universe of at most 24 traces.
 
-    Property verdicts come from sweeping the whole powerset; each
-    property's :meth:`witness_table` is swept once and its verdict vector
-    is cached.  Closure verdicts come from the distinct-view counts of every
-    system, built on the first closure query (16 bytes per system).
+    Property verdicts come from sweeping the whole powerset; the
+    :meth:`witness_table` of each mask pair in ``PROPERTY_VIEWS`` is swept
+    once and its verdict vector is cached.  Closure verdicts come from the
+    distinct-view counts of every system, built on the first closure query
+    (16 bytes per system).
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
@@ -124,7 +126,7 @@ class BitUniverse:
             for i, row in enumerate(ids):
                 groups[row[col]] = groups.get(row[col], 0) | (1 << i)
             self._eq[comp] = np.array([groups[row[col]] for row in ids], dtype=np.uint64)
-        self._verdicts: dict[PropertyKind, np.ndarray] = {}
+        self._verdicts: dict[tuple[int, int], np.ndarray] = {}
         self._counts: tuple[np.ndarray, ...] | None = None
 
     @classmethod
@@ -144,13 +146,12 @@ class BitUniverse:
                 out &= self._eq[comp]
         return out
 
-    def witness_table(self, x: SifType | PropertyKind) -> np.ndarray:
-        """``W[a, b]``: the traces sharing trace a's C1 view and trace b's
-        C2 view, where (C1, C2) is ``argument_masks(x)``, for a type or a
-        pair-quantified property (not DGNI).  A system is closed under
-        the type, or has the property, exactly when it meets ``W[a, b]``
-        for every ordered pair of its members."""
-        first, second = argument_masks(x)
+    def witness_table(self, first: int, second: int) -> np.ndarray:
+        """``W[a, b]``: the traces sharing trace a's ``first`` view and
+        trace b's ``second`` view.  A system satisfies the pair-quantified
+        condition of the mask pair (a type's ``masks``, or a pair of
+        ``PROPERTY_VIEWS``) exactly when it meets ``W[a, b]`` for every
+        ordered pair of its members."""
         return self.view_eq_mask(first)[:, None] & self.view_eq_mask(second)[None, :]
 
     def _view_counts(self) -> tuple[np.ndarray, ...]:
@@ -177,23 +178,24 @@ class BitUniverse:
 
     def property_ok(self, kind: PropertyKind) -> np.ndarray:
         """Property verdicts over the nonempty systems (index i is mask
-        i + 1), from the cached sweep of the property's witness table."""
-        kind = PropertyKind(kind)
-        if kind is PropertyKind.DGNI:
-            return self.property_ok(PropertyKind.GNI) & self.property_ok(PropertyKind.RGNI)
-        verdicts = self._verdicts.get(kind)
-        if verdicts is None:
-            systems = np.arange(powerset_size(self.n), dtype=np.uint64)
-            verdicts = sweep_pairs(self.witness_table(kind), systems, self.n)[1:]
-            verdicts.flags.writeable = False
-            self._verdicts[kind] = verdicts
+        i + 1): the AND of the cached sweeps of the witness tables of the
+        property's mask pairs."""
+        verdicts = None
+        for pair in PROPERTY_VIEWS[PropertyKind(kind)]:
+            swept = self._verdicts.get(pair)
+            if swept is None:
+                systems = np.arange(powerset_size(self.n), dtype=np.uint64)
+                swept = sweep_pairs(self.witness_table(*pair), systems, self.n)[1:]
+                swept.flags.writeable = False
+                self._verdicts[pair] = swept
+            verdicts = swept if verdicts is None else verdicts & swept
         return verdicts
 
     def type_ok(self, t: SifType) -> np.ndarray:
         """Closure verdicts over the nonempty systems (index i is mask
         i + 1), by ``count[C1 | C2] == count[C1] * count[C2]`` per system
         (see ``siftypes``); the product is widened, as it can pass 255."""
-        first, second = argument_masks(t)
+        first, second = t.masks
         counts = self._view_counts()
         return counts[first | second][1:] == counts[first][1:].astype(np.uint16) * counts[second][1:]
 

@@ -24,10 +24,9 @@ from .traces import (
     HI_VIEW,
     L_VIEW,
     LI_VIEW,
-    Component,
     System,
     TraceSpace,
-    read_json,
+    load_json,
     space_from_obj,
     space_to_obj,
     system_from_objs,
@@ -47,45 +46,50 @@ class PropertyKind(str, Enum):
         return self.value
 
 
-# For each pair-quantified kind: the view taken from the first trace and
-# the view taken from the second.  DGNI is the conjunction of GNI and RGNI.
-PROPERTY_VIEWS: dict[PropertyKind, tuple[Component, Component]] = {
-    PropertyKind.SEP: (L_VIEW, H_VIEW),
-    PropertyKind.GNI: (L_VIEW, HI_VIEW),
-    PropertyKind.RGNI: (H_VIEW, LI_VIEW),
+# For each pair-quantified kind, the (C1, C2) mask pairs whose conditions
+# it conjoins: the components a witness takes from the first trace of a
+# pair and from the second.  So DGNI has GNI's pair and RGNI's.
+_GNI = (int(L_VIEW), int(HI_VIEW))
+_RGNI = (int(H_VIEW), int(LI_VIEW))
+PROPERTY_VIEWS: dict[PropertyKind, tuple[tuple[int, int], ...]] = {
+    PropertyKind.SEP: ((int(L_VIEW), int(H_VIEW)),),
+    PropertyKind.GNI: (_GNI,),
+    PropertyKind.RGNI: (_RGNI,),
+    PropertyKind.DGNI: (_GNI, _RGNI),
 }
 
 
-# Per kind, the two functions that take a row of ``System.view_ids`` to
-# its first-view and second-view key (one id, or a tuple of ids).
-_VIEW_KEYS = {kind: tuple(itemgetter(*view_columns(m)) for m in views) for kind, views in PROPERTY_VIEWS.items()}
+# Per mask pair, the two functions that take a row of ``System.view_ids``
+# to its C1 and its C2 key (one id, or a tuple of ids).
+_VIEW_KEYS = {p: tuple(itemgetter(*view_columns(m)) for m in p) for pairs in PROPERTY_VIEWS.values() for p in pairs}
 
 
 def check_property(kind: PropertyKind, s: System) -> bool:
     """Decide ``kind`` on ``s``.
 
-    For SEP/GNI/RGNI this is the pair-quantified formula: for all members
-    s1, s2 there is a member whose first-view equals s1's and whose
-    second-view equals s2's.  Views are compared as keys of the system's
-    interned component ids.  The empty system satisfies everything
-    (vacuous quantification).  Each verdict is kept on ``s``, so DGNI and
-    a repeated question read it instead of deciding again.
+    For each (C1, C2) pair of ``PROPERTY_VIEWS[kind]`` this is the
+    pair-quantified formula: for all members s1, s2 there is a member
+    whose C1-view equals s1's and whose C2-view equals s2's.  Views are
+    compared as keys of the system's interned component ids.  The empty
+    system satisfies everything (vacuous quantification).  Each pair's
+    verdict is kept on ``s``, so a kind sharing the pair, or a repeated
+    question, reads it instead of deciding again.
     """
-    kind = PropertyKind(kind)
-    if kind is PropertyKind.DGNI:
-        return check_property(PropertyKind.GNI, s) and check_property(PropertyKind.RGNI, s)
     verdicts = s._verdicts
     if verdicts is None:
         verdicts = s._verdicts = {}
-    elif kind in verdicts:
-        return verdicts[kind]
-    first, second = _VIEW_KEYS[kind]
-    rows = s.view_ids
-    have = set(zip(map(first, rows), map(second, rows)))
-    firsts = set(map(first, rows))
-    seconds = set(map(second, rows))
-    verdicts[kind] = holds = all((a, b) in have for a in firsts for b in seconds)
-    return holds
+    for pair in PROPERTY_VIEWS[PropertyKind(kind)]:
+        holds = verdicts.get(pair)
+        if holds is None:
+            first, second = _VIEW_KEYS[pair]
+            rows = s.view_ids
+            have = set(zip(map(first, rows), map(second, rows)))
+            firsts = set(map(first, rows))
+            seconds = set(map(second, rows))
+            verdicts[pair] = holds = all((a, b) in have for a in firsts for b in seconds)
+        if not holds:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,6 @@ def strategy_system_from_obj(obj) -> StrategySystem:
         raise FormatError('"families" must be a nonempty object mapping names to trace lists')
     built = []
     for name, entry in fams.items():
-        if isinstance(entry, dict) and "traces" in entry:
-            entry = entry["traces"]
         if not isinstance(entry, list):
             raise FormatError(f"family {name} must be a list of traces")
         built.append((name, system_from_objs(entry, space, where=f"family {name}")))
@@ -193,7 +195,7 @@ def strategy_system_to_obj(ss: StrategySystem) -> dict:
 
 
 def load_strategy_system(path: str | Path) -> StrategySystem:
-    return strategy_system_from_obj(read_json(path))
+    return load_json(path, strategy_system_from_obj)
 
 
 def save_strategy_system(ss: StrategySystem, path: str | Path) -> None:

@@ -25,9 +25,9 @@ The identity is used on one system at a time here
 (:func:`closed_under_type`) and on every system of a bit universe at
 once (``BitUniverse.type_ok``).
 
-SEP, GNI and RGNI are the same kind of condition with the views of
-``PROPERTY_VIEWS``: :func:`argument_masks` gives the pair (C1, C2) of a
-type or of one of these properties.
+A type's pair (C1, C2) is :attr:`SifType.masks`.  Each pair-quantified
+property is the same kind of condition on every pair of its entry in
+``PROPERTY_VIEWS``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FormatError, SiflabError
-from .properties import PROPERTY_VIEWS, PropertyKind, StrategySystem, check_nos, check_property, union_system
+from .errors import FormatError
+from .properties import PropertyKind, StrategySystem, check_nos, check_property, union_system
 from .traces import HI_VIEW, HO_VIEW, LI_VIEW, LO_VIEW, System
 
 
@@ -54,9 +54,10 @@ _SLOT_COMPONENTS = (
 class SifType:
     """Four copy slots: inputs and outputs, high and low.
 
-    Each slot is the int 0, 1 or 2.  Construction also computes the
-    type's argument masks (C1, C2), which closure checks read 81 times per
-    system, and its hash, ``hash(slots)`` as a generated dataclass hash
+    Each slot is the int 0, 1 or 2.  Construction also computes
+    ``masks``, the pair (C1, C2) of component masks the type takes from
+    its first and its second argument, which closure checks read 81 times
+    per system, and its hash, ``hash(slots)`` as a generated dataclass hash
     would be.  Pickling rebuilds the type from its slots, as for
     ``LassoTrace``, so a stored hash never outlives the process that
     computed it.
@@ -74,7 +75,7 @@ class SifType:
             if type(slot) is not int or slot not in (0, 1, 2):
                 raise FormatError(f"slot {name} must be the int 0, 1 or 2, got {slot!r}")
             masks[slot] |= int(comp)
-        object.__setattr__(self, "_masks", (masks[1], masks[2]))
+        object.__setattr__(self, "masks", (masks[1], masks[2]))
         object.__setattr__(self, "_hash", hash(self.slots))
 
     def __hash__(self) -> int:
@@ -107,15 +108,23 @@ def format_type(t: SifType) -> str:
     return f"{t.in_h}:{t.in_l}/{t.out_h}:{t.out_l}"
 
 
+# The 81 types are constants, built once: slots (a, b, c, d) sit at index
+# 27a + 9b + 3c + d, and each type's mirror is another of them.  A
+# refutation search starts from one type of each mirror pair.
+_TYPES = tuple(SifType(a, b, c, d) for a, b, c, d in product((0, 1, 2), repeat=4))
+_FLIP = (0, 2, 1)
+_SWAPS = {t: _TYPES[sum(_FLIP[slot] * 3 ** (3 - i) for i, slot in enumerate(t.slots))] for t in _TYPES}
+_MIRROR_CLASSES = tuple(t for t in _TYPES if t <= _SWAPS[t])
+
+
 def enumerate_types() -> tuple[SifType, ...]:
     """All 81 types in lexicographic slot order."""
-    return tuple(SifType(a, b, c, d) for a, b, c, d in product((0, 1, 2), repeat=4))
+    return _TYPES
 
 
 def swap_type(t: SifType) -> SifType:
     """Exchange first and second in every slot; an involution."""
-    flip = {0: 0, 1: 2, 2: 1}
-    return SifType(flip[t.in_h], flip[t.in_l], flip[t.out_h], flip[t.out_l])
+    return _SWAPS[t]
 
 
 # Canonical types for the three pair-quantified properties.  The RGNI
@@ -131,30 +140,9 @@ RGNI_TYPE = SifType(1, 2, 1, 0)
 ALL_SYSTEMS_TYPES = tuple(t for t in enumerate_types() if all(s in (0, 1) for s in t.slots))
 
 
-# (C1, C2) for SEP, GNI and RGNI; a type carries its own.
-_MASKS: dict[PropertyKind, tuple[int, int]] = {
-    kind: (int(first), int(second)) for kind, (first, second) in PROPERTY_VIEWS.items()
-}
-
-
-def argument_masks(x: SifType | PropertyKind) -> tuple[int, int]:
-    """The component masks (C1, C2) that the type or pair-quantified
-    property ``x`` takes from its first and its second argument.
-
-    DGNI is the conjunction of GNI and RGNI, not one such pair, so it
-    raises :class:`SiflabError`.
-    """
-    if isinstance(x, SifType):
-        return x._masks
-    try:
-        return _MASKS[x]
-    except KeyError:
-        raise SiflabError(f"{x} is not a single copy condition with one mask pair") from None
-
-
 def closed_under_type(s: System, t: SifType) -> bool:
     """Pair-quantified closure of ``s`` under ``t``, by distinct-view counts."""
-    first, second = t._masks
+    first, second = t.masks
     counts = s.view_counts
     return counts[first | second] == counts[first] * counts[second]
 
@@ -250,7 +238,7 @@ def refute_all_types(
     pulled = ((label, bool(predicate(m)), as_plain_system(m)) for label, m in extension)
 
     verdicts: dict[SifType, Refutation] = {}
-    open_types = [t for t in enumerate_types() if t <= swap_type(t)]
+    open_types = _MIRROR_CLASSES
     for label, holds, system in chain(judged, pulled):
         still = []
         for t in open_types:
@@ -258,9 +246,9 @@ def refute_all_types(
                 still.append(t)
                 continue
             status = REFUTED_HOLDS_NOT_CLOSED if holds else REFUTED_CLOSED_NOT_HOLDS
-            for settled in (t, swap_type(t)):
+            for settled in (t, _SWAPS[t]):
                 verdicts[settled] = Refutation(settled, status, label)
         open_types = still
         if not open_types:
             break
-    return RefutationReport(tuple(verdicts.get(t) or Refutation(t, UNREFUTED) for t in enumerate_types()))
+    return RefutationReport(tuple(verdicts.get(t) or Refutation(t, UNREFUTED) for t in _TYPES))

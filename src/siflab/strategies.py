@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import FormatError, ProtocolError, RunExplosion
 from .properties import StrategySystem, union_system
-from .traces import H_VIEW, LassoTrace, System, TraceSpace, _list, canonicalize, read_json, view
+from .traces import H_VIEW, LassoTrace, System, TraceSpace, _coerce_symbol, _list, canonicalize, load_json, view
 
 Symbol = str
 State = str
@@ -291,14 +291,14 @@ def family_h_view_determined(ss: StrategySystem) -> bool:
 def _user_protocol_from_obj(obj, label: str) -> UserProtocol:
     where = f"{label} protocol"
     try:
-        states = tuple(str(s) for s in _list(obj["states"], f"{where} states"))
-        initial = str(obj["initial"])
+        states = tuple(map(_coerce_symbol, _list(obj["states"], f"{where} states")))
+        initial = _coerce_symbol(obj["initial"])
         emit = {
-            str(e["state"]): tuple(str(c) for c in _list(e["choices"], f"{where} choices"))
+            _coerce_symbol(e["state"]): tuple(map(_coerce_symbol, _list(e["choices"], f"{where} choices")))
             for e in _list(obj["emit"], f"{where} emit")
         }
         update = {
-            (str(u["state"]), str(u["input"]), str(u["output"])): str(u["next"])
+            tuple(map(_coerce_symbol, (u["state"], u["input"], u["output"]))): _coerce_symbol(u["next"])
             for u in _list(obj["update"], f"{where} update")
         }
     except (KeyError, TypeError) as exc:
@@ -309,21 +309,21 @@ def _user_protocol_from_obj(obj, label: str) -> UserProtocol:
 def _choice_pair(obj) -> tuple[Symbol, Symbol]:
     """One system-protocol choice; a list that is not a pair raises ``ValueError``."""
     hi, lo = _list(obj, "a system protocol choice")
-    return str(hi), str(lo)
+    return _coerce_symbol(hi), _coerce_symbol(lo)
 
 
 def _system_protocol_from_obj(obj) -> SystemProtocol:
     try:
-        states = tuple(str(s) for s in _list(obj["states"], "system protocol states"))
-        initial = str(obj["initial"])
+        states = tuple(map(_coerce_symbol, _list(obj["states"], "system protocol states")))
+        initial = _coerce_symbol(obj["initial"])
         output = {
-            (str(e["state"]), str(e["hi"]), str(e["li"])): tuple(
+            tuple(map(_coerce_symbol, (e["state"], e["hi"], e["li"]))): tuple(
                 _choice_pair(c) for c in _list(e["choices"], "system protocol choices")
             )
             for e in _list(obj["output"], "system protocol output")
         }
         update = {
-            (str(u["state"]), str(u["hi"]), str(u["li"]), str(u["ho"]), str(u["lo"])): str(u["next"])
+            tuple(map(_coerce_symbol, (u["state"], u["hi"], u["li"], u["ho"], u["lo"]))): _coerce_symbol(u["next"])
             for u in _list(obj["update"], "system protocol update")
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -338,9 +338,9 @@ def protocols_from_obj(obj) -> tuple[SystemProtocol, UserProtocol, dict[str, Use
     pl = _user_protocol_from_obj(obj["low"], "low")
     if not isinstance(obj["highs"], dict) or not obj["highs"]:
         raise FormatError('"highs" must be a nonempty object of named user protocols')
-    hs = {str(name): _user_protocol_from_obj(sub, name) for name, sub in obj["highs"].items()}
+    hs = {_coerce_symbol(name): _user_protocol_from_obj(sub, name) for name, sub in obj["highs"].items()}
     return ps, pl, hs
 
 
 def load_protocols(path: str | Path) -> tuple[SystemProtocol, UserProtocol, dict[str, UserProtocol]]:
-    return protocols_from_obj(read_json(path))
+    return load_json(path, protocols_from_obj)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from enum import IntFlag
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import AlphabetError, DuplicateTraceError, FormatError
+from .errors import AlphabetError, DuplicateTraceError, FormatError, SiflabError
 
 Symbol = str
-Tuple4 = tuple  # tuple of symbols; arity 4 for unprojected traces
 
 
 class Component(IntFlag):
@@ -106,14 +105,6 @@ class LassoTrace:
     @property
     def is_finite(self) -> bool:
         return not self.cycle
-
-    @property
-    def arity(self) -> int | None:
-        if self.prefix:
-            return len(self.prefix[0])
-        if self.cycle:
-            return len(self.cycle[0])
-        return None
 
     def __str__(self) -> str:
         return format_trace(self)
@@ -243,8 +234,9 @@ class System:
 
     Three slots are filled on first use and take no part in equality,
     hashing or pickling: ``_ids`` and ``_counts`` by :attr:`view_ids` and
-    :attr:`view_counts`, and ``_verdicts``, a dict from property kind to
-    verdict created by the first ``properties.check_property`` call.
+    :attr:`view_counts`, and ``_verdicts``, a dict from a (C1, C2) mask
+    pair of ``properties.PROPERTY_VIEWS`` to its verdict, created by the
+    first ``properties.check_property`` call.
     """
 
     __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts", "_verdicts")
@@ -433,6 +425,18 @@ def read_json(path: str | Path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def load_json(path: str | Path, build: Callable):
+    """``build`` applied to the parsed JSON file ``path``: every loader's
+    one path.  An input error from ``build`` gets the path in front of its
+    message, as :func:`read_json`'s own errors already have it."""
+    obj = read_json(path)
+    try:
+        return build(obj)
+    except SiflabError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_system(path: str | Path) -> System:
     """Read a system file (JSON)."""
-    return system_from_obj(read_json(path))
+    return load_json(path, system_from_obj)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
 from .properties import StrategySystem, union_system
-from .traces import L_VIEW, System, _list, read_json, space_from_obj, system_from_objs, view
+from .traces import L_VIEW, System, _coerce_symbol, _list, load_json, space_from_obj, system_from_objs, view
 
 EventTrace = tuple  # tuple of event names
 
@@ -316,7 +316,7 @@ def event_decl_from_obj(obj) -> EventDecl:
     for entry in obj:
         if not isinstance(entry, dict) or set(entry) != {"name", "level"}:
             raise FormatError(f'each event needs exactly "name" and "level", got {entry!r}')
-        events.append((str(entry["name"]), str(entry["level"]).upper()))
+        events.append((_coerce_symbol(entry["name"]), str(entry["level"]).upper()))
     return EventDecl(tuple(events))
 
 
@@ -328,7 +328,7 @@ def _event_traces_from_objs(objs, where: str) -> set[EventTrace]:
     """The event traces of a list of event-name lists; duplicates are an error."""
     seen: set[EventTrace] = set()
     for raw in _list(objs, where):
-        t = tuple(str(e) for e in _list(raw, "each trace"))
+        t = tuple(map(_coerce_symbol, _list(raw, "each trace")))
         if t in seen:
             raise DuplicateTraceError(f"duplicate trace {t!r} in {where}")
         seen.add(t)
@@ -347,7 +347,7 @@ def async_system_to_obj(s: AsyncSystem) -> dict:
 
 
 def load_async_system(path: str | Path) -> AsyncSystem:
-    return async_system_from_obj(read_json(path))
+    return load_json(path, async_system_from_obj)
 
 
 def collection_from_obj(obj) -> list[AnySystem]:
@@ -376,4 +376,4 @@ def collection_from_obj(obj) -> list[AnySystem]:
 
 
 def load_collection(path: str | Path) -> list[AnySystem]:
-    return collection_from_obj(read_json(path))
+    return load_json(path, collection_from_obj)

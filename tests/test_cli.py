@@ -51,6 +51,14 @@ def test_shipped_fixture_files_are_current(name):
     assert load(path) == build()
 
 
+def test_write_all_reproduces_every_shipped_fixture_file(tmp_path):
+    written = F.write_all(tmp_path)
+    assert sorted(p.name for p in written) == sorted(f"{name}.json" for name in F.fixture_names())
+    assert len(written) == 21
+    for path in written:
+        assert path.read_bytes() == fixture_path(path.stem).read_bytes(), path.name
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -139,6 +147,8 @@ _MALFORMED_SYSTEM = F.fixture_obj("lo_equals_li_8")
 
 
 _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
+_CHECK_PSP = ["check", "--property", "psp", "--system", "FILE"]
+_GENERATE = ["strategies", "generate", "--protocols", "FILE", "--mode", "bounded:3"]
 
 
 @pytest.mark.parametrize(
@@ -168,6 +178,10 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
         (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 1], 1.5)),
         (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 2], None)),
         (_CHECK_SEP, _with(_MALFORMED_SYSTEM, ["traces", 0, "cycle", 0, 3], [0])),
+        (_CHECK_PSP, {"events": [{"name": True, "level": "L"}], "traces": [[], ["True"]]}),
+        (_CHECK_PSP, {"events": [{"name": "True", "level": "L"}], "traces": [[], [True]]}),
+        (_GENERATE, json.loads(json.dumps(F.echo_protocols()).replace('"run"', "null"))),
+        (_GENERATE, json.loads(json.dumps(F.echo_protocols()).replace('"1"', "true"))),
     ],
     ids=[
         "traces-not-a-list",
@@ -182,6 +196,10 @@ _CHECK_SEP = ["check", "--property", "sep", "--system", "FILE"]
         "symbol-float",
         "symbol-null",
         "symbol-list",
+        "event-name-true",
+        "event-entry-true",
+        "protocol-state-null",
+        "protocol-symbol-true",
     ],
 )
 def test_malformed_input_shapes_are_input_errors(tmp_path, capsys, argv, content):
@@ -204,6 +222,44 @@ def test_integer_and_string_symbols_read_as_the_same_trace(tmp_path, capsys):
     assert load_system(as_ints) == load_system(fixture_path("lo_equals_li_8"))
     code, out, _ = run(capsys, "check", "--property", "sep", "--system", str(as_ints))
     assert code == 0 and "holds" in out
+
+
+def test_integer_and_string_event_names_read_as_the_same_event_trace(tmp_path, capsys):
+    as_strings = {
+        "events": [{"name": "0", "level": "L"}, {"name": "1", "level": "H"}],
+        "traces": [[], ["0"], ["1"], ["1", "0"]],
+    }
+    as_ints = json.loads(json.dumps(as_strings).replace('"0"', "0").replace('"1"', "1"))
+    assert as_ints["traces"][3] == [1, 0]
+    paths = []
+    for name, obj in (("strings", as_strings), ("ints", as_ints)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    assert load_async_system(paths[0]) == load_async_system(paths[1])
+    for path in paths:
+        code, out, _ = run(capsys, "check", "--property", "psp", "--system", str(path))
+        assert code == 0 and "holds" in out
+
+
+def test_an_input_error_names_its_file_once(tmp_path, capsys):
+    good = str(fixture_path("lo_equals_li_8"))
+    no_traces = tmp_path / "no_traces.json"
+    no_traces.write_text(json.dumps({"alphabets": F.fixture_obj("lo_equals_li_8")["alphabets"]}))
+    code, _, err = run(capsys, "refute", "--property", "sep", "--pool", good, str(no_traces))
+    assert code == 2
+    assert err == f'error: {no_traces}: a system file must contain "alphabets" and "traces"\n'
+    # errors of the reader itself already name the file: no second prefix
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{]")
+    code, _, err = run(capsys, "refute", "--property", "sep", "--pool", good, str(not_json))
+    assert code == 2 and err.startswith(f"error: {not_json}: not valid JSON") and err.count(str(not_json)) == 1
+    universe = str(fixture_path("zl_universe_sync"))
+    bad = tmp_path / "bad_collection.json"
+    bad.write_text(json.dumps({"systems": []}))
+    for target, universe_file in ((str(bad), universe), (universe, str(bad))):
+        code, _, err = run(capsys, "zl", "q-search", "--target", target, "--universe", universe_file)
+        assert code == 2
+        assert err == f'error: {bad}: a collection file must contain "alphabets" or "events"\n'
 
 
 @pytest.mark.parametrize(
@@ -234,7 +290,7 @@ def test_a_symbol_outside_the_alphabets_is_an_input_error_that_names_where(tmp_p
     path.write_text(json.dumps(content))
     code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2
-    assert err.startswith("error: trace ") and "does not conform" in err and err.endswith(f", {where}\n")
+    assert err.startswith(f"error: {path}: trace ") and "does not conform" in err and err.endswith(f", {where}\n")
     assert "Traceback" not in err
 
 

@@ -36,11 +36,13 @@ from siflab import (
     swap_type,
     view,
 )
+import siflab.enumeration as enumeration
 from siflab.enumeration import (
     implication_violations,
     represents_over_universe,
     uniform_alphabets,
 )
+from siflab.properties import PROPERTY_VIEWS
 from siflab.traces import TraceSpace
 
 SPACE, UNIVERSE = standard_universe()
@@ -188,10 +190,11 @@ def test_view_counts_decide_every_type_like_the_witness_table_sweep(bit_universe
                 for j, u in enumerate(bu.traces):
                     assert bool(eq[i] >> j & 1) == proj_equal(t, u, idxs), (mask, i, j)
         for t in enumerate_types():
-            assert np.array_equal(bu.witness_table(t), witness_table(bu.traces, *type_idx(t.slots))), t
+            assert np.array_equal(bu.witness_table(*t.masks), witness_table(bu.traces, *type_idx(t.slots))), t
             assert np.array_equal(bu.type_ok(t), swept_type_verdicts(bu, t.slots)[1:]), t
         for kind, idxs in PROPERTY_IDX.items():
-            assert np.array_equal(bu.witness_table(PropertyKind(kind)), witness_table(bu.traces, *idxs)), kind
+            [pair] = PROPERTY_VIEWS[PropertyKind(kind)]
+            assert np.array_equal(bu.witness_table(*pair), witness_table(bu.traces, *idxs)), kind
 
 
 def test_dgni_table_is_the_conjunction(bit_universe):
@@ -200,6 +203,22 @@ def test_dgni_table_is_the_conjunction(bit_universe):
         bu.property_ok(PropertyKind.DGNI),
         bu.property_ok(PropertyKind.GNI) & bu.property_ok(PropertyKind.RGNI),
     )
+
+
+@pytest.mark.parametrize("order", [list(PropertyKind), list(reversed(PropertyKind))], ids=["dgni-last", "dgni-first"])
+def test_the_four_properties_take_three_sweeps_in_either_order(monkeypatch, order):
+    kernel = enumeration.sweep_pairs
+    calls = []
+
+    def counted(table, systems, n):
+        calls.append(table)
+        return kernel(table, systems, n)
+
+    monkeypatch.setattr(enumeration, "sweep_pairs", counted)
+    bu = BitUniverse.standard()
+    got = {kind: bu.property_ok(kind) for kind in order}
+    assert len(calls) == 3
+    assert np.array_equal(got[PropertyKind.DGNI], got[PropertyKind.GNI] & got[PropertyKind.RGNI])
 
 
 def test_known_property_counts(bit_universe):

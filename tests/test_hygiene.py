@@ -1,20 +1,29 @@
-"""Source hygiene: every module uses each name it imports.
+"""Source hygiene: every module uses each name it imports, and every
+definition in the package is named somewhere.
 
-No linter is a dependency of the package, so the check reads each
-module's syntax tree with :mod:`ast`.  A name counts as used when the
-module mentions it anywhere outside its import statements; a name that
-only a string annotation mentions counts as unused.  ``__init__.py`` is
-left out: its imports are the package's exports.
+No linter is a dependency of the package, so the checks read syntax
+trees with :mod:`ast`.  A name counts as used when the module mentions it
+anywhere outside its import statements; a name that only a string
+annotation mentions counts as unused.  ``__init__.py`` is left out: its
+imports are the package's exports.
+
+A function, class or method defined in the package is live when its name
+occurs, as a name or an attribute, in the package, the tests or the
+benchmark outside its own definition; docstrings and imports do not
+count.  Dunder methods, which Python calls, and the ``@_result``
+procedures, which the result registry calls, are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "siflab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "siflab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -44,3 +53,70 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _mentions(tree: ast.AST) -> Counter:
+    """How often each name occurs in ``tree`` as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _exempt(node) -> bool:
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return True
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_result" for d in node.decorator_list)
+
+
+def dead_definitions(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """The functions, classes and methods of ``defining`` (module name to
+    source) that no source of ``defining`` or ``referring`` names outside
+    their own definitions, as ``module:qualified.name``."""
+    trees = {module: ast.parse(source) for module, source in defining.items()}
+    mentions = Counter()
+    for tree in [*trees.values(), *map(ast.parse, referring)]:
+        mentions += _mentions(tree)
+    dead = []
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not _exempt(child) and mentions[child.name] == _mentions(child)[child.name]:
+                    dead.append(f"{module}:{name}")
+                visit(child, module, name + ".")
+            else:
+                visit(child, module, prefix)
+
+    for module, tree in trees.items():
+        visit(tree, module, "")
+    return dead
+
+
+def test_the_check_sees_dead_and_live_definitions():
+    defining = {
+        "m": (
+            "class A:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): return 1\n"
+            "    def recursive(self): return self.recursive()\n"
+            "@_result('X', 'only the registry calls it')\n"
+            "def _procedure(ctx): pass\n"
+            "def helper(): pass\n"
+            "def outer():\n"
+            "    def inner(): pass\n"
+            "    return inner\n"
+        )
+    }
+    referring = ['"""helper, outer and A.recursive, in a docstring only"""\nfrom m import A, outer\nA().used()\n']
+    assert dead_definitions(defining, referring) == ["m:A.recursive", "m:helper", "m:outer"]
+
+
+def test_every_definition_is_named_somewhere():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    referring = [
+        p.read_text(encoding="utf-8") for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert dead_definitions(defining, referring) == []

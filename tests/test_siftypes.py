@@ -19,7 +19,6 @@ from siflab import (
     RGNI_TYPE,
     SEP_TYPE,
     SifType,
-    SiflabError,
     System,
     binary_space,
     canonicalize,
@@ -35,13 +34,13 @@ from siflab import (
     swap_type,
 )
 from siflab import fixtures as F
+from siflab.properties import PROPERTY_VIEWS
 from siflab.siftypes import (
     REFUTED_CLOSED_NOT_HOLDS,
     REFUTED_HOLDS_NOT_CLOSED,
     UNREFUTED,
     Refutation,
     RefutationReport,
-    argument_masks,
     as_plain_system,
     property_predicate,
 )
@@ -64,17 +63,22 @@ def test_a_type_hashes_as_its_slots_before_and_after_pickling():
         assert loaded == t and hash(t) == hash(loaded) == hash(t.slots)
 
 
-def test_argument_masks_are_the_components_each_argument_supplies():
+def test_masks_are_the_components_each_argument_supplies():
     """Bit i of a mask is the i-th slot's component (hi, li, ho, lo)."""
     for t in enumerate_types():
         walked = [0, 0, 0]
         for i, slot in enumerate(t.slots):
             walked[slot] |= 1 << i
-        assert argument_masks(t) == (walked[1], walked[2]), t
+        assert t.masks == (walked[1], walked[2]), t
+
+
+def test_each_property_is_its_table_of_mask_pairs():
+    assert set(PROPERTY_VIEWS) == set(PropertyKind)
     for kind, idxs in PROPERTY_IDX.items():
-        assert argument_masks(PropertyKind(kind)) == tuple(sum(1 << i for i in idx) for idx in idxs), kind
-    with pytest.raises(SiflabError, match="^dgni is not a single copy condition"):
-        argument_masks(PropertyKind.DGNI)
+        assert PROPERTY_VIEWS[PropertyKind(kind)] == (tuple(sum(1 << i for i in idx) for idx in idxs),), kind
+    # DGNI, the conjunction, is GNI's pair plus RGNI's
+    gni, rgni = PROPERTY_VIEWS[PropertyKind.GNI], PROPERTY_VIEWS[PropertyKind.RGNI]
+    assert PROPERTY_VIEWS[PropertyKind.DGNI] == gni + rgni
 
 
 def test_literal_roundtrip_for_all_types():
