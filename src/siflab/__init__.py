@@ -29,7 +29,6 @@ from .families import (
     ConjPairGenSif,
     ExtensionalSif,
     NosMemberSif,
-    TypeConjFamily,
     ZigzagSif,
     closed_under_family,
     conj_family,

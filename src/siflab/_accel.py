@@ -31,7 +31,7 @@ MAX_TRACES = 24
 def powerset_size(n: int) -> int:
     """The number of systems over ``n`` traces, capped at ``MAX_TRACES``."""
     if n > MAX_TRACES:
-        raise CapExceeded(f"{n} traces exceed the {MAX_TRACES}-trace sweep limit", 1 << MAX_TRACES)
+        raise CapExceeded(f"{n} traces exceed the {MAX_TRACES}-trace sweep limit")
     return 1 << n
 
 

@@ -19,12 +19,12 @@ from .enumeration import (
     uniform_alphabets,
 )
 from .errors import CapExceeded, FormatError, SiflabError
-from .families import closed_under_family, conj_family
 from .properties import (
     PropertyKind,
+    check_injectivity,
     check_nos,
     check_property,
-    load_strategy_system,
+    require_injectivity,
     save_strategy_system,
     strategy_system_from_obj,
     strategy_system_to_obj,
@@ -37,7 +37,7 @@ from .siftypes import (
     property_predicate,
     refute_all_types,
 )
-from .strategies import GenerationMode, build_strategy_system, load_protocols
+from .strategies import GenerationMode, build_strategy_system, protocols_from_obj
 from .traces import TraceSpace, format_trace, load_json, load_system, system_from_obj, trace_to_obj
 from .verify import VerifyContext, verify_paper
 from .zl import load_async_system, load_collection, psp_check, zl_q_search
@@ -68,6 +68,12 @@ def _format_member(t) -> str:
 # ------------------------------------------------------------------- check
 
 
+def _nos_system_from_obj(obj):
+    """A strategy system NOS is defined on, checked as its file is read,
+    so a precondition error names the file."""
+    return require_injectivity(strategy_system_from_obj(obj))
+
+
 def _cmd_check(args) -> int:
     prop = args.property
     if prop in PLAIN_PROPERTIES:
@@ -75,7 +81,7 @@ def _cmd_check(args) -> int:
         holds = check_property(PropertyKind(prop), s)
         size = len(s)
     elif prop == "nos":
-        ss = load_strategy_system(args.system)
+        ss = load_json(args.system, _nos_system_from_obj)
         holds = check_nos(ss)
         size = sum(len(fam) for _, fam in ss.families)
     else:  # psp
@@ -97,7 +103,7 @@ def _cmd_closure(args) -> int:
     s = load_system(args.system)
     if args.gen_conj:
         t1, t2 = (parse_type(lit) for lit in args.gen_conj)
-        closed = closed_under_family(s, conj_family(t1, t2))
+        closed = closed_under_type(s, t1) and closed_under_type(s, t2)
         what = f"paired family [{format_type(t1)}, {format_type(t2)}]"
     else:
         t = parse_type(args.type)
@@ -143,7 +149,7 @@ def _cmd_represent(args) -> int:
     bu = BitUniverse(space, traces)
     n_systems = (1 << len(traces)) - 1
     if n_systems > params["cap"]:
-        raise CapExceeded(f"{n_systems} systems exceed the cap of {params['cap']}", params["cap"])
+        raise CapExceeded(f"{n_systems} systems exceed the cap of {params['cap']}")
     kind = PropertyKind(prop)
     wanted = [parse_type(args.type)] if args.type else list(enumerate_types())
     representing = []
@@ -188,7 +194,7 @@ def _cmd_refute(args) -> int:
     prop = args.property
     if prop not in PLAIN_PROPERTIES + ("nos",):
         raise FormatError("refute supports sep, gni, rgni, dgni and nos")
-    build = strategy_system_from_obj if prop == "nos" else _pool_member_from_obj
+    build = _nos_system_from_obj if prop == "nos" else _pool_member_from_obj
     pool = [(path, load_json(path, build)) for path in args.pool]
     report = refute_all_types(property_predicate(prop), pool)
     n_unrefuted = len(report.unrefuted)
@@ -218,16 +224,14 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_strategies_generate(args) -> int:
-    ps, pl, hs = load_protocols(args.protocols)
     mode = GenerationMode.parse(args.mode)
-    ss = build_strategy_system(ps, pl, hs, mode)
+    # generated inside the file's build step, so a protocol error names the file
+    ss = load_json(args.protocols, lambda obj: build_strategy_system(*protocols_from_obj(obj), mode))
     if args.out:
         save_strategy_system(ss, args.out)
-    from .properties import check_injectivity, union_system
-
     injective = check_injectivity(ss)
     sizes = {name: len(fam) for name, fam in ss.families}
-    union_size = len(union_system(ss))
+    union_size = len(ss.union)
     human = [
         f"generated {len(sizes)} families in mode {mode}: "
         + ", ".join(f"{name}:{n}" for name, n in sizes.items()),

@@ -13,8 +13,10 @@ import random
 from itertools import product
 from typing import Iterator
 
+from .enumeration import standard_universe
 from .errors import ProtocolError, RunExplosion
 from .families import ExtensionalSif, verify_zigzag_collection
+from .fixtures import echo_protocols
 from .properties import StrategySystem, check_injectivity
 from .strategies import (
     GenerationMode,
@@ -80,8 +82,6 @@ def alternating_user() -> UserProtocol:
 
 def designed_strategy_systems() -> list[StrategySystem]:
     """Hand-built protocol sets covering the interesting verdict corners."""
-    from .fixtures import echo_protocols
-
     out = []
     ps, pl, hs = protocols_from_obj(echo_protocols())
     out.append(build_strategy_system(ps, pl, hs, GenerationMode.exact()))
@@ -189,8 +189,6 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
 
 
 def _standard_traces() -> list[LassoTrace]:
-    from .enumeration import standard_universe
-
     _, traces = standard_universe()
     return list(traces)
 
@@ -352,7 +350,7 @@ def conj_cases(
                             # mostly map back into the system, sometimes out
                             out = rng.choice(members) if rng.random() < 0.85 else rng.choice(traces)
                             table[(a, b)] = out
-                fams.append(ExtensionalSif.from_mapping(table))
+                fams.append(ExtensionalSif(table))
             return fams
 
         yield s, family(), family()

@@ -61,7 +61,7 @@ def check_candidates(letters: int, max_prefix: int, max_cycle: int, cap: int) ->
     for term in terms:
         raw += term
         if raw > cap:
-            raise CapExceeded(f"candidate lassos exceed the cap of {cap}", cap)
+            raise CapExceeded(f"candidate lassos exceed the cap of {cap}")
 
 
 def enumerate_traces(

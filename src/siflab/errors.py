@@ -34,10 +34,6 @@ class RunExplosion(SiflabError):
 class CapExceeded(SiflabError):
     """An enumeration or search exceeded its configured cap."""
 
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
-
 
 class UnknownResultError(SiflabError):
     """An unknown verification result id was requested."""

@@ -13,9 +13,7 @@ lands.  Four realizations matter:
   equivalence (one function per family and member trace),
 * the zigzag functions that pin down a single trace set, built over an
   ordered core subset,
-* pairings of two functions, whose output is the union of theirs; the
-  conjunction of two types is kept symbolic, because a type stands for
-  the infinite set of all constraint-obeying functions.
+* pairings of two functions, whose output is the union of theirs.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._accel import sweep_pairs
-from .errors import InjectivityError, SiflabError
-from .properties import StrategySystem, check_injectivity
-from .siftypes import SifType, closed_under_type
+from .errors import SiflabError
+from .properties import StrategySystem, require_injectivity
 from .traces import L_VIEW, LassoTrace, System, _sort_key, view
 
 Sif = Callable[[LassoTrace, LassoTrace], "LassoTrace | frozenset | None"]
@@ -39,23 +36,14 @@ class ExtensionalSif:
     """A finite pair-to-output table (a trace or a trace set); undefined
     off the table.
 
-    Built from a sequence of ``((a, b), output)`` entries, the first entry
-    for a pair wins, as in a scan of the table.  Two tables are equal when
-    they map the same pairs to the same outputs.
+    Built from a mapping of argument pairs ``(a, b)`` to outputs.  Two
+    tables are equal when they map the same pairs to the same outputs.
     """
 
     __slots__ = ("_lookup",)
 
-    def __init__(self, table: Iterable[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset]]):
-        # reversed, so the first entry for a pair wins
-        self._lookup = dict(reversed(tuple(table)))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "ExtensionalSif":
-        """The table of ``mapping``, kept as built."""
-        sif = cls.__new__(cls)
-        sif._lookup = dict(mapping)
-        return sif
+    def __init__(self, mapping: Mapping[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset]):
+        self._lookup = dict(mapping)
 
     @property
     def table(self) -> tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset], ...]:
@@ -100,8 +88,7 @@ def nos_family(ss: StrategySystem) -> tuple[NosMemberSif, ...]:
     Closure of the union under this family is equivalent to the NOS
     verdict; the equivalence is exercised exhaustively by the test suite.
     """
-    if not check_injectivity(ss):
-        raise InjectivityError("strategy system violates the distinguishability precondition")
+    require_injectivity(ss)
     out = []
     for name, fam in ss.families:
         for sigma in fam.members:
@@ -182,42 +169,13 @@ def _as_set(fn, a, b) -> frozenset | None:
     return frozenset((out,))
 
 
-@dataclass(frozen=True)
-class TypeConjFamily:
-    """Symbolic stand-in for all pairings of a function of the first type
-    with a function of the second type."""
-
-    t1: SifType
-    t2: SifType
-
-
-def conj_family(f1, f2):
-    """Conjunction of two families.
-
-    Two types give the symbolic form; otherwise both arguments must be
-    iterables of functions and the result is the finite family of all
-    pairings.
-    """
-    if isinstance(f1, SifType) and isinstance(f2, SifType):
-        return TypeConjFamily(f1, f2)
-    if isinstance(f1, SifType) or isinstance(f2, SifType):
-        raise TypeError("mixing a type with an extensional family is not supported")
+def conj_family(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[ConjPairGenSif, ...]:
+    """Conjunction of two families: each member of ``f1`` paired with each of ``f2``."""
     return tuple(ConjPairGenSif(f, g) for f in f1 for g in f2)
 
 
-def closed_under_family(s: System, family: TypeConjFamily | Iterable[Sif]) -> bool:
-    """Every ordered pair of members has an output under some member
-    function that lands in ``s``.
-
-    For the symbolic two-type family the per-pair condition unfolds to:
-    some member matches the first type's constraints and some member
-    matches the second's.  That matches the extensional pairing form
-    because each type contains every constraint-obeying function.  The
-    quantifier over pairs distributes over the conjunction, so the
-    closure is the conjunction of the two type closures.
-    """
-    if isinstance(family, TypeConjFamily):
-        return closed_under_type(s, family.t1) and closed_under_type(s, family.t2)
+def closed_under_family(s: System, family: Iterable[Sif]) -> bool:
+    """Every ordered pair of members has a function of ``family`` landing its output in ``s``."""
     fams = tuple(family)
     inside = s.traces
     for a in s.members:
@@ -266,7 +224,6 @@ class ZigzagCollectionReport:
     offending member index, closed verdict).
     """
 
-    size: int
     uniqueness_ok: bool
     representation_ok: bool
     counterexample: tuple[int, int, bool] | None
@@ -320,4 +277,4 @@ def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionRe
                     uniqueness_ok = False
         if not representation_ok and not uniqueness_ok:
             break
-    return ZigzagCollectionReport(k, uniqueness_ok, representation_ok, counterexample)
+    return ZigzagCollectionReport(uniqueness_ok, representation_ok, counterexample)

@@ -154,14 +154,21 @@ def check_injectivity(ss: StrategySystem) -> bool:
     return not injectivity_offenders(ss)
 
 
+def require_injectivity(ss: StrategySystem) -> StrategySystem:
+    """``ss``, once :func:`check_injectivity` holds; otherwise
+    :class:`InjectivityError`, since NOS is not defined on it."""
+    if not check_injectivity(ss):
+        raise InjectivityError("strategy system violates the distinguishability precondition")
+    return ss
+
+
 def check_nos(ss: StrategySystem) -> bool:
     """Decide NOS: every member's low view occurs inside every family.
 
     Raises :class:`InjectivityError` when the distinguishability
-    precondition fails, since the answer would not be well defined.
+    precondition fails (:func:`require_injectivity`).
     """
-    if not check_injectivity(ss):
-        raise InjectivityError("strategy system violates the distinguishability precondition")
+    require_injectivity(ss)
     low_views = {name: {view(t, L_VIEW) for t in fam.members} for name, fam in ss.families}
     union = union_system(ss)
     for t in union.members:

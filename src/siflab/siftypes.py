@@ -141,7 +141,12 @@ ALL_SYSTEMS_TYPES = tuple(t for t in enumerate_types() if all(s in (0, 1) for s 
 
 
 def closed_under_type(s: System, t: SifType) -> bool:
-    """Pair-quantified closure of ``s`` under ``t``, by distinct-view counts."""
+    """Pair-quantified closure of ``s`` under ``t``, by distinct-view counts.
+
+    Closure under all pairings of a type-t1 with a type-t2 function is
+    closure under t1 and under t2: each type holds every constraint-obeying
+    function, and the quantifier over pairs distributes over the conjunction.
+    """
     first, second = t.masks
     counts = s.view_counts
     return counts[first | second] == counts[first] * counts[second]

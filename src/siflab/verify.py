@@ -387,10 +387,9 @@ def _cor_dgni(ctx) -> tuple[bool, str]:
             bu.property_ok(PropertyKind.DGNI),
         )
     )
-    fam = conj_family(GNI_TYPE, RGNI_TYPE)
-    spot = closed_under_family(fixtures.dgni_not_sep_15(), fam) and not closed_under_family(
-        fixtures.gni_not_dgni_4(), fam
-    )
+    fixture_pair = (fixtures.dgni_not_sep_15(), fixtures.gni_not_dgni_4())
+    paired = [closed_under_type(s, GNI_TYPE) and closed_under_type(s, RGNI_TYPE) for s in fixture_pair]
+    spot = paired == [True, False]
     ok = table_eq and spot
     return ok, (
         f"closure under the paired ({GNI_TYPE}, {RGNI_TYPE}) family coincides with DGNI "

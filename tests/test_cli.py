@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,9 +16,16 @@ from siflab import fixtures as F
 from siflab import standard_universe
 from siflab.cli import main
 from siflab.fixtures import fixture_path
-from siflab.properties import load_strategy_system, save_strategy_system, strategy_system_from_mapping
+from siflab.siftypes import enumerate_types, format_type
+from siflab.properties import (
+    load_strategy_system,
+    save_strategy_system,
+    strategy_system_from_mapping,
+    strategy_system_to_obj,
+    union_system,
+)
 from siflab.strategies import load_protocols, protocols_from_obj
-from siflab.traces import load_system, read_json, space_to_obj, trace_to_obj
+from siflab.traces import load_system, read_json, space_to_obj, system_to_obj, trace_to_obj
 from siflab.zl import load_async_system, load_collection
 
 
@@ -262,6 +270,68 @@ def test_an_input_error_names_its_file_once(tmp_path, capsys):
         assert err == f'error: {bad}: a collection file must contain "alphabets" or "events"\n'
 
 
+def _not_injective_obj():
+    """A strategy system whose family H1 owns no trace of its own."""
+    space, universe = standard_universe()
+    return strategy_system_to_obj(strategy_system_from_mapping(space, {"H0": universe[:2], "H1": universe[:1]}))
+
+
+def _free_low_user():
+    """A low user with a choice in its only state, which it never leaves."""
+    return {
+        "states": ["free"],
+        "initial": "free",
+        "emit": [{"state": "free", "choices": ["0", "1"]}],
+        "update": [{"state": "free", "input": i, "output": o, "next": "free"} for i in "01" for o in "01"],
+    }
+
+
+_EXACT = ["strategies", "generate", "--protocols", "FILE", "--mode", "exact"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (
+            ["check", "--property", "nos", "--system", "FILE"],
+            _not_injective_obj(),
+            "strategy system violates the distinguishability precondition",
+        ),
+        (
+            _EXACT,
+            _with(F.echo_protocols(), ["system", "update"], F.echo_protocols()["system"]["update"][1:]),
+            "system update undefined for state='run' tuple=(0,0,0,0)",
+        ),
+        (
+            _EXACT,
+            _with(F.echo_protocols(), ["system", "update", 0, "next"], "nowhere"),
+            "update leads to unknown state 'nowhere'",
+        ),
+        (
+            _EXACT,
+            _with(F.echo_protocols(), ["low"], _free_low_user()),
+            "nondeterministic choice at joint state",
+        ),
+    ],
+    ids=["nos-not-injective", "update-key-missing", "update-to-unknown-state", "exact-mode-choice-on-a-cycle"],
+)
+def test_an_error_found_after_reading_names_its_file(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_refute_nos_names_the_file_that_breaks_the_precondition(tmp_path, capsys):
+    good = str(fixture_path("nos_two_trace"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_not_injective_obj()))
+    code, out, err = run(capsys, "refute", "--property", "nos", "--pool", good, str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: strategy system violates the distinguishability precondition\n"
+
+
 @pytest.mark.parametrize(
     "argv, content, where",
     [
@@ -322,6 +392,16 @@ def test_closure_gen_conj(capsys):
     path = str(fixture_path("gni_not_dgni_4"))
     code, _, _ = run(capsys, "closure", "--gen-conj", "1:2/0:2", "1:2/1:0", "--system", path)
     assert code == 1
+    # on every shipped system, the paired family closes exactly when both types do
+    rng = random.Random(17)
+    literals = [format_type(t) for t in enumerate_types()]
+    for name in F.SYSTEM_FIXTURES:
+        path = str(fixture_path(name))
+        for t1, t2 in [("1:2/0:2", "1:2/1:0")] + [tuple(rng.sample(literals, 2)) for _ in range(8)]:
+            code, obj, _ = run_json(capsys, "closure", "--gen-conj", t1, t2, "--system", path)
+            each = [run(capsys, "closure", "--type", t, "--system", path)[0] for t in (t1, t2)]
+            assert code == (0 if each == [0, 0] else 1), (name, t1, t2)
+            assert obj["subject"] == f"paired family [{t1}, {t2}]" and obj["closed"] == (code == 0)
 
 
 def test_closure_requires_a_subject(capsys):
@@ -391,6 +471,12 @@ def test_represent_param_validation(capsys):
         capsys, "represent", "--property", "sep", "--universe-params", "max-cycle=2"
     )
     assert code == 2 and "24-trace sweep limit" in err
+
+
+def test_represent_refuses_more_systems_than_its_cap(capsys):
+    code, out, err = run(capsys, "represent", "--property", "sep", "--universe-params", "cap=1000")
+    assert code == 2 and out == ""
+    assert err == "error: 65535 systems exceed the cap of 1000\n"
 
 
 def test_represent_refuses_a_huge_alphabet_from_its_parameters(capsys):
@@ -478,6 +564,20 @@ def test_refute_judges_the_whole_pool_first(tmp_path, capsys):
     save_strategy_system(strategy_system_from_mapping(space, {"H0": universe[:2], "H1": universe[:1]}), not_injective)
     code, _, err = run(capsys, "refute", "--property", "nos", "--pool", str(refutes_all), str(not_injective))
     assert code == 2 and err.startswith("error:") and "distinguishability" in err
+
+
+def test_refute_judges_a_strategy_file_by_its_union(tmp_path, capsys):
+    ss = F.nos_false_pair()
+    union = tmp_path / "union.json"
+    union.write_text(json.dumps(system_to_obj(union_system(ss))))
+    verdicts = []
+    for path in (str(fixture_path("nos_false_pair")), str(union)):
+        code, obj, _ = run_json(capsys, "refute", "--property", "sep", "--pool", path)
+        witnesses = {e["witness"] for e in obj["entries"]} - {None}
+        assert witnesses <= {path}
+        verdicts.append((code, obj["all_refuted"], [(e["type"], e["status"]) for e in obj["entries"]]))
+    assert verdicts[0] == verdicts[1]
+    assert any(status != "unrefuted" for _, status in verdicts[0][2])
 
 
 def test_refute_nos_rejects_a_plain_system_file(capsys):

@@ -35,7 +35,7 @@ SPACE, UNIVERSE = standard_universe()
 
 def test_extensional_sif_lookup():
     a, b = UNIVERSE[0], UNIVERSE[1]
-    f = ExtensionalSif.from_mapping({(a, b): a})
+    f = ExtensionalSif({(a, b): a})
     assert f(a, b) == a
     assert f(b, a) is None
 
@@ -45,21 +45,12 @@ def test_from_mapping_is_canonical_in_insertion_order():
     items = [((a, b), rng.choice(UNIVERSE)) for a in UNIVERSE[:6] for b in UNIVERSE[:6] if rng.random() < 0.7]
     shuffled = items[:]
     rng.shuffle(shuffled)
-    f = ExtensionalSif.from_mapping(dict(items))
-    g = ExtensionalSif.from_mapping(dict(shuffled))
+    f = ExtensionalSif(dict(items))
+    g = ExtensionalSif(dict(shuffled))
     assert f == g and hash(f) == hash(g) and f.table == g.table
     pairs = [pair for pair, _ in f.table]
     assert pairs == sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
-    assert f != ExtensionalSif.from_mapping(dict(items[1:]))
-
-
-def test_a_direct_table_keeps_the_first_entry_for_a_pair():
-    a, b, c = UNIVERSE[0], UNIVERSE[1], UNIVERSE[2]
-    f = ExtensionalSif((((a, b), c), ((b, a), a), ((a, b), b)))
-    g = ExtensionalSif.from_mapping({(a, b): c, (b, a): a})
-    assert f == g and hash(f) == hash(g) and f.table == g.table
-    assert f(a, b) == c and f(b, a) == a and f(c, c) is None
-    assert f != ExtensionalSif.from_mapping({(a, b): b, (b, a): a})
+    assert f != ExtensionalSif(dict(items[1:]))
 
 
 def test_nos_member_sif_semantics():
@@ -93,11 +84,11 @@ def test_nos_closure_equivalence_on_fixtures():
 
 def test_closed_under_family_literal_behavior():
     s = System(SPACE, UNIVERSE[:2])
-    nowhere = ExtensionalSif.from_mapping({})
+    nowhere = ExtensionalSif({})
     assert not closed_under_family(s, [nowhere])
-    ident = ExtensionalSif.from_mapping({(a, b): a for a in s.members for b in s.members})
+    ident = ExtensionalSif({(a, b): a for a in s.members for b in s.members})
     assert closed_under_family(s, [nowhere, ident])
-    escape = ExtensionalSif.from_mapping({(a, b): UNIVERSE[5] for a in s.members for b in s.members})
+    escape = ExtensionalSif({(a, b): UNIVERSE[5] for a in s.members for b in s.members})
     assert not closed_under_family(s, [escape])
     assert closed_under_family(System(SPACE, []), [nowhere])
 
@@ -111,7 +102,7 @@ def _random_table(rng, members, set_valued):
         for b in members:
             if rng.random() < 0.85:
                 table[(a, b)] = frozenset(pick() for _ in range(rng.randint(0, 3))) if set_valued else pick()
-    return ExtensionalSif.from_mapping(table)
+    return ExtensionalSif(table)
 
 
 def _table_cases(kind, count=300, seed=7):
@@ -183,8 +174,8 @@ def test_insertion_pairing_closes_the_insertion_fixture():
 
 
 def test_family_union_preserves_order_and_dedupes():
-    f = ExtensionalSif.from_mapping({})
-    g = ExtensionalSif.from_mapping({(UNIVERSE[0], UNIVERSE[0]): UNIVERSE[0]})
+    f = ExtensionalSif({})
+    g = ExtensionalSif({(UNIVERSE[0], UNIVERSE[0]): UNIVERSE[0]})
     assert family_union([f, g], [g, f]) == (f, g)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every module uses each name it imports, and every
-definition in the package is named somewhere.
+"""Source hygiene: every module uses each name it imports, imports at
+module level only, and every definition in the package is named
+somewhere.
 
 No linter is a dependency of the package, so the checks read syntax
 trees with :mod:`ast`.  A name counts as used when the module mentions it
@@ -53,6 +54,39 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """The functions and methods of ``source`` that hold an import, as
+    ``name:line`` per import statement."""
+    nested = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    nested.append(f"{node.name}:{inner.lineno}")
+    return nested
+
+
+def test_the_check_sees_imports_inside_functions():
+    source = (
+        "import json\n"
+        "def f():\n"
+        "    from os import path\n"
+        "    return path\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        import sys\n"
+        "        return sys\n"
+        "    def h(self):\n"
+        "        return json\n"
+    )
+    assert nested_imports(source) == ["f:3", "g:7"]
+
+
+def test_the_package_imports_at_module_level_only():
+    found = {p.name: nested_imports(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {module: where for module, where in found.items() if where} == {}
 
 
 def _mentions(tree: ast.AST) -> Counter:

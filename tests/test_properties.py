@@ -15,13 +15,16 @@ from siflab import (
     FormatError,
     InjectivityError,
     PropertyKind,
+    StrategySystem,
     System,
+    TraceSpace,
     binary_space,
     check_injectivity,
     check_nos,
     check_property,
     standard_universe,
     strategy_system_from_mapping,
+    uniform_alphabets,
     union_system,
 )
 from siflab import fixtures as F
@@ -127,6 +130,12 @@ def test_strategy_system_validation():
     t = F.zl_pair_traces()[0]
     with pytest.raises(FormatError):
         strategy_system_from_mapping(sp, {"H0": [t], "H1": []})
+    fam = System(sp, [t])
+    with pytest.raises(FormatError, match="^family names must be unique$"):
+        StrategySystem((("H0", fam), ("H0", fam)))
+    wider = System(TraceSpace(uniform_alphabets(3)), [t])
+    with pytest.raises(FormatError, match="^all families must share one trace space$"):
+        StrategySystem((("H0", fam), ("H1", wider)))
 
 
 def test_union_and_injectivity():
