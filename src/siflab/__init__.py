@@ -69,7 +69,6 @@ from .strategies import (
     UserProtocol,
     build_strategy_system,
     generate_sigma_h,
-    load_protocols,
 )
 from .traces import (
     Component,

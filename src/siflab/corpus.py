@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterator
 
 from .enumeration import standard_universe
-from .errors import ProtocolError, RunExplosion
+from .errors import CapExceeded, ProtocolError, RunExplosion
 from .families import ExtensionalSif, verify_zigzag_collection
 from .fixtures import echo_protocols
 from .properties import StrategySystem, check_injectivity
@@ -158,7 +158,11 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
     Starts with the designed systems (so both NOS verdicts and a
     separable union are always present), then draws random protocol
     sets, preferring exact lasso generation and falling back to bounded
-    runs when a cycle carries a choice.
+    runs when a cycle carries a choice.  A draw is skipped when its
+    tables are incomplete, when a family has more than
+    ``MAX_FAMILY_SIZE`` traces, or when the system is not injective.  The
+    bounded retry stops at its first oversized family; no build draws a
+    random number, so stopping early keeps every later draw as it was.
     """
     rng = random.Random(seed)
     out = designed_strategy_systems()
@@ -172,10 +176,15 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
         ps = _random_machine(rng)
         try:
             try:
+                # Not capped: an oversized exact family followed by one that
+                # raises RunExplosion sends the whole draw to the bounded
+                # retry, which may keep it, so a cap here could drop a
+                # system.  Exact families that large are rare (none in 30
+                # seeds of 200 systems), so the cap would save little.
                 ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
             except RunExplosion:
-                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3))
-        except ProtocolError:
+                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3), max_traces=MAX_FAMILY_SIZE)
+        except (ProtocolError, CapExceeded):
             continue
         if any(len(fam) > MAX_FAMILY_SIZE for _, fam in ss.families):
             continue

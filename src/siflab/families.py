@@ -76,8 +76,11 @@ class NosMemberSif:
     sigma: LassoTrace
     family_traces: frozenset
 
+    def __post_init__(self):
+        object.__setattr__(self, "_low", view(self.sigma, L_VIEW))
+
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
-        if b in self.family_traces and view(self.sigma, L_VIEW) == view(a, L_VIEW):
+        if b in self.family_traces and self._low == view(a, L_VIEW):
             return self.sigma
         return None
 

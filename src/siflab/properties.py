@@ -206,7 +206,12 @@ def load_strategy_system(path: str | Path) -> StrategySystem:
 
 
 def save_strategy_system(ss: StrategySystem, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(strategy_system_to_obj(ss), indent=2) + "\n")
+    """Write ``ss`` as JSON; a path that cannot be written raises :class:`FormatError`."""
+    text = json.dumps(strategy_system_to_obj(ss), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
 
 
 def strategy_system_from_mapping(space: TraceSpace, mapping: Mapping[str, Iterable]) -> StrategySystem:

@@ -16,12 +16,11 @@ collects all length-n finite traces and accepts any nondeterminism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import FormatError, ProtocolError, RunExplosion
+from .errors import CapExceeded, FormatError, ProtocolError, RunExplosion
 from .properties import StrategySystem, union_system
-from .traces import H_VIEW, LassoTrace, System, TraceSpace, _coerce_symbol, _list, canonicalize, load_json, view
+from .traces import H_VIEW, LassoTrace, System, TraceSpace, _coerce_symbol, _list, canonicalize, view
 
 Symbol = str
 State = str
@@ -185,8 +184,13 @@ def generate_sigma_h(
     h: UserProtocol,
     mode: GenerationMode,
     space: TraceSpace | None = None,
+    max_traces: int | None = None,
 ) -> System:
-    """The trace set of the composed machine under ``mode``."""
+    """The trace set of the composed machine under ``mode``.
+
+    With ``max_traces`` set, the run search raises :class:`CapExceeded`
+    as soon as it has found more than that many traces.
+    """
     if space is None:
         space = derive_space(ps, pl, [h])
     initial: JointState = (ps.initial, pl.initial, h.initial)
@@ -251,6 +255,8 @@ def generate_sigma_h(
             path.append((nxt, iter(moves(nxt))))
             continue
         emitted.pop()
+        if max_traces is not None and len(traces) > max_traces:
+            raise CapExceeded(f"the runs give more than {max_traces} traces")
     return System(space, traces)
 
 
@@ -259,12 +265,14 @@ def build_strategy_system(
     pl: UserProtocol,
     hs: Mapping[str, UserProtocol],
     mode: GenerationMode,
+    max_traces: int | None = None,
 ) -> StrategySystem:
-    """Run every named high protocol against the shared pair (system, low user)."""
+    """Run every named high protocol against the shared pair (system, low
+    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`."""
     if not hs:
         raise FormatError("at least one high protocol is required")
     space = derive_space(ps, pl, list(hs.values()))
-    families = tuple((name, generate_sigma_h(ps, pl, h, mode, space)) for name, h in hs.items())
+    families = tuple((name, generate_sigma_h(ps, pl, h, mode, space, max_traces)) for name, h in hs.items())
     return StrategySystem(families)
 
 
@@ -340,7 +348,3 @@ def protocols_from_obj(obj) -> tuple[SystemProtocol, UserProtocol, dict[str, Use
         raise FormatError('"highs" must be a nonempty object of named user protocols')
     hs = {_coerce_symbol(name): _user_protocol_from_obj(sub, name) for name, sub in obj["highs"].items()}
     return ps, pl, hs
-
-
-def load_protocols(path: str | Path) -> tuple[SystemProtocol, UserProtocol, dict[str, UserProtocol]]:
-    return load_json(path, protocols_from_obj)

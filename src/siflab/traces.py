@@ -232,14 +232,15 @@ def _sort_key(t: LassoTrace):
 class System:
     """A finite set of canonical traces over a shared trace space.
 
-    Three slots are filled on first use and take no part in equality,
+    Four slots are filled on first use and take no part in equality,
     hashing or pickling: ``_ids`` and ``_counts`` by :attr:`view_ids` and
-    :attr:`view_counts`, and ``_verdicts``, a dict from a (C1, C2) mask
+    :attr:`view_counts`; ``_verdicts``, a dict from a (C1, C2) mask
     pair of ``properties.PROPERTY_VIEWS`` to its verdict, created by the
-    first ``properties.check_property`` call.
+    first ``properties.check_property`` call; and ``_classes``, each
+    member's low-view class, by ``zl._member_classes``.
     """
 
-    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts", "_verdicts")
+    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts", "_verdicts", "_classes")
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
@@ -254,6 +255,7 @@ class System:
         self._ids = None
         self._counts = None
         self._verdicts = None
+        self._classes = None
 
     @property
     def view_ids(self) -> tuple[tuple[int, int, int, int], ...]:

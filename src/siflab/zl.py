@@ -58,9 +58,14 @@ class EventDecl:
 
 
 class AsyncSystem:
-    """A duplicate-free finite set of finite event traces."""
+    """A duplicate-free finite set of finite event traces.
 
-    __slots__ = ("decl", "traces", "members", "_hash")
+    ``_classes``, each member's low-view class, is filled by
+    :func:`_member_classes` on first use and takes no part in equality,
+    hashing or pickling.
+    """
+
+    __slots__ = ("decl", "traces", "members", "_hash", "_classes")
 
     def __init__(self, decl: EventDecl, traces: Iterable[EventTrace]):
         tset = frozenset(map(tuple, traces))
@@ -71,6 +76,7 @@ class AsyncSystem:
         self.traces = tset
         self.members = tuple(sorted(tset))
         self._hash = hash((decl, tset))
+        self._classes = None
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.traces
@@ -111,15 +117,17 @@ def lles(t, s: AnySystem) -> frozenset:
     return frozenset(x for x in s.members if low_view_key(x, s) == key)
 
 
-def _member_classes(s: AnySystem) -> list[frozenset]:
+def _member_classes(s: AnySystem) -> tuple[frozenset, ...]:
     """``lles(t, s)`` for each member ``t``, in ``members`` order, from
-    one pass that groups the members by low view."""
-    keys = [low_view_key(t, s) for t in s.members]
-    groups: dict = {}
-    for key, t in zip(keys, s.members):
-        groups.setdefault(key, []).append(t)
-    classes = {key: frozenset(group) for key, group in groups.items()}
-    return [classes[key] for key in keys]
+    one pass that groups the members by low view; kept on ``s``."""
+    if s._classes is None:
+        keys = [low_view_key(t, s) for t in s.members]
+        groups: dict = {}
+        for key, t in zip(keys, s.members):
+            groups.setdefault(key, []).append(t)
+        classes = {key: frozenset(group) for key, group in groups.items()}
+        s._classes = tuple(classes[key] for key in keys)
+    return s._classes
 
 
 QPredicate = Callable[[frozenset], bool]

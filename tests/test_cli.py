@@ -24,8 +24,8 @@ from siflab.properties import (
     strategy_system_to_obj,
     union_system,
 )
-from siflab.strategies import load_protocols, protocols_from_obj
-from siflab.traces import load_system, read_json, space_to_obj, system_to_obj, trace_to_obj
+from siflab.strategies import protocols_from_obj
+from siflab.traces import load_json, load_system, read_json, space_to_obj, system_to_obj, trace_to_obj
 from siflab.zl import load_async_system, load_collection
 
 
@@ -47,7 +47,7 @@ _FIXTURE_LOADERS = (
     (F.STRATEGY_FIXTURES, load_strategy_system),
     (F.ASYNC_FIXTURES, load_async_system),
     (F.COLLECTION_FIXTURES, load_collection),
-    ({"echo_protocols": lambda: protocols_from_obj(F.echo_protocols())}, load_protocols),
+    ({"echo_protocols": lambda: protocols_from_obj(F.echo_protocols())}, lambda path: load_json(path, protocols_from_obj)),
 )
 
 
@@ -630,6 +630,20 @@ def test_strategies_generate_exact(tmp_path, capsys):
     # the written file is loadable and NOS-checkable through the CLI
     code, _, _ = run(capsys, "check", "--property", "nos", "--system", str(out_file))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [(".", "Is a directory"), ("missing/generated.json", "No such file or directory")],
+    ids=["directory", "missing-parent"],
+)
+def test_strategies_generate_names_an_out_path_it_cannot_write(tmp_path, capsys, out, reason):
+    out_path = tmp_path / out
+    code, stdout, err = run(
+        capsys, "strategies", "generate", "--protocols", str(fixture_path("echo_protocols")), "--out", str(out_path)
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: {out_path}: {reason}\n"
 
 
 def test_strategies_generate_inline_output(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from oracles import unroll
 from siflab import (
+    CapExceeded,
     FormatError,
     GenerationMode,
     ProtocolError,
@@ -18,13 +20,13 @@ from siflab import (
     UserProtocol,
     build_strategy_system,
     generate_sigma_h,
-    load_protocols,
 )
 from siflab import canonicalize
 from siflab import fixtures as F
-from siflab.corpus import _random_machine, _random_user, constant_user
-from siflab.properties import check_injectivity, injectivity_offenders
+from siflab.corpus import _random_machine, _random_user, constant_user, strategy_corpus
+from siflab.properties import check_injectivity, injectivity_offenders, strategy_system_to_obj
 from siflab.strategies import derive_space, family_h_view_determined, protocols_from_obj
+from siflab.traces import load_json
 
 
 def _echo():
@@ -138,6 +140,46 @@ def test_exact_lassos_unroll_to_the_bounded_runs():
             assert {unroll(t.prefix, t.cycle, n) for t in exact.members} == {t.prefix for t in bounded.members}
 
 
+def _capped_cases():
+    """The echo protocols and 40 seeded random protocol sets, each in
+    exact and bounded:3 mode, with the uncapped trace set; the draws
+    whose tables break or whose exact runs explode are skipped."""
+    ps, pl, hs = _echo()
+    draws = [(ps, pl, hs["H"])]
+    rng = random.Random(2718)
+    draws += [(_random_machine(rng), _random_user(rng), _random_user(rng)) for _ in range(40)]
+    for ps, pl, h in draws:
+        for mode in (GenerationMode.exact(), GenerationMode.bounded(3)):
+            try:
+                yield ps, pl, h, mode, generate_sigma_h(ps, pl, h, mode)
+            except (RunExplosion, ProtocolError):
+                continue
+
+
+def test_a_trace_cap_raises_exactly_when_the_runs_exceed_it():
+    sizes = set()
+    for ps, pl, h, mode, full in _capped_cases():
+        sizes.add(len(full))
+        for k in range(1, 11):
+            if len(full) > k:
+                with pytest.raises(CapExceeded, match=f"^the runs give more than {k} traces$"):
+                    generate_sigma_h(ps, pl, h, mode, max_traces=k)
+            else:
+                assert generate_sigma_h(ps, pl, h, mode, max_traces=k) == full
+    # sizes at, below and above the caps tried
+    assert {1, 2, 4, 8} <= sizes and max(sizes) > 10
+
+
+def test_build_strategy_system_caps_every_family():
+    ps, pl, hs = _echo()
+    mode = GenerationMode.bounded(2)
+    full = build_strategy_system(ps, pl, hs, mode)
+    [(_, fam)] = full.families
+    assert build_strategy_system(ps, pl, hs, mode, max_traces=len(fam)) == full
+    with pytest.raises(CapExceeded):
+        build_strategy_system(ps, pl, hs, mode, max_traces=len(fam) - 1)
+
+
 def test_build_strategy_system_runs_each_named_high_protocol():
     ps, pl, hs = _echo()
     flip = UserProtocol(
@@ -247,13 +289,13 @@ def test_a_string_is_not_read_as_a_list(path, field):
 def test_load_protocols_roundtrip(tmp_path):
     path = tmp_path / "protocols.json"
     path.write_text(json.dumps(F.echo_protocols()))
-    ps, pl, hs = load_protocols(path)
+    ps, pl, hs = load_json(path, protocols_from_obj)
     got = generate_sigma_h(ps, pl, hs["H"], GenerationMode.exact())
     assert len(got.members) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(FormatError):
-        load_protocols(bad)
+        load_json(bad, protocols_from_obj)
 
 
 # ------------------------------------------------------------------ reports
@@ -289,3 +331,18 @@ def test_injectivity_report_names_offenders():
     assert not check_injectivity(ss) and injectivity_offenders(ss) == ["H1"]
     ss = F.nos_false_pair()
     assert check_injectivity(ss) and injectivity_offenders(ss) == []
+
+
+# ------------------------------------------------------------------ corpus
+
+
+def _corpus_digest(corpus) -> str:
+    text = json.dumps([strategy_system_to_obj(ss) for ss in corpus])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_strategy_corpus_is_pinned(corpus120):
+    # The bounded retry's cap must reject exactly the draws the size
+    # filter rejects, and leave every later draw as it was.
+    assert _corpus_digest(corpus120) == "20285a6f5b1c9af2"
+    assert _corpus_digest(strategy_corpus(200, 1)) == "117395d127eea380"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -47,7 +48,14 @@ from siflab.corpus import (
     strategy_corpus,
     zl_conj_cases,
 )
-from siflab.zl import async_system_from_obj, collection_from_obj, event_decl_from_obj, low_projection, psp_over_pool
+from siflab.zl import (
+    _member_classes,
+    async_system_from_obj,
+    collection_from_obj,
+    event_decl_from_obj,
+    low_projection,
+    psp_over_pool,
+)
 
 SPACE, UNIVERSE = standard_universe()
 DECL = EventDecl((("a", "L"), ("b", "L"), ("h", "H"), ("k", "H")))
@@ -72,6 +80,17 @@ def test_lles_async_groups_by_low_event_subsequence():
         assert t in cls
         for u in s:
             assert (u in cls) == (low_projection(u, s.decl) == low_projection(t, s.decl))
+
+
+@pytest.mark.parametrize("make", [lambda: System(SPACE, UNIVERSE[:6]), F.zl_pair_async], ids=["sync", "async"])
+def test_member_classes_are_kept_on_the_system_and_nowhere_else(make):
+    s, fresh = make(), make()
+    classes = _member_classes(s)
+    assert classes == tuple(lles(t, s) for t in s.members)
+    assert _member_classes(s) is classes
+    assert s == fresh and hash(s) == hash(fresh) and len({s, fresh}) == 1
+    reloaded = pickle.loads(pickle.dumps(s))
+    assert reloaded == s and reloaded._classes is None
 
 
 def test_q_combinators():
