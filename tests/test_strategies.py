@@ -23,7 +23,7 @@ from siflab import (
 )
 from siflab import canonicalize
 from siflab import fixtures as F
-from siflab.corpus import _random_machine, _random_user, constant_user, strategy_corpus
+from siflab.corpus import _random_machine, _random_user, constant_user, echo_high_machine, strategy_corpus
 from siflab.properties import check_injectivity, injectivity_offenders, strategy_system_to_obj
 from siflab.strategies import derive_space, family_h_view_determined, protocols_from_obj
 from siflab.traces import load_json
@@ -171,13 +171,14 @@ def test_a_trace_cap_raises_exactly_when_the_runs_exceed_it():
 
 
 def test_build_strategy_system_caps_every_family():
-    ps, pl, hs = _echo()
-    mode = GenerationMode.bounded(2)
-    full = build_strategy_system(ps, pl, hs, mode)
-    [(_, fam)] = full.families
-    assert build_strategy_system(ps, pl, hs, mode, max_traces=len(fam)) == full
+    # the high input is echoed: one run for a constant user, 2^3 for one choosing freely
+    free = UserProtocol(("s",), "s", {"s": ("0", "1")}, {("s", i, o): "s" for i in "01" for o in "01"})
+    args = (echo_high_machine(), constant_user("0"), {"one": constant_user("0"), "free": free}, GenerationMode.bounded(3))
+    full = build_strategy_system(*args)
+    assert [len(fam) for _, fam in full.families] == [1, 8]
+    assert build_strategy_system(*args, max_traces=8) == full
     with pytest.raises(CapExceeded):
-        build_strategy_system(ps, pl, hs, mode, max_traces=len(fam) - 1)
+        build_strategy_system(*args, max_traces=7)
 
 
 def test_build_strategy_system_runs_each_named_high_protocol():
