@@ -43,7 +43,6 @@ from .properties import (
     check_injectivity,
     check_nos,
     check_property,
-    load_strategy_system,
     save_strategy_system,
     strategy_system_from_mapping,
     union_system,
@@ -85,7 +84,7 @@ from .traces import (
     binary_space,
     canonicalize,
     format_trace,
-    load_system,
+    load_json,
     project,
     view,
 )
@@ -98,12 +97,9 @@ from .zl import (
     NosPredicate,
     closed_under_insertion,
     lles,
-    load_async_system,
-    load_collection,
     low_projection,
     nos_as_zl,
     psp_check,
-    q_and,
     zl_check,
     zl_q_search,
 )

@@ -38,9 +38,9 @@ from .siftypes import (
     refute_all_types,
 )
 from .strategies import GenerationMode, build_strategy_system, protocols_from_obj
-from .traces import TraceSpace, format_trace, load_json, load_system, system_from_obj, trace_to_obj
+from .traces import TraceSpace, format_trace, load_json, system_from_obj, trace_to_obj
 from .verify import VerifyContext, verify_paper
-from .zl import load_async_system, load_collection, psp_check, zl_q_search
+from .zl import async_system_from_obj, collection_from_obj, psp_check, zl_q_search
 
 PLAIN_PROPERTIES = ("sep", "gni", "rgni", "dgni")
 
@@ -77,15 +77,15 @@ def _nos_system_from_obj(obj):
 def _cmd_check(args) -> int:
     prop = args.property
     if prop in PLAIN_PROPERTIES:
-        s = load_system(args.system)
+        s = load_json(args.system, system_from_obj)
         holds = check_property(PropertyKind(prop), s)
         size = len(s)
     elif prop == "nos":
         ss = load_json(args.system, _nos_system_from_obj)
         holds = check_nos(ss)
-        size = sum(len(fam) for _, fam in ss.families)
+        size = len(ss.union)
     else:  # psp
-        s = load_async_system(args.system)
+        s = load_json(args.system, async_system_from_obj)
         holds = psp_check(s)
         size = len(s)
     _emit(
@@ -100,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    s = load_system(args.system)
+    s = load_json(args.system, system_from_obj)
     if args.gen_conj:
         t1, t2 = (parse_type(lit) for lit in args.gen_conj)
         closed = closed_under_type(s, t1) and closed_under_type(s, t2)
@@ -258,8 +258,8 @@ def _cmd_strategies_generate(args) -> int:
 
 
 def _cmd_zl_q_search(args) -> int:
-    target = load_collection(args.target)
-    universe = load_collection(args.universe)
+    target = load_json(args.target, collection_from_obj)
+    universe = load_json(args.universe, collection_from_obj)
     q = zl_q_search(target, universe)
     if q is None:
         _emit(args, {"found": False, "accepted_classes": None}, ["NONE"])

@@ -223,13 +223,11 @@ class ZigzagCollectionReport:
     ``uniqueness_ok``: each collection member is the unique member closed
     under its own singleton family.  ``representation_ok``: for every
     subfamily S of the collection, closure under {f_T : T in S} holds for
-    exactly the members of S.  A counterexample records (subset mask,
-    offending member index, closed verdict).
+    exactly the members of S.
     """
 
     uniqueness_ok: bool
     representation_ok: bool
-    counterexample: tuple[int, int, bool] | None
 
 
 def _pair_witness_masks(collection: Sequence[System]) -> list[list[int]]:
@@ -267,17 +265,12 @@ def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionRe
     witness = _pair_witness_masks(collection)
     uniqueness_ok = True
     representation_ok = True
-    counterexample = None
     for subset in range(1 << k):
         for q in range(k):
-            closed = all(w & subset for w in witness[q])
-            expected = bool(subset >> q & 1)
-            if closed != expected:
+            if all(w & subset for w in witness[q]) != bool(subset >> q & 1):
                 representation_ok = False
-                if counterexample is None:
-                    counterexample = (subset, q, closed)
                 if bin(subset).count("1") == 1:
                     uniqueness_ok = False
         if not representation_ok and not uniqueness_ok:
             break
-    return ZigzagCollectionReport(uniqueness_ok, representation_ok, counterexample)
+    return ZigzagCollectionReport(uniqueness_ok, representation_ok)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .properties import StrategySystem, strategy_system_from_mapping, strategy_system_to_obj
 from .traces import LassoTrace, System, binary_space, canonicalize, system_to_obj
-from .zl import AsyncSystem, EventDecl, async_system_to_obj, event_decl_to_obj
+from .zl import AsyncSystem, EventDecl, async_system_to_obj, collection_to_obj
 
 _B = ("0", "1")
 
@@ -261,20 +261,6 @@ ASYNC_FIXTURES = {
 }
 
 
-def _collection_obj(systems) -> dict:
-    first = systems[0]
-    if isinstance(first, AsyncSystem):
-        return {
-            "events": event_decl_to_obj(first.decl),
-            "systems": [[list(t) for t in s.members] for s in systems],
-        }
-    obj = system_to_obj(first)
-    return {
-        "alphabets": obj["alphabets"],
-        "systems": [system_to_obj(s)["traces"] for s in systems],
-    }
-
-
 COLLECTION_FIXTURES = {
     "zl_universe_sync": zl_universe_sync,
     "zl_target_singleton": zl_target_singleton,
@@ -303,7 +289,7 @@ def fixture_obj(name: str):
     if name in ASYNC_FIXTURES:
         return async_system_to_obj(ASYNC_FIXTURES[name]())
     if name in COLLECTION_FIXTURES:
-        return _collection_obj(COLLECTION_FIXTURES[name]())
+        return collection_to_obj(COLLECTION_FIXTURES[name]())
     if name == "echo_protocols":
         return echo_protocols()
     raise KeyError(name)

@@ -26,7 +26,6 @@ from .traces import (
     LI_VIEW,
     System,
     TraceSpace,
-    load_json,
     space_from_obj,
     space_to_obj,
     system_from_objs,
@@ -131,19 +130,6 @@ def union_system(ss: StrategySystem) -> System:
     return ss.union
 
 
-def injectivity_offenders(ss: StrategySystem) -> list[str]:
-    """Names of the families that own no trace outside the other families."""
-    offenders = []
-    for name, fam in ss.families:
-        others: set = set()
-        for other_name, other in ss.families:
-            if other_name != name:
-                others |= other.traces
-        if fam.traces <= others:
-            offenders.append(name)
-    return offenders
-
-
 def check_injectivity(ss: StrategySystem) -> bool:
     """True when every family owns a trace no other family produces.
 
@@ -151,7 +137,14 @@ def check_injectivity(ss: StrategySystem) -> bool:
     both necessary and sufficient for the distinguishability requirement
     NOS rests on.
     """
-    return not injectivity_offenders(ss)
+    for name, fam in ss.families:
+        others: set = set()
+        for other_name, other in ss.families:
+            if other_name != name:
+                others |= other.traces
+        if fam.traces <= others:
+            return False
+    return True
 
 
 def require_injectivity(ss: StrategySystem) -> StrategySystem:
@@ -199,10 +192,6 @@ def strategy_system_to_obj(ss: StrategySystem) -> dict:
         "alphabets": space_to_obj(ss.space),
         "families": {name: [trace_to_obj(t) for t in fam.members] for name, fam in ss.families},
     }
-
-
-def load_strategy_system(path: str | Path) -> StrategySystem:
-    return load_json(path, strategy_system_from_obj)
 
 
 def save_strategy_system(ss: StrategySystem, path: str | Path) -> None:

@@ -437,8 +437,3 @@ def load_json(path: str | Path, build: Callable):
     except SiflabError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-
-
-def load_system(path: str | Path) -> System:
-    """Read a system file (JSON)."""
-    return load_json(path, system_from_obj)

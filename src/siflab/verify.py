@@ -48,12 +48,12 @@ from .siftypes import (
 )
 from .strategies import GenerationMode, build_strategy_system, family_h_view_determined, protocols_from_obj
 from .zl import (
+    AndQ,
     InsertionSif,
     closed_under_insertion,
     nos_as_zl,
     psp_check,
     psp_over_pool,
-    q_and,
     zl_check,
     zl_q_search,
 )
@@ -431,7 +431,7 @@ def _thm_zl_conj(ctx) -> tuple[bool, str]:
     n = 0
     for s, q1, q2 in corpora.zl_conj_cases(ctx.case_count, ctx.seed):
         n += 1
-        if zl_check(s, q_and(q1, q2)) != (zl_check(s, q1) and zl_check(s, q2)):
+        if zl_check(s, AndQ(q1, q2)) != (zl_check(s, q1) and zl_check(s, q2)):
             mismatches += 1
     ok = mismatches == 0 and n >= 1000
     return ok, f"conjunction identity holds on {n} randomized (system, Q, Q') cases"

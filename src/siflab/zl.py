@@ -16,7 +16,6 @@ can be re-inserted before any low-only suffix.  A single total function
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -24,7 +23,17 @@ import numpy as np
 from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
 from .properties import StrategySystem, union_system
-from .traces import L_VIEW, System, _coerce_symbol, _list, load_json, space_from_obj, system_from_objs, view
+from .traces import (
+    L_VIEW,
+    System,
+    _coerce_symbol,
+    _list,
+    space_from_obj,
+    space_to_obj,
+    system_from_objs,
+    trace_to_obj,
+    view,
+)
 
 EventTrace = tuple  # tuple of event names
 
@@ -164,10 +173,6 @@ class AndQ:
 
     def __call__(self, a: frozenset) -> bool:
         return self.q1(a) and self.q2(a)
-
-
-def q_and(q1: QPredicate, q2: QPredicate) -> QPredicate:
-    return AndQ(q1, q2)
 
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
@@ -354,10 +359,6 @@ def async_system_to_obj(s: AsyncSystem) -> dict:
     return {"events": event_decl_to_obj(s.decl), "traces": [list(t) for t in s.members]}
 
 
-def load_async_system(path: str | Path) -> AsyncSystem:
-    return load_json(path, async_system_from_obj)
-
-
 def collection_from_obj(obj) -> list[AnySystem]:
     """Load a list of systems sharing one declaration.
 
@@ -383,5 +384,10 @@ def collection_from_obj(obj) -> list[AnySystem]:
     raise FormatError('a collection file must contain "alphabets" or "events"')
 
 
-def load_collection(path: str | Path) -> list[AnySystem]:
-    return load_json(path, collection_from_obj)
+def collection_to_obj(systems: Sequence[AnySystem]) -> dict:
+    """The file object of a nonempty list of systems sharing the first
+    one's declaration, as :func:`collection_from_obj` reads it."""
+    first = systems[0]
+    if isinstance(first, AsyncSystem):
+        return {"events": event_decl_to_obj(first.decl), "systems": [[list(t) for t in s.members] for s in systems]}
+    return {"alphabets": space_to_obj(first.space), "systems": [[trace_to_obj(t) for t in s.members] for s in systems]}

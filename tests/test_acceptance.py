@@ -33,7 +33,6 @@ from siflab import (
     nos_as_zl,
     nos_family,
     psp_check,
-    q_and,
     refute_all_types,
     swap_type,
     union_system,
@@ -49,6 +48,7 @@ from siflab.corpus import (
 )
 from siflab.enumeration import implication_violations
 from siflab.siftypes import enumerate_types, property_predicate
+from siflab.zl import AndQ
 
 
 def _record(number: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -304,7 +304,7 @@ def test_criterion_09_low_view_local_suite(corpus120):
     n_cases = 0
     for s, q1, q2 in zl_conj_cases(count=1000):
         n_cases += 1
-        if zl_check(s, q_and(q1, q2)) != (zl_check(s, q1) and zl_check(s, q2)):
+        if zl_check(s, AndQ(q1, q2)) != (zl_check(s, q1) and zl_check(s, q2)):
             conj_mismatches += 1
     elapsed = time.perf_counter() - start
     ok = (

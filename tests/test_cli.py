@@ -13,20 +13,20 @@ from pathlib import Path
 import pytest
 
 from siflab import fixtures as F
-from siflab import standard_universe
+from siflab import binary_space, standard_universe
 from siflab.cli import main
 from siflab.fixtures import fixture_path
 from siflab.siftypes import enumerate_types, format_type
 from siflab.properties import (
-    load_strategy_system,
     save_strategy_system,
+    strategy_system_from_obj,
     strategy_system_from_mapping,
     strategy_system_to_obj,
     union_system,
 )
 from siflab.strategies import protocols_from_obj
-from siflab.traces import load_json, load_system, read_json, space_to_obj, system_to_obj, trace_to_obj
-from siflab.zl import load_async_system, load_collection
+from siflab.traces import load_json, read_json, space_to_obj, system_from_obj, system_to_obj, trace_to_obj
+from siflab.zl import async_system_from_obj, collection_from_obj
 
 
 def run(capsys, *argv):
@@ -43,11 +43,11 @@ def run_json(capsys, *argv):
 # ---------------------------------------------------------------- fixtures
 
 _FIXTURE_LOADERS = (
-    (F.SYSTEM_FIXTURES, load_system),
-    (F.STRATEGY_FIXTURES, load_strategy_system),
-    (F.ASYNC_FIXTURES, load_async_system),
-    (F.COLLECTION_FIXTURES, load_collection),
-    ({"echo_protocols": lambda: protocols_from_obj(F.echo_protocols())}, lambda path: load_json(path, protocols_from_obj)),
+    (F.SYSTEM_FIXTURES, system_from_obj),
+    (F.STRATEGY_FIXTURES, strategy_system_from_obj),
+    (F.ASYNC_FIXTURES, async_system_from_obj),
+    (F.COLLECTION_FIXTURES, collection_from_obj),
+    ({"echo_protocols": lambda: protocols_from_obj(F.echo_protocols())}, protocols_from_obj),
 )
 
 
@@ -55,8 +55,8 @@ _FIXTURE_LOADERS = (
 def test_shipped_fixture_files_are_current(name):
     path = fixture_path(name)
     assert read_json(path) == F.fixture_obj(name)
-    [(build, load)] = [(table[name], load) for table, load in _FIXTURE_LOADERS if name in table]
-    assert load(path) == build()
+    [(build, reader)] = [(table[name], reader) for table, reader in _FIXTURE_LOADERS if name in table]
+    assert load_json(path, reader) == build()
 
 
 def test_write_all_reproduces_every_shipped_fixture_file(tmp_path):
@@ -93,6 +93,20 @@ def test_check_nos_uses_strategy_files(capsys):
     assert code == 0 and "holds" in out
     code, _, _ = run(capsys, "check", "--property", "nos", "--system", str(fixture_path("nos_false_pair")))
     assert code == 1
+
+
+def test_check_nos_counts_a_trace_shared_by_two_families_once(tmp_path, capsys):
+    shared = F.constant_trace((0, 0, 0, 0))
+    ss = strategy_system_from_mapping(
+        binary_space(),
+        {"H0": [shared, F.constant_trace((1, 1, 1, 1))], "H1": [shared, F.constant_trace((1, 0, 1, 1))]},
+    )
+    path = tmp_path / "shared.json"
+    save_strategy_system(ss, path)
+    code, out, _ = run(capsys, "check", "--property", "nos", "--system", str(path))
+    assert (code, out) == (1, f"nos on {path} (3 traces): fails\n")
+    code, obj, _ = run_json(capsys, "check", "--property", "nos", "--system", str(path))
+    assert code == 1 and obj["traces"] == 3
 
 
 def test_check_psp_uses_event_files(capsys):
@@ -227,7 +241,7 @@ def test_integer_and_string_symbols_read_as_the_same_trace(tmp_path, capsys):
     as_ints = tmp_path / "ints.json"
     as_ints.write_text(text.replace('"0"', "0").replace('"1"', "1"))
     assert '"0"' not in as_ints.read_text()
-    assert load_system(as_ints) == load_system(fixture_path("lo_equals_li_8"))
+    assert load_json(as_ints, system_from_obj) == load_json(fixture_path("lo_equals_li_8"), system_from_obj)
     code, out, _ = run(capsys, "check", "--property", "sep", "--system", str(as_ints))
     assert code == 0 and "holds" in out
 
@@ -243,7 +257,7 @@ def test_integer_and_string_event_names_read_as_the_same_event_trace(tmp_path, c
     for name, obj in (("strings", as_strings), ("ints", as_ints)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(obj))
-    assert load_async_system(paths[0]) == load_async_system(paths[1])
+    assert load_json(paths[0], async_system_from_obj) == load_json(paths[1], async_system_from_obj)
     for path in paths:
         code, out, _ = run(capsys, "check", "--property", "psp", "--system", str(path))
         assert code == 0 and "holds" in out

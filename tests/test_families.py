@@ -224,11 +224,16 @@ def test_mixing_gap_is_detected():
     report = verify_zigzag_collection(collection)
     assert report.uniqueness_ok
     assert not report.representation_ok
-    assert report.counterexample is not None
-    subset, member, closed = report.counterexample
-    fam = [zigzag_sif(collection[i]) for i in range(4) if subset >> i & 1]
-    assert closed_under_family(collection[member], fam) == closed
-    assert closed != bool(subset >> member & 1)
+    # the gaps, by closure under each subfamily: (subset mask, member) whose
+    # closure verdict differs from membership; none has a singleton subset
+    gaps = [
+        (subset, member)
+        for subset in range(1 << 4)
+        for member in range(4)
+        if closed_under_family(collection[member], [zigzag_sif(collection[i]) for i in range(4) if subset >> i & 1])
+        != bool(subset >> member & 1)
+    ]
+    assert gaps and all(bin(subset).count("1") != 1 for subset, _ in gaps)
 
 
 def test_verify_zigzag_collection_input_validation():

@@ -1,6 +1,6 @@
 """Source hygiene: every module uses each name it imports, imports at
-module level only, and every definition in the package is named
-somewhere.
+module level only, every definition in the package is named somewhere,
+and no module-level function only forwards its parameters to another.
 
 No linter is a dependency of the package, so the checks read syntax
 trees with :mod:`ast`.  A name counts as used when the module mentions it
@@ -13,6 +13,11 @@ occurs, as a name or an attribute, in the package, the tests or the
 benchmark outside its own definition; docstrings and imports do not
 count.  Dunder methods, which Python calls, and the ``@_result``
 procedures, which the result registry calls, are exempt.
+
+A function only forwards when it is undecorated, takes a parameter, and
+is one ``return f(...)`` passing all its parameters and otherwise only
+names or constants: ``load(p)`` returning ``load_json(p, build)`` is
+``load_json`` under a second name, so callers call ``load_json``.
 """
 
 from __future__ import annotations
@@ -154,3 +159,60 @@ def test_every_definition_is_named_somewhere():
         p.read_text(encoding="utf-8") for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert dead_definitions(defining, referring) == []
+
+
+def _only_forwards(node) -> bool:
+    """Whether ``node`` is a function that only forwards, as the module
+    docstring defines it.  In its one-statement body a name that is not a
+    parameter is a module-level name or a builtin."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.decorator_list:
+        return False
+    a = node.args
+    params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p is not None}
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if not params or len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    args = [arg.value if isinstance(arg, ast.Starred) else arg for arg in call.args]
+    args += [k.value for k in call.keywords]
+    if not all(isinstance(arg, (ast.Name, ast.Constant)) for arg in args):
+        return False
+    return params <= {arg.id for arg in args if isinstance(arg, ast.Name)}
+
+
+def forwarding_functions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions of ``sources`` (module name to source)
+    that only forward their parameters to another callable, as
+    ``module:name``."""
+    return [
+        f"{module}:{node.name}"
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if _only_forwards(node)
+    ]
+
+
+def test_the_check_sees_functions_that_only_forward():
+    source = (
+        "from functools import lru_cache\n"
+        "def load(p): return load_json(p, build)\n"
+        "def both(a, b):\n"
+        "    \"\"\"A pair.\"\"\"\n"
+        "    return Pair(a, b)\n"
+        "@lru_cache\n"
+        "def view(t, m): return project(t, m)\n"
+        "def derive(s): return g(s, (h(s.decl),))\n"
+        "def some(a, b): return f(a)\n"
+        "def none(): return f(1)\n"
+        "def union_system(ss): return ss.union\n"
+        "class A:\n"
+        "    def m(self, x): return f(self, x)\n"
+    )
+    assert forwarding_functions({"m": source}) == ["m:load", "m:both"]
+
+
+def test_no_function_only_forwards():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert forwarding_functions(sources) == []

@@ -29,11 +29,11 @@ from siflab import (
 )
 from siflab import fixtures as F
 from siflab.properties import (
-    load_strategy_system,
     save_strategy_system,
     strategy_system_from_obj,
     strategy_system_to_obj,
 )
+from siflab.traces import load_json
 
 SPACE, UNIVERSE = standard_universe()
 KINDS = tuple(PropertyKind)
@@ -171,7 +171,7 @@ def test_strategy_system_json_roundtrip(tmp_path):
     ss = F.nos_two_trace()
     path = tmp_path / "ss.json"
     save_strategy_system(ss, path)
-    loaded = load_strategy_system(path)
+    loaded = load_json(path, strategy_system_from_obj)
     assert dict(loaded.families) == dict(ss.families)
 
 

@@ -35,7 +35,7 @@ from siflab import (
     view,
 )
 from siflab.traces import (
-    load_system,
+    load_json,
     system_from_obj,
     system_to_obj,
     trace_from_obj,
@@ -223,7 +223,7 @@ def test_system_json_roundtrip(tmp_path):
     )
     path = tmp_path / "s.json"
     path.write_text(json.dumps(system_to_obj(s)))
-    assert load_system(path) == s
+    assert load_json(path, system_from_obj) == s
 
 
 def test_system_file_rejects_duplicates_after_canonicalization():

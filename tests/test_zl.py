@@ -33,7 +33,6 @@ from siflab import (
     lles,
     nos_as_zl,
     psp_check,
-    q_and,
     standard_universe,
     view,
     zl_check,
@@ -49,9 +48,11 @@ from siflab.corpus import (
     zl_conj_cases,
 )
 from siflab.zl import (
+    AndQ,
     _member_classes,
     async_system_from_obj,
     collection_from_obj,
+    collection_to_obj,
     event_decl_from_obj,
     low_projection,
     psp_over_pool,
@@ -96,7 +97,7 @@ def test_member_classes_are_kept_on_the_system_and_nowhere_else(make):
 def test_q_combinators():
     q1 = ExtensionalQ(frozenset({frozenset({1})}))
     q2 = ExtensionalQ(frozenset({frozenset({1}), frozenset({2})}))
-    both = q_and(q1, q2)
+    both = AndQ(q1, q2)
     assert both(frozenset({1})) and not both(frozenset({2}))
 
 
@@ -138,7 +139,7 @@ def test_zl_check_applies_q_to_each_member_class_in_order():
 
 def test_zl_conjunction_identity_on_generated_cases():
     for s, q1, q2 in zl_conj_cases(count=150, seed=13):
-        assert zl_check(s, q_and(q1, q2)) == (zl_check(s, q1) and zl_check(s, q2))
+        assert zl_check(s, AndQ(q1, q2)) == (zl_check(s, q1) and zl_check(s, q2))
         # disjunction only weakens: one direction holds, the other fails in
         # general (that failure is exercised by the unrealizable target test)
         if zl_check(s, q1) or zl_check(s, q2):
@@ -461,7 +462,9 @@ def test_collection_from_obj_errors():
 
 
 def test_collection_roundtrip_sync_and_async():
-    sync = collection_from_obj(F.fixture_obj("zl_universe_sync"))
+    sync = collection_from_obj(collection_to_obj(F.zl_universe_sync()))
+    assert sync == F.zl_universe_sync()
     assert len(sync) >= 3 and all(isinstance(s, System) for s in sync)
-    asyn = collection_from_obj(F.fixture_obj("zl_universe_async"))
+    asyn = collection_from_obj(collection_to_obj(F.zl_universe_async()))
+    assert asyn == F.zl_universe_async()
     assert len(asyn) >= 3 and all(isinstance(s, AsyncSystem) for s in asyn)
