@@ -341,28 +341,38 @@ def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem
 def conj_cases(
     count: int = 1000, seed: int = DEFAULT_SEED
 ) -> Iterator[tuple[System, list[ExtensionalSif], list[ExtensionalSif]]]:
-    """Random (system, family, family) triples for the pairing identity."""
+    """Random (system, family, family) triples for the pairing identity.
+
+    Its draws are the ones ``Random.choice`` makes, and
+    ``tests/test_pairing.py::test_random_case_streams_are_pinned`` pins the
+    cases they give.
+    """
     rng = random.Random(seed)
+    random_, getrandbits = rng.random, rng.getrandbits
     traces = _standard_traces()
+    anywhere = (traces, len(traces), len(traces).bit_length())
     space = binary_space()
     for _ in range(count):
         members = rng.sample(traces, rng.randint(2, 5))
         s = System(space, members)
-
-        def family() -> list[ExtensionalSif]:
-            fams = []
+        inside = (members, len(members), len(members).bit_length())
+        pairs = [(a, b) for a in members for b in members]
+        f1: list[ExtensionalSif] = []
+        f2: list[ExtensionalSif] = []
+        for fam in (f1, f2):
             for _ in range(rng.randint(1, 3)):
                 table = {}
-                for a in members:
-                    for b in members:
-                        if rng.random() < 0.8:
-                            # mostly map back into the system, sometimes out
-                            out = rng.choice(members) if rng.random() < 0.85 else rng.choice(traces)
-                            table[(a, b)] = out
-                fams.append(ExtensionalSif(table))
-            return fams
-
-        yield s, family(), family()
+                for pair in pairs:
+                    if random_() < 0.8:
+                        # mostly map back into the system, sometimes out
+                        pool, n, k = inside if random_() < 0.85 else anywhere
+                        # Random.choice's draw: n.bit_length() bits, redrawn while >= n
+                        i = getrandbits(k)
+                        while i >= n:
+                            i = getrandbits(k)
+                        table[pair] = pool[i]
+                fam.append(ExtensionalSif(table))
+        yield s, f1, f2
 
 
 def zl_conj_cases(

@@ -156,20 +156,17 @@ class ConjPairGenSif:
     g: object
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> frozenset | None:
-        fa = _as_set(self.f, a, b)
+        fa = self.f(a, b)
         if fa is None:
             return None
-        gb = _as_set(self.g, a, b)
+        gb = self.g(a, b)
         if gb is None:
             return None
+        if not isinstance(fa, frozenset):
+            fa = frozenset((fa,))
+        if not isinstance(gb, frozenset):
+            gb = frozenset((gb,))
         return fa | gb
-
-
-def _as_set(fn, a, b) -> frozenset | None:
-    out = fn(a, b)
-    if out is None or isinstance(out, frozenset):
-        return out
-    return frozenset((out,))
 
 
 def conj_family(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[ConjPairGenSif, ...]:

@@ -96,6 +96,14 @@ class LassoTrace:
                 raise ValueError("prefix not minimal; use canonicalize()")
         object.__setattr__(self, "_hash", hash((self.prefix, self.cycle)))
 
+    def __eq__(self, other) -> bool:
+        # the cached hashes settle most unequal pairs without a tuple compare
+        if self is other:
+            return True
+        if other.__class__ is not LassoTrace:
+            return NotImplemented
+        return self._hash == other._hash and self.prefix == other.prefix and self.cycle == other.cycle
+
     def __hash__(self) -> int:
         return self._hash
 

@@ -275,6 +275,18 @@ def test_hash_is_the_hash_of_prefix_and_cycle(raw):
     assert hash(t) == hash((t.prefix, t.cycle))
 
 
+def test_equality_is_structural_and_only_between_traces():
+    raw = ([("0", "1", "0", "1")], [("1", "1", "0", "0"), ("0", "0", "1", "1")])
+    t, u = canonicalize(*raw), canonicalize(*raw)
+    assert t is not u
+    assert t == u and not t != u
+    assert t != (t.prefix, t.cycle) and not t == (t.prefix, t.cycle)
+    assert t != None  # noqa: E711 -- the operator itself is under test
+    other_cycle = canonicalize(t.prefix, [("1", "1", "0", "0")])
+    assert other_cycle.prefix == t.prefix and other_cycle.cycle != t.cycle
+    assert t != other_cycle and not t == other_cycle
+
+
 def test_unpickled_trace_hashes_under_the_loading_hash_seed():
     """A pickled trace, system or event system, loaded where strings hash
     differently, is equal to a freshly built copy and finds it as a dict
