@@ -2,29 +2,27 @@
 system of a universe at once.
 
 ``BitUniverse.property_ok`` runs it once per property; closure under a
-type is decided by distinct-view counts instead (``enumeration``).
+type is decided by view classes instead (``enumeration``).
 ``families.closed_over_pool`` runs it once per event declaration in
 PROP-PSP-SIF, over the first traces of the declaration's pool.
 
-A system is a bitmask over an n-trace universe.  Given an n-by-n table of
-witness masks, a system passes when it intersects ``table[a, b]`` for
-every ordered pair (a, b) of its members.  The sweep decides this for all
-2^n systems at once.  The verdicts live in one boolean array viewed with
-shape ``(2,) * n``, one axis per trace.  A pair (a, b) whose witness mask
-excludes both a and b rules out, in one strided assignment, every system
-that holds a and b and avoids the mask.  A mask holding a or b is met by
-every system that holds both, so such a pair rules out nothing.
+A system is a bitmask over an n-trace universe, and a verdict vector
+over the 2^n systems is one int whose bit m is the verdict of system m.
+Given an n-by-n table of witness masks, a system passes when it
+intersects ``table[a][b]`` for every ordered pair (a, b) of its members.
+A pair whose witness mask W excludes both a and b rules out, in a few
+big-int operations, every system that holds a and b and avoids W.  A
+mask holding a or b is met by every system that holds both, so such a
+pair rules out nothing.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapExceeded
 
-BACKEND = "numpy"
+BACKEND = "int"
 
-# The widest universe whose powerset is swept: 2^24 verdicts take 16 MiB.
+# The widest universe whose powerset is swept: 2^24 verdict bits take 2 MiB.
 MAX_TRACES = 24
 
 
@@ -35,31 +33,35 @@ def powerset_size(n: int) -> int:
     return 1 << n
 
 
-def cube_index(n: int, absent: int, present: int = 0) -> tuple:
-    """The index, into the powerset of ``n`` traces viewed as the ``(2,) * n``
-    cube, of every system that avoids the traces of mask ``absent`` and
-    holds those of mask ``present``.
+def avoiding(mask: int, n: int) -> int:
+    """The verdict int, over the systems of ``n`` traces, that is set on
+    every system sharing no trace with ``mask``.
 
-    Bit i of a system mask is axis n - 1 - i of the C-ordered cube.
+    It is built trace by trace: the systems over traces 0 .. i that hold
+    trace i are those over traces 0 .. i - 1 shifted up by 2^i bits, and
+    they are kept only when ``mask`` leaves trace i out.
     """
-    index = [slice(None)] * n
+    x = 1
     for i in range(n):
-        if absent >> i & 1:
-            index[n - 1 - i] = 0
-        elif present >> i & 1:
-            index[n - 1 - i] = 1
-    return tuple(index)
+        if not mask >> i & 1:
+            x |= x << (1 << i)
+    return x
 
 
-def sweep_pairs(table, systems, n: int) -> np.ndarray:
-    """Boolean verdict for each system mask in ``systems``."""
-    ok = np.ones(powerset_size(n), dtype=bool)
-    cube = ok.reshape((2,) * n)
-    witnesses = np.asarray(table, dtype=np.uint64).reshape(n, n).tolist()
-    for a in range(n):
-        for b in range(n):
-            witness = witnesses[a][b]
-            if witness >> a & 1 or witness >> b & 1:
-                continue
-            cube[cube_index(n, witness, 1 << a | 1 << b)] = False
-    return ok[systems]
+def sweep_pairs(table, systems: range, n: int) -> int:
+    """The verdict int of the systems ``range(count)``: bit m is the
+    verdict of system mask m, for m below ``count <= 2^n``."""
+    full = (1 << powerset_size(n)) - 1
+    held = [full ^ avoiding(1 << i, n) for i in range(n)]
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a, row in enumerate(table):
+        for b, witness in enumerate(row):
+            if not (witness >> a & 1 or witness >> b & 1):
+                pairs.setdefault(witness, []).append((a, b))
+    ruled = 0
+    # one witness mask's systems at a time: a table may hold n^2 masks
+    for witness, members in pairs.items():
+        clear = avoiding(witness, n)
+        for a, b in members:
+            ruled |= clear & held[a] & held[b]
+    return ((1 << len(systems)) - 1) & ~ruled

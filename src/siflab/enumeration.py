@@ -1,14 +1,14 @@
 """Enumeration of trace universes and exhaustive system verdicts.
 
 Small trace universes (at most 24 traces) admit a bit-parallel encoding:
-a system is a bitmask over the universe, and a verdict vector holds one
-verdict per system.  Two deciders fill such vectors.  Property membership
-uses the pair sweep: for every ordered pair (a, b) of members the system
-must intersect the witness mask ``W[a, b]``, the traces sharing a's C1
-view and b's C2 view, for each (C1, C2) pair of the property's entry in
-``properties.PROPERTY_VIEWS``.  Closure under a type
-uses distinct-view counts, the identity of ``siftypes`` evaluated for
-every system at once.
+a system is a bitmask over the universe, and a verdict vector is one int
+with one bit per system.  Two deciders fill such vectors.  Property
+membership uses the pair sweep: for every ordered pair (a, b) of members
+the system must intersect the witness mask ``W[a][b]``, the traces
+sharing a's C1 view and b's C2 view, for each (C1, C2) pair of the
+property's entry in ``properties.PROPERTY_VIEWS``.  Closure under a type
+uses pairs of view classes, the count identity of ``siftypes`` in its
+inclusion form, for every system at once.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
-from ._accel import cube_index, powerset_size, sweep_pairs
+from ._accel import avoiding, powerset_size, sweep_pairs
 from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
 from .siftypes import SifType
@@ -101,11 +99,14 @@ def standard_universe(
 class BitUniverse:
     """Bit-parallel encoding of a nonempty trace universe of at most 24 traces.
 
-    Property verdicts come from sweeping the whole powerset; the
-    :meth:`witness_table` of each mask pair in ``PROPERTY_VIEWS`` is swept
-    once and its verdict vector is cached.  Closure verdicts come from the
-    distinct-view counts of every system, built on the first closure query
-    (16 bytes per system).
+    A verdict vector is one int whose bit m is the verdict of system mask
+    m; bit 0, the empty system, is set, as the empty system satisfies
+    every condition vacuously.  Property verdicts come from sweeping the
+    whole powerset; the :meth:`witness_table` of each mask pair in
+    ``PROPERTY_VIEWS`` is swept once and its verdict is cached.  Closure
+    verdicts come from the view classes of the type's mask pair, and are
+    cached per pair apart from the sweeps, so the two never share a
+    verdict.
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
@@ -117,87 +118,78 @@ class BitUniverse:
         self.space = space
         self.traces = tuple(traces)
         self.n = len(self.traces)
+        self.full = (1 << (1 << self.n)) - 1  # every system
         system = System(space, self.traces)
         rows = dict(zip(system.members, system.view_ids))
         ids = [rows[t] for t in self.traces]  # in universe order
-        self._eq: dict[Component, np.ndarray] = {}
-        for col, comp in enumerate(COMPONENT_ORDER):
-            groups: dict[int, int] = {}
-            for i, row in enumerate(ids):
-                groups[row[col]] = groups.get(row[col], 0) | (1 << i)
-            self._eq[comp] = np.array([groups[row[col]] for row in ids], dtype=np.uint64)
-        self._verdicts: dict[tuple[int, int], np.ndarray] = {}
-        self._counts: tuple[np.ndarray, ...] | None = None
+        # joint-view equality is the conjunction of per-component view
+        # equalities, since word equality is positionwise
+        self._eq: list[tuple[int, ...]] = []
+        for mask in range(16):
+            keys = [tuple(row[col] for col, comp in enumerate(COMPONENT_ORDER) if mask & comp) for row in ids]
+            groups: dict[tuple[int, ...], int] = {}
+            for i, key in enumerate(keys):
+                groups[key] = groups.get(key, 0) | 1 << i
+            self._eq.append(tuple(groups[key] for key in keys))
+        self._avoiding: dict[int, int] = {}
+        self._swept: dict[tuple[int, int], int] = {}
+        self._closed: dict[tuple[int, int], int] = {}
 
     @classmethod
     def standard(cls) -> "BitUniverse":
         """The 16 period-1 binary traces."""
         return cls(*standard_universe())
 
-    def view_eq_mask(self, mask: Component) -> np.ndarray:
+    def view_eq_mask(self, mask: Component) -> tuple[int, ...]:
         """Per trace: the bitmask of traces sharing its ``mask`` view.
+        Its distinct values are the ``mask`` view classes."""
+        return self._eq[mask]
 
-        Joint-view equality is the conjunction of per-component view
-        equalities, since word equality is positionwise.
-        """
-        out = np.full(self.n, (1 << self.n) - 1, dtype=np.uint64)
-        for comp in COMPONENT_ORDER:
-            if mask & comp:
-                out &= self._eq[comp]
-        return out
-
-    def witness_table(self, first: int, second: int) -> np.ndarray:
-        """``W[a, b]``: the traces sharing trace a's ``first`` view and
+    def witness_table(self, first: int, second: int) -> tuple[tuple[int, ...], ...]:
+        """``W[a][b]``: the traces sharing trace a's ``first`` view and
         trace b's ``second`` view.  A system satisfies the pair-quantified
         condition of the mask pair (a type's ``masks``, or a pair of
-        ``PROPERTY_VIEWS``) exactly when it meets ``W[a, b]`` for every
+        ``PROPERTY_VIEWS``) exactly when it meets ``W[a][b]`` for every
         ordered pair of its members."""
-        return self.view_eq_mask(first)[:, None] & self.view_eq_mask(second)[None, :]
+        return tuple(tuple(x & y for y in self._eq[second]) for x in self._eq[first])
 
-    def _view_counts(self) -> tuple[np.ndarray, ...]:
-        """``counts[mask][S]``: the number of distinct ``mask``-views in
-        system ``S``, for the 16 component masks and every mask S.
+    def _avoiding_class(self, members: int) -> int:
+        """The systems avoiding the view class ``members``, built once."""
+        clear = self._avoiding.get(members)
+        if clear is None:
+            clear = self._avoiding[members] = avoiding(members, self.n)
+        return clear
 
-        A view class is a value of :meth:`view_eq_mask`.  Every system
-        starts at the number of classes and loses one for each class it
-        misses, in one strided write on the powerset cube per class.
-        """
-        if self._counts is None:
-            n = self.n
-            counts = []
-            for mask in range(16):
-                classes = set(self.view_eq_mask(Component(mask)).tolist())
-                count = np.full(1 << n, len(classes), dtype=np.uint8)
-                cube = count.reshape((2,) * n)
-                for members in classes:
-                    cube[cube_index(n, members)] -= 1
-                count.flags.writeable = False
-                counts.append(count)
-            self._counts = tuple(counts)
-        return self._counts
-
-    def property_ok(self, kind: PropertyKind) -> np.ndarray:
-        """Property verdicts over the nonempty systems (index i is mask
-        i + 1): the AND of the cached sweeps of the witness tables of the
-        property's mask pairs."""
-        verdicts = None
+    def property_ok(self, kind: PropertyKind) -> int:
+        """Property verdicts: the AND of the cached sweeps of the witness
+        tables of the property's mask pairs."""
+        verdicts = self.full
         for pair in PROPERTY_VIEWS[PropertyKind(kind)]:
-            swept = self._verdicts.get(pair)
+            swept = self._swept.get(pair)
             if swept is None:
-                systems = np.arange(powerset_size(self.n), dtype=np.uint64)
-                swept = sweep_pairs(self.witness_table(*pair), systems, self.n)[1:]
-                swept.flags.writeable = False
-                self._verdicts[pair] = swept
-            verdicts = swept if verdicts is None else verdicts & swept
+                swept = self._swept[pair] = sweep_pairs(self.witness_table(*pair), range(1 << self.n), self.n)
+            verdicts &= swept
         return verdicts
 
-    def type_ok(self, t: SifType) -> np.ndarray:
-        """Closure verdicts over the nonempty systems (index i is mask
-        i + 1), by ``count[C1 | C2] == count[C1] * count[C2]`` per system
-        (see ``siftypes``); the product is widened, as it can pass 255."""
-        first, second = t.masks
-        counts = self._view_counts()
-        return counts[first | second][1:] == counts[first][1:].astype(np.uint16) * counts[second][1:]
+    def type_ok(self, t: SifType) -> int:
+        """Closure verdicts, by the inclusion form of the count identity of
+        ``siftypes``: a system is closed under a type taking C1 and C2
+        exactly when, for each C1-class A and C2-class B that it meets, it
+        meets ``A & B``.  So each class pair rules out the systems that
+        meet A and B and avoid ``A & B``; a pair with one class inside the
+        other rules out nothing."""
+        closed = self._closed.get(t.masks)
+        if closed is None:
+            first, second = t.masks
+            meets = {c: self.full ^ self._avoiding_class(c) for c in {*self._eq[first], *self._eq[second]}}
+            ruled = 0
+            for a in set(self._eq[first]):
+                for b in set(self._eq[second]):
+                    both = a & b
+                    if both != a and both != b:
+                        ruled |= meets[a] & meets[b] & self._avoiding_class(both)
+            closed = self._closed[t.masks] = self.full & ~ruled
+        return closed
 
     def system_from_mask(self, mask: int) -> System:
         return System(self.space, (self.traces[i] for i in range(self.n) if mask >> i & 1))
@@ -214,15 +206,12 @@ def represents_over_universe(
 
     Returns (verdict, first disagreeing system mask or None).
     """
-    prop = bu.property_ok(kind)
-    clos = bu.type_ok(t)
-    diff = prop != clos
-    if not diff.any():
+    diff = bu.property_ok(kind) ^ bu.type_ok(t)
+    if not diff:
         return True, None
-    # the verdicts cover masks 1 .. 2^n - 1, so index i is mask i + 1
-    return False, int(np.argmax(diff)) + 1
+    return False, (diff & -diff).bit_length() - 1
 
 
-def implication_violations(antecedent: np.ndarray, consequent: np.ndarray) -> int:
+def implication_violations(antecedent: int, consequent: int) -> int:
     """Count systems where the antecedent holds but the consequent fails."""
-    return int((antecedent & ~consequent).sum())
+    return (antecedent & ~consequent).bit_count()

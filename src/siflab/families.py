@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ._accel import sweep_pairs
 from .errors import SiflabError
 from .properties import StrategySystem, require_injectivity
@@ -191,10 +189,11 @@ def closed_under_family(s: System, family: Iterable[Sif]) -> bool:
     return True
 
 
-def closed_over_pool(f: Sif, pool: Sequence, count: int) -> np.ndarray:
+def closed_over_pool(f: Sif, pool: Sequence, count: int) -> int:
     """``closed_under_family(S, (f,))`` for the subsets S of ``pool`` with
     masks ``0 .. count - 1`` (bit i stands for ``pool[i]``), by one pair
-    sweep; ``f`` must be scalar valued.
+    sweep, as an int whose bit m is the verdict of mask m; ``f`` must be
+    scalar valued.
 
     Those subsets draw on the first ``width = (count - 1).bit_length()``
     traces only.  A subset holding a and b lands ``f(a, b)`` exactly when
@@ -205,7 +204,7 @@ def closed_over_pool(f: Sif, pool: Sequence, count: int) -> np.ndarray:
     traces = pool[:width]
     bit = {t: 1 << i for i, t in enumerate(traces)}
     table = [[bit.get(f(a, b), 0) for b in traces] for a in traces]
-    return sweep_pairs(table, np.arange(count, dtype=np.uint64), width)
+    return sweep_pairs(table, range(count), width)
 
 
 def family_union(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[Sif, ...]:

@@ -22,8 +22,9 @@ so the inclusion holds exactly when the sizes agree.  The empty system
 gives 0 == 0, and count[no components] = 1 on any other system, so
 sixteen counts per system (``System.view_counts``) settle all 81 types.
 The identity is used on one system at a time here
-(:func:`closed_under_type`) and on every system of a bit universe at
-once (``BitUniverse.type_ok``).
+(:func:`closed_under_type`).  Its inclusion form, that s meets A & B for
+every C1-class A and C2-class B it meets, decides every system of a bit
+universe at once (``BitUniverse.type_ok``).
 
 A type's pair (C1, C2) is :attr:`SifType.masks`.  Each pair-quantified
 property is the same kind of condition on every pair of its entry in

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from . import corpus as corpora
 from . import fixtures
 from .enumeration import BitUniverse, implication_violations
@@ -203,7 +201,7 @@ def _prop1(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     v1 = implication_violations(bu.property_ok(PropertyKind.SEP), bu.property_ok(PropertyKind.DGNI))
     v2 = implication_violations(bu.property_ok(PropertyKind.DGNI), bu.property_ok(PropertyKind.GNI))
-    n = int(bu.property_ok(PropertyKind.SEP).size)
+    n = (1 << bu.n) - 1  # the nonempty systems
     sep_cases = 0
     nos_bad = 0
     step_bad = 0
@@ -225,10 +223,10 @@ def _prop1(ctx) -> tuple[bool, str]:
 @_result("PROP2", "SEP and GNI coincide with closure under their copy types")
 def _prop2(ctx) -> tuple[bool, str]:
     bu = ctx.universe
-    n = int(bu.property_ok(PropertyKind.SEP).size)
-    sep_eq = bool(np.array_equal(bu.property_ok(PropertyKind.SEP), bu.type_ok(SEP_TYPE)))
-    gni_eq = bool(np.array_equal(bu.property_ok(PropertyKind.GNI), bu.type_ok(GNI_TYPE)))
-    rgni_eq = bool(np.array_equal(bu.property_ok(PropertyKind.RGNI), bu.type_ok(RGNI_TYPE)))
+    n = (1 << bu.n) - 1  # the nonempty systems
+    sep_eq = bu.property_ok(PropertyKind.SEP) == bu.type_ok(SEP_TYPE)
+    gni_eq = bu.property_ok(PropertyKind.GNI) == bu.type_ok(GNI_TYPE)
+    rgni_eq = bu.property_ok(PropertyKind.RGNI) == bu.type_ok(RGNI_TYPE)
     ok = sep_eq and gni_eq and rgni_eq
     return ok, (
         f"over {n} systems: SEP<=>{SEP_TYPE}: {sep_eq}, GNI<=>{GNI_TYPE}: {gni_eq}, "
@@ -274,8 +272,8 @@ def _thm2_report():
 @_result("COR-CONJ", "type-representable properties are not closed under conjunction")
 def _cor_conj(ctx) -> tuple[bool, str]:
     bu = ctx.universe
-    gni_rep = bool(np.array_equal(bu.property_ok(PropertyKind.GNI), bu.type_ok(GNI_TYPE)))
-    rgni_rep = bool(np.array_equal(bu.property_ok(PropertyKind.RGNI), bu.type_ok(RGNI_TYPE)))
+    gni_rep = bu.property_ok(PropertyKind.GNI) == bu.type_ok(GNI_TYPE)
+    rgni_rep = bu.property_ok(PropertyKind.RGNI) == bu.type_ok(RGNI_TYPE)
     dgni_unrep = _thm2_report().all_refuted
     ok = gni_rep and rgni_rep and dgni_unrep
     return ok, (
@@ -380,13 +378,8 @@ def _prop_genconj(ctx) -> tuple[bool, str]:
 @_result("COR-DGNI", "DGNI is represented by the generalized pair family")
 def _cor_dgni(ctx) -> tuple[bool, str]:
     bu = ctx.universe
-    n = int(bu.property_ok(PropertyKind.DGNI).size)
-    table_eq = bool(
-        np.array_equal(
-            bu.type_ok(GNI_TYPE) & bu.type_ok(RGNI_TYPE),
-            bu.property_ok(PropertyKind.DGNI),
-        )
-    )
+    n = (1 << bu.n) - 1  # the nonempty systems
+    table_eq = bu.type_ok(GNI_TYPE) & bu.type_ok(RGNI_TYPE) == bu.property_ok(PropertyKind.DGNI)
     fixture_pair = (fixtures.dgni_not_sep_15(), fixtures.gni_not_dgni_4())
     paired = [closed_under_type(s, GNI_TYPE) and closed_under_type(s, RGNI_TYPE) for s in fixture_pair]
     spot = paired == [True, False]
@@ -446,10 +439,8 @@ def _prop_psp_sif(ctx) -> tuple[bool, str]:
     # only the randomized systems are decided one by one.
     n_enum = bad_enum = 0
     for decl, pool, count in corpora.enumerate_async_pools(cap=ctx.psp_cap):
-        psp = psp_over_pool(decl, pool, count).tolist()
-        closed = closed_over_pool(InsertionSif(decl), pool, count).tolist()
         n_enum += count
-        bad_enum += sum(p != c for p, c in zip(psp, closed, strict=True))
+        bad_enum += (psp_over_pool(decl, pool, count) ^ closed_over_pool(InsertionSif(decl), pool, count)).bit_count()
     randomized = corpora.async_corpus(ctx.async_count, ctx.seed)
     bad_rand = sum(psp_check(s) != closed_under_insertion(s) for s in randomized)
     ok = bad_enum + bad_rand == 0
@@ -462,15 +453,15 @@ def _prop_psp_sif(ctx) -> tuple[bool, str]:
 @_result("LEM-SWAP", "closure is invariant under swapping argument roles")
 def _lem_swap(ctx) -> tuple[bool, str]:
     bu = ctx.universe
-    n = int(bu.property_ok(PropertyKind.SEP).size)
-    bad = [t for t in enumerate_types() if not np.array_equal(bu.type_ok(t), bu.type_ok(swap_type(t)))]
+    n = (1 << bu.n) - 1  # the nonempty systems
+    bad = [t for t in enumerate_types() if bu.type_ok(t) != bu.type_ok(swap_type(t))]
     # the certificate, for every subset of the universe: swapping the
-    # roles transposes the witness table, and a system meets W[a, b] for
-    # all its pairs exactly when it meets W.T[a, b] for all of them
+    # roles transposes the witness table, and a system meets W[a][b] for
+    # all its pairs exactly when it meets W[b][a] for all of them
     untransposed = [
         t
         for t in enumerate_types()
-        if not np.array_equal(bu.witness_table(*swap_type(t).masks), bu.witness_table(*t.masks).T)
+        if bu.witness_table(*swap_type(t).masks) != tuple(zip(*bu.witness_table(*t.masks)))
     ]
     ok = not bad and not untransposed
     return ok, f"closure tables equal under role swap for all 81 types over {n} systems"
@@ -479,17 +470,16 @@ def _lem_swap(ctx) -> tuple[bool, str]:
 @_result("LEM-ALLSYS", "the sixteen one-argument copy types close every system")
 def _lem_allsys(ctx) -> tuple[bool, str]:
     bu = ctx.universe
-    n = int(bu.property_ok(PropertyKind.SEP).size)
+    n = (1 << bu.n) - 1  # the nonempty systems
     candidates = list(ALL_SYSTEMS_TYPES) + [swap_type(t) for t in ALL_SYSTEMS_TYPES]
-    bad = [t for t in candidates if int(bu.type_ok(t).sum()) != n]
-    # the certificate, for every subset of the universe: W[a, b] holds a
+    bad = [t for t in candidates if bu.type_ok(t) != bu.full]
+    # the certificate, for every subset of the universe: W[a][b] holds a
     # (b for the swaps), so every system holding a and b meets it
-    own = np.left_shift(np.uint64(1), np.arange(bu.n, dtype=np.uint64))[:, None]
     uncertified = [
         t
         for t in ALL_SYSTEMS_TYPES
-        for table in (bu.witness_table(*t.masks), bu.witness_table(*swap_type(t).masks).T)
-        if ((table & own) != own).any()
+        for table in (bu.witness_table(*t.masks), tuple(zip(*bu.witness_table(*swap_type(t).masks))))
+        if not all(w >> a & 1 for a, row in enumerate(table) for w in row)
     ]
     ok = not bad and not uncertified
     return ok, (

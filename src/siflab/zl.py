@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-import numpy as np
-
 from .errors import DuplicateTraceError, FormatError, SiflabError
 from .families import closed_under_family
 from .properties import StrategySystem, union_system
@@ -285,9 +283,10 @@ def psp_check(s: AsyncSystem) -> bool:
     )
 
 
-def psp_over_pool(decl: EventDecl, pool: Sequence[EventTrace], count: int) -> np.ndarray:
+def psp_over_pool(decl: EventDecl, pool: Sequence[EventTrace], count: int) -> int:
     """``psp_check`` of the subsets of ``pool`` with masks
-    ``0 .. count - 1`` (bit i stands for ``pool[i]``), all at once.
+    ``0 .. count - 1`` (bit i stands for ``pool[i]``), all at once, as an
+    int whose bit m is the verdict of mask m.
 
     Those subsets draw on the first ``width = (count - 1).bit_length()``
     traces only.  Each obligation of such a trace t is a pair of masks:
@@ -299,8 +298,7 @@ def psp_over_pool(decl: EventDecl, pool: Sequence[EventTrace], count: int) -> np
     """
     width = (count - 1).bit_length()
     bit = {t: 1 << i for i, t in enumerate(pool[:width])}
-    masks = np.arange(count)
-    ok = np.ones(count, dtype=bool)
+    ruled = 0
     for t, t_bit in bit.items():
         for premise, conclusion in psp_obligations(t, decl):
             if premise is None:
@@ -312,9 +310,16 @@ def psp_over_pool(decl: EventDecl, pool: Sequence[EventTrace], count: int) -> np
             have = bit.get(conclusion, 0)
             if have & need:
                 continue  # the conclusion is part of the premise
-            # ruled out: the subsets whose bits among need | have are need
-            ok &= (masks & (need | have)) != need
-    return ok
+            # the subsets that hold need and miss have, built trace by
+            # trace: those holding trace i sit 2^i bits above the others
+            out = 1
+            for i in range(width):
+                if need >> i & 1:
+                    out <<= 1 << i
+                elif not have >> i & 1:
+                    out |= out << (1 << i)
+            ruled |= out
+    return ((1 << count) - 1) & ~ruled
 
 
 def closed_under_insertion(s: AsyncSystem) -> bool:

@@ -19,8 +19,6 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-import numpy as np
-
 from siflab._accel import sweep_pairs
 from siflab.corpus import enumerate_async_pools
 from siflab.traces import COMPONENT_ORDER, project
@@ -179,23 +177,23 @@ def type_idx(slots):
 
 
 def witness_table(traces, first_idx, second_idx):
-    """``W[a, b]``: the traces x (bit i for ``traces[i]``) whose
+    """``W[a][b]``: the traces x (bit i for ``traces[i]``) whose
     ``first_idx`` projection equals that of ``traces[a]`` and whose
     ``second_idx`` projection equals that of ``traces[b]``, compared as
-    words (:func:`proj_equal`)."""
+    words (:func:`proj_equal`), as a tuple of rows."""
     eq1, eq2 = (
-        np.array([sum(1 << i for i, x in enumerate(traces) if proj_equal(x, a, idx)) for a in traces], dtype=np.uint64)
+        [sum(1 << i for i, x in enumerate(traces) if proj_equal(x, a, idx)) for a in traces]
         for idx in (first_idx, second_idx)
     )
-    return eq1[:, None] & eq2[None, :]
+    return tuple(tuple(x & y for y in eq2) for x in eq1)
 
 
 def swept_type_verdicts(bu, slots):
     """Closure verdicts under a four-slot copy type for every mask
-    0 .. 2^n - 1 of the bit universe ``bu``, by sweeping the word-level
-    :func:`witness_table` of ``bu.traces``."""
+    0 .. 2^n - 1 of the bit universe ``bu`` (bit m for mask m), by
+    sweeping the word-level :func:`witness_table` of ``bu.traces``."""
     table = witness_table(bu.traces, *type_idx(slots))
-    return sweep_pairs(table, np.arange(1 << bu.n, dtype=np.uint64), bu.n)
+    return sweep_pairs(table, range(1 << bu.n), bu.n)
 
 
 def brute_injective(families):

@@ -145,8 +145,9 @@ def test_pool_sweep_matches_the_closure_of_every_enumerated_system(cap):
     for decl, pool, count in enumerate_async_pools(cap=cap):
         f = InsertionSif(decl)
         swept = closed_over_pool(f, pool, count)
-        assert swept.shape == (count,)
-        for mask, closed in enumerate(swept.tolist()):
+        assert 0 <= swept < 1 << count
+        for mask in range(count):
+            closed = bool(swept >> mask & 1)
             s = next(systems)
             assert s.decl == decl and closed == closed_under_family(s, (f,)), (decl, mask)
             verdicts.append(closed)

@@ -1,6 +1,7 @@
 """Source hygiene: every module uses each name it imports, imports at
-module level only, every definition in the package is named somewhere,
-and no module-level function only forwards its parameters to another.
+module level only, and imports no NumPy; every definition in the package
+is named somewhere, and no module-level function only forwards its
+parameters to another.
 
 No linter is a dependency of the package, so the checks read syntax
 trees with :mod:`ast`.  A name counts as used when the module mentions it
@@ -59,6 +60,30 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages ``source`` imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_check_sees_imported_packages():
+    source = "import numpy.linalg as la, json\nfrom numpy import zeros\nfrom . import traces\nfrom .errors import E\n"
+    assert imported_packages(source) == {"numpy", "json"}
+
+
+def test_the_package_runs_without_numpy():
+    """Verdict vectors are Python ints; the package neither imports NumPy
+    nor declares it."""
+    importing = [p.name for p in sorted(SRC.glob("*.py")) if "numpy" in imported_packages(p.read_text(encoding="utf-8"))]
+    assert importing == []
+    assert "numpy" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
 
 
 def nested_imports(source: str) -> list[str]:
