@@ -59,9 +59,8 @@ class SifType:
     ``masks``, the pair (C1, C2) of component masks the type takes from
     its first and its second argument, which closure checks read 81 times
     per system, and its hash, ``hash(slots)`` as a generated dataclass hash
-    would be.  Pickling rebuilds the type from its slots, as for
-    ``LassoTrace``, so a stored hash never outlives the process that
-    computed it.
+    would be.  Pickling rebuilds the type from its slots, so a stored hash
+    never outlives the process that computed it.
     """
 
     in_h: int

@@ -4,7 +4,8 @@ A trace is a finite or eventually periodic infinite sequence of tuples.
 Synchronous traces use 4-tuples (high input, low input, high output, low
 output).  An eventually periodic trace is stored as a lasso: a finite
 prefix plus a repeating cycle.  Every trace is kept in canonical form,
-which makes denotational equality structural and hashing cheap:
+which makes denotational equality structural, and every canonical form is
+interned, which makes that equality identity:
 
 * the cycle is primitive (not a power of a shorter word), and
 * the prefix is minimal (its last tuple differs from the cycle's last
@@ -18,7 +19,7 @@ components can shrink the period.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import weakref
 from enum import IntFlag
 from functools import lru_cache
 from pathlib import Path
@@ -68,47 +69,79 @@ def _primitive_root(cycle: tuple) -> tuple:
     return cycle
 
 
-@dataclass(frozen=True)
+class _TableRef(weakref.ref):
+    """A weak reference to an interned trace that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def _evict(ref: _TableRef) -> None:
+    # A newer trace may have taken the key after this one died and before
+    # this callback ran; its entry must stay.
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+# (prefix, cycle) -> weak reference to the one live trace with those fields
+_TABLE: dict[tuple[tuple, tuple], _TableRef] = {}
+
+
 class LassoTrace:
     """A canonical eventually-periodic (or finite) trace.
 
     Construct through :func:`canonicalize`; the constructor rejects
     non-canonical input so invariants cannot be violated by accident.
 
-    The hash is ``hash((prefix, cycle))``, as a generated dataclass hash
-    would be, but computed once: traces are dict and set keys on every
-    hot path.  Pickling rebuilds the trace from its fields, so a stored
-    hash never outlives the process (and hash seed) that computed it.
+    One object per canonical lasso; equality is identity.  The
+    constructor returns the live trace with the same ``(prefix, cycle)``
+    when there is one, so ``object``'s identity equality and hash serve
+    every dict and set keyed on traces.  The table holds its traces
+    weakly, and traces are immutable because they are shared.  Pickling
+    and copying rebuild through the constructor, so they give the same
+    object back.  Construction is not thread-safe, and nothing in siflab
+    uses threads.
     """
+
+    __slots__ = ("prefix", "cycle", "__weakref__")
 
     prefix: tuple
     cycle: tuple
 
-    def __post_init__(self):
-        arities = set(map(len, self.prefix))
-        arities.update(map(len, self.cycle))
+    def __new__(cls, prefix: tuple, cycle: tuple):
+        key = (prefix, cycle)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            t = ref()
+            if t is not None:
+                return t
+        arities = set(map(len, prefix))
+        arities.update(map(len, cycle))
         if len(arities) > 1:
             raise ValueError("mixed tuple arities in one trace")
-        if self.cycle:
-            if _primitive_root(self.cycle) != self.cycle:
+        if cycle:
+            if _primitive_root(cycle) != cycle:
                 raise ValueError("cycle is not primitive; use canonicalize()")
-            if self.prefix and self.prefix[-1] == self.cycle[-1]:
+            if prefix and prefix[-1] == cycle[-1]:
                 raise ValueError("prefix not minimal; use canonicalize()")
-        object.__setattr__(self, "_hash", hash((self.prefix, self.cycle)))
+        t = object.__new__(cls)
+        object.__setattr__(t, "prefix", prefix)
+        object.__setattr__(t, "cycle", cycle)
+        ref = _TableRef(t, _evict)
+        ref.key = key
+        _TABLE[key] = ref
+        return t
 
-    def __eq__(self, other) -> bool:
-        # the cached hashes settle most unequal pairs without a tuple compare
-        if self is other:
-            return True
-        if other.__class__ is not LassoTrace:
-            return NotImplemented
-        return self._hash == other._hash and self.prefix == other.prefix and self.cycle == other.cycle
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: traces are shared")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: traces are shared")
 
     def __reduce__(self):
         return (LassoTrace, (self.prefix, self.cycle))
+
+    def __repr__(self) -> str:
+        return f"LassoTrace(prefix={self.prefix!r}, cycle={self.cycle!r})"
 
     @property
     def is_finite(self) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -820,3 +821,31 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS  EX1 ") and "1 results: all PASS" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-paper", "--json"), ("represent", "--json", "--property", "sep")],
+    ids=["verify-paper", "represent"],
+)
+def test_output_does_not_depend_on_hash_order(argv):
+    """Traces hash by address and strings by the hash seed, so set order
+    differs from one process to the next; no output may follow it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "siflab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    ]
+    done = [(p.communicate(), p.returncode) for p in runs]
+    (out1, err1), code1 = done[0]
+    (out2, _), code2 = done[1]
+    assert code1 == code2 == 0, err1
+    strip = re.compile(r'"runtime_seconds": [0-9.e+-]+')
+    assert strip.sub('"runtime_seconds": 0', out1) == strip.sub('"runtime_seconds": 0', out2)

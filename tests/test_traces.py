@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import json
 import os
 import pickle
@@ -22,6 +24,7 @@ from siflab import (
     EventDecl,
     FormatError,
     FULL_VIEW,
+    GenerationMode,
     H_VIEW,
     HI_VIEW,
     L_VIEW,
@@ -29,11 +32,16 @@ from siflab import (
     System,
     TraceSpace,
     binary_space,
+    build_strategy_system,
     canonicalize,
     format_trace,
     project,
+    standard_universe,
     view,
 )
+from siflab import fixtures as F
+from siflab import traces
+from siflab.strategies import protocols_from_obj
 from siflab.traces import (
     load_json,
     system_from_obj,
@@ -270,15 +278,16 @@ def test_oracle_helpers_are_sane(raw1, raw2):
 
 @given(RAW_LASSO)
 @settings(max_examples=60)
-def test_hash_is_the_hash_of_prefix_and_cycle(raw):
+def test_equal_lassos_are_one_object(raw):
     t = canonicalize(*raw)
-    assert hash(t) == hash((t.prefix, t.cycle))
+    assert canonicalize(*raw) is canonicalize(*raw)
+    assert canonicalize(t.prefix, t.cycle) is t
 
 
 def test_equality_is_structural_and_only_between_traces():
     raw = ([("0", "1", "0", "1")], [("1", "1", "0", "0"), ("0", "0", "1", "1")])
     t, u = canonicalize(*raw), canonicalize(*raw)
-    assert t is not u
+    assert t is u
     assert t == u and not t != u
     assert t != (t.prefix, t.cycle) and not t == (t.prefix, t.cycle)
     assert t != None  # noqa: E711 -- the operator itself is under test
@@ -301,7 +310,7 @@ def test_unpickled_trace_hashes_under_the_loading_hash_seed():
         "from siflab.zl import AsyncSystem\n"
         "t, s, a = pickle.loads(sys.stdin.buffer.read())\n"
         "fresh = canonicalize(t.prefix, t.cycle)\n"
-        "assert t == fresh and hash(t) == hash(fresh) == hash((t.prefix, t.cycle))\n"
+        "assert t == fresh and hash(t) == hash(fresh) and t is fresh\n"
         "assert {fresh: 'found'}[t] == 'found' and t in {fresh}\n"
         "for loaded, fresh in ((s, System(s.space, s.members)), (a, AsyncSystem(a.decl, a.members))):\n"
         "    assert loaded == fresh and hash(loaded) == hash(fresh)\n"
@@ -315,3 +324,88 @@ def test_unpickled_trace_hashes_under_the_loading_hash_seed():
     )
     assert done.returncode == 0, done.stderr.decode()
     assert int(done.stdout) != hash("siflab")  # the two processes hash differently
+
+
+# ------------------------------------------------------------------ interning
+
+
+def test_every_construction_path_gives_the_one_object():
+    """Each way a trace is built returns the trace already live for its
+    lasso: the constructor looks every canonical form up before it makes
+    an object."""
+    c = ("1", "1", "0", "0")
+    t = canonicalize([("0", "1", "0", "1")], [c, ("0", "0", "1", "1")])
+    # non-canonical spellings: one unrolled step, a rotation, a power of the cycle
+    assert canonicalize([], [c]) is canonicalize([c], [c]) is canonicalize([c, c], [c, c, c])
+    assert canonicalize(list(t.prefix) + [c], [("0", "0", "1", "1"), c]) is t
+    assert canonicalize(t.prefix, t.cycle * 2) is t
+    assert trace_from_obj(trace_to_obj(t)) is t
+    assert trace_from_obj({"prefix": [[0, 1, 0, 1], [1, 1, 0, 0]], "cycle": [[0, 0, 1, 1], [1, 1, 0, 0]]}) is t
+    # two different traces with one low view share the view object
+    u1 = canonicalize([], [("0", "0", "0", "0")])
+    u2 = canonicalize([("1", "0", "1", "0")], [("0", "0", "1", "0")])
+    assert u1 is not u2
+    assert project(u1, L_VIEW) is project(u2, L_VIEW) is canonicalize([], [("0", "0")])
+    assert view(u1, L_VIEW) is view(u2, L_VIEW) is project(u1, L_VIEW)
+    # a generated run, against the same run spelled out by hand
+    ss = build_strategy_system(*protocols_from_obj(F.echo_protocols()), GenerationMode.exact())
+    members = [m for _, fam in ss.families for m in fam]
+    assert members and all(canonicalize(m.prefix + m.cycle, m.cycle * 2) is m for m in members)
+    first, second = standard_universe()[1], standard_universe()[1]
+    assert len(first) == 16 and all(a is b for a, b in zip(first, second))
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t) is t and copy.copy(t) is t
+    assert repr(t) == f"LassoTrace(prefix={t.prefix!r}, cycle={t.cycle!r})"
+
+
+def test_a_shared_trace_cannot_change():
+    t = canonicalize([], [("0", "1", "0", "1")])
+    with pytest.raises(AttributeError):
+        t.prefix = (("1", "1", "1", "1"),)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.cycle
+    assert t.prefix == () and t.cycle == (("0", "1", "0", "1"),)
+
+
+def _fresh_lasso(tag: str) -> tuple[tuple, tuple]:
+    """A canonical (prefix, cycle) whose symbols no other test builds."""
+    return (), ((tag, "0", "0", "0"),)
+
+
+def test_the_table_holds_its_traces_weakly():
+    key = _fresh_lasso("weakly-held")
+    t = canonicalize(*key)
+    assert traces._TABLE[key]() is t
+    del t
+    gc.collect()
+    assert key not in traces._TABLE
+    rebuilt = canonicalize(*key)
+    again = canonicalize(*key)
+    assert rebuilt is again and rebuilt == again and {again: "found"}[rebuilt] == "found"
+    assert traces._TABLE[key]() is rebuilt
+
+
+def test_a_stale_callback_leaves_a_newer_trace_in_the_table():
+    """An entry whose trace died before its callback ran is replaced by
+    the next construction; the late callback then must not evict the
+    newer trace."""
+
+    class Dead:
+        pass
+
+    key = _fresh_lasso("stale-callback")
+    gone = Dead()
+    stale = traces._TableRef(gone)
+    stale.key = key
+    del gone
+    assert stale() is None
+    traces._TABLE[key] = stale
+    t = canonicalize(*key)
+    assert traces._TABLE[key]() is t
+    traces._evict(stale)
+    assert traces._TABLE[key]() is t and canonicalize(*key) is t
+    del t
+    gc.collect()
+    assert key not in traces._TABLE
