@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -24,6 +23,7 @@ from .traces import (
     HI_VIEW,
     L_VIEW,
     LI_VIEW,
+    VIEW_KEY,
     System,
     TraceSpace,
     space_from_obj,
@@ -31,7 +31,6 @@ from .traces import (
     system_from_objs,
     trace_to_obj,
     view,
-    view_columns,
 )
 
 
@@ -60,7 +59,7 @@ PROPERTY_VIEWS: dict[PropertyKind, tuple[tuple[int, int], ...]] = {
 
 # Per mask pair, the two functions that take a row of ``System.view_ids``
 # to its C1 and its C2 key (one id, or a tuple of ids).
-_VIEW_KEYS = {p: tuple(itemgetter(*view_columns(m)) for m in p) for pairs in PROPERTY_VIEWS.values() for p in pairs}
+_VIEW_KEYS = {(c1, c2): (VIEW_KEY[c1], VIEW_KEY[c2]) for pairs in PROPERTY_VIEWS.values() for c1, c2 in pairs}
 
 
 def check_property(kind: PropertyKind, s: System) -> bool:

@@ -22,6 +22,7 @@ import json
 import weakref
 from enum import IntFlag
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -58,6 +59,11 @@ def view_columns(mask: int) -> tuple[int, ...]:
     """The positions of ``mask``'s components in a 4-tuple (and in a row
     of :attr:`System.view_ids`), in ``COMPONENT_ORDER``."""
     return _VIEW_COLUMNS[mask]
+
+
+# Per nonzero mask, in mask order, the function that takes a row of
+# ``System.view_ids`` to its mask-view key: one id, or a tuple of ids.
+VIEW_KEY = {mask: itemgetter(*columns) for mask, columns in enumerate(_VIEW_COLUMNS) if columns}
 
 
 def _primitive_root(cycle: tuple) -> tuple:
@@ -197,12 +203,24 @@ def project(t: LassoTrace, mask: Component) -> LassoTrace:
     return canonicalize(pre, cyc)
 
 
-@lru_cache(maxsize=None)
+# Bound on the entries of each of this module's caches (`view`,
+# `_canonical_column`, `_LETTERS`); a module constant, not an option.
+_CACHE_BOUND = 4096
+
+
+@lru_cache(maxsize=_CACHE_BOUND)
 def view(t: LassoTrace, mask: Component) -> LassoTrace:
     """Cached :func:`project`, for the callers that need ``LassoTrace``
     views (low views in ``zl``, ``check_nos``, families and strategies);
-    property and closure checks read :attr:`System.view_ids` instead."""
+    property and closure checks read :attr:`System.view_ids` instead.
+    It holds the ``_CACHE_BOUND`` most recent questions, so it keeps at
+    most that many traces, and their views, alive."""
     return project(t, mask)
+
+
+# The canonical form of one component word.  A system's columns repeat a
+# few short words, unlike its traces, so only this use is cached.
+_canonical_column = lru_cache(maxsize=_CACHE_BOUND)(_canonical_form)
 
 
 _COMPONENT_KEYS = ("hi", "li", "ho", "lo")
@@ -316,23 +334,19 @@ class System:
             columns = []
             for i in range(4):
                 seen: dict[tuple[tuple, tuple], int] = {}
-                columns.append([seen.setdefault(_canonical_form(pre[i], cyc[i]), len(seen)) for pre, cyc in zip(prefixes, cycles)])
+                columns.append([seen.setdefault(_canonical_column(pre[i], cyc[i]), len(seen)) for pre, cyc in zip(prefixes, cycles)])
             self._ids = tuple(zip(*columns))
         return self._ids
 
     @property
     def view_counts(self) -> tuple[int, ...]:
         """``view_counts[mask]``: the number of distinct ``mask``-views
-        among the members, for each of the 16 component masks
+        among the members, for each of the 16 component masks: the number
+        of distinct ``VIEW_KEY[mask]`` keys of the :attr:`view_ids` rows
         (``view_counts[0]`` is 1, or 0 for the empty system)."""
         if self._counts is None:
-            # ids are below len(members), so each fits in `width` bits and
-            # a row packs into one int with column i at bits [i*width, (i+1)*width)
-            width = len(self.members).bit_length()
-            keys = [a | b << width | c << 2 * width | d << 3 * width for a, b, c, d in self.view_ids]
-            field = (1 << width) - 1
-            masks = [sum(field << i * width for i in view_columns(mask)) for mask in range(16)]
-            self._counts = tuple(len({key & m for key in keys}) for m in masks)
+            rows = self.view_ids
+            self._counts = (min(len(rows), 1), *(len(set(map(key, rows))) for key in VIEW_KEY.values()))
         return self._counts
 
     def __contains__(self, t: LassoTrace) -> bool:
@@ -379,9 +393,28 @@ def _list(obj, what: str):
     return obj
 
 
+# Raw 4-tuple of exact ints or exact strs -> its one shared coerced letter;
+# emptied before it would hold more than _CACHE_BOUND keys.
+_LETTERS: dict[tuple, tuple] = {}
+
+
 def _tuple_from_obj(obj) -> tuple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise FormatError(f"each trace tuple must be a 4-element list, got {obj!r}")
+    a, b, c, d = obj
+    # Only exact ints or exact strs are keys: True == 1 and 1.0 == 1, and
+    # both must still reach _coerce_symbol's error.
+    cls = type(a)
+    if (cls is int or cls is str) and type(b) is cls and type(c) is cls and type(d) is cls:
+        key = (a, b, c, d)
+        letter = _LETTERS.get(key)
+        if letter is None:
+            if len(_LETTERS) > _CACHE_BOUND - 2:  # room for key and coerced
+                _LETTERS.clear()
+            coerced = tuple(map(_coerce_symbol, key))
+            # the all-str key of the same letter shares its tuple
+            letter = _LETTERS[key] = _LETTERS.setdefault(coerced, coerced)
+        return letter
     return tuple(map(_coerce_symbol, obj))
 
 

@@ -34,6 +34,7 @@ from siflab import (
     swap_type,
 )
 from siflab import fixtures as F
+from siflab import traces
 from siflab.properties import PROPERTY_VIEWS
 from siflab.siftypes import (
     REFUTED_CLOSED_NOT_HOLDS,
@@ -44,6 +45,7 @@ from siflab.siftypes import (
     as_plain_system,
     property_predicate,
 )
+from siflab.traces import view_columns
 
 SPACE, UNIVERSE = standard_universe()
 
@@ -200,6 +202,23 @@ def test_view_ids_share_an_id_exactly_when_the_component_words_are_equal():
                 if ids_a[i] == ids_b[i]:
                     absorbed |= len(proj_raw(a.prefix, a.cycle, (i,))[0]) != len(proj_raw(b.prefix, b.cycle, (i,))[0])
     assert absorbed
+
+
+def test_cached_column_words_change_no_view():
+    """``view_ids`` and ``view_counts`` read the same with the column-word
+    cache emptied first and with it filled by earlier systems; the counts
+    are the per-mask set counts of the oracle's ids."""
+    rng = random.Random(9)
+    for _ in range(100):
+        s = _multi_period_system(rng)
+        ids = projected_view_ids(s)
+        direct = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in ids}) for mask in range(16))
+        for cold in (True, False):
+            if cold:
+                traces._canonical_column.cache_clear()
+            fresh = System(s.space, s.traces)
+            assert fresh.view_ids == ids and fresh.view_counts == direct, (cold, s.members)
+    assert traces._canonical_column.cache_info().hits
 
 
 def test_filled_lazy_slots_leave_equality_and_hashing_alone():

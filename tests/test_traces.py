@@ -41,6 +41,7 @@ from siflab import (
 )
 from siflab import fixtures as F
 from siflab import traces
+from siflab.cli import main
 from siflab.strategies import protocols_from_obj
 from siflab.traces import (
     load_json,
@@ -169,6 +170,43 @@ def test_trace_from_obj_coerces_integer_symbols():
     assert t.cycle == (("0", "1", "0", "1"),)
 
 
+class _Loud(int):
+    """An int whose decimal text is not its value's."""
+
+    def __str__(self) -> str:
+        return "loud"
+
+
+def _one_letter_system(letter) -> dict:
+    return {"alphabets": {k: ["0", "1"] for k in ("hi", "li", "ho", "lo")}, "traces": [{"cycle": [letter]}]}
+
+
+def test_the_letter_memo_rejects_what_the_parser_rejects(tmp_path, capsys):
+    """Letters equal to a memoized one but of another type (``True == 1``,
+    ``1.0 == 1``) reach the symbol check, in the library and the CLI; an
+    int subclass is coerced by its own ``str`` as before."""
+    system_from_obj(_one_letter_system([1, 0, 0, 0]))
+    cached = traces._tuple_from_obj([1, 0, 0, 0])
+    for bad in ([True, 0, 0, 0], [1.0, 0, 0, 0], [None, 0, 0, 0], [[1], 0, 0, 0], [1, 0, 0, False]):
+        with pytest.raises(FormatError, match="symbols must be strings or integers"):
+            system_from_obj(_one_letter_system(bad))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_one_letter_system(bad)))
+        assert main(["check", "--property", "sep", "--system", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "symbols must be strings or integers" in err
+    assert traces._tuple_from_obj([_Loud(True), 0, 0, 0]) == ("loud", "0", "0", "0")
+    assert traces._tuple_from_obj([1, 0, 0, 0]) is cached is traces._tuple_from_obj(["1", "0", "0", "0"])
+
+
+def test_the_letter_memo_stays_within_its_bound():
+    first = trace_from_obj({"prefix": [[1, 1, 0, 0]], "cycle": [[1, 0, 0, 0]]})
+    for i in range(traces._CACHE_BOUND + 10):
+        assert traces._tuple_from_obj([10**30 + i, 0, 0, 0])[0] == str(10**30 + i)
+    assert len(traces._LETTERS) <= traces._CACHE_BOUND
+    assert trace_from_obj({"prefix": [[1, 1, 0, 0]], "cycle": [[1, 0, 0, 0]]}) is first
+
+
 def test_space_validation():
     with pytest.raises(FormatError):
         TraceSpace({"hi": ("0",), "li": ("0",), "ho": ("0",)})
@@ -218,6 +256,11 @@ def test_view_counts_count_each_mask_at_every_packing_width(n):
         assert len(s) == n and {row[1] for row in s.view_ids} == set(range(n))
         direct = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in s.view_ids}) for mask in range(16))
         assert s.view_counts == direct
+
+
+def test_view_counts_of_the_empty_and_a_one_trace_system():
+    assert System(binary_space(), []).view_counts == (0,) * 16
+    assert System(binary_space(), [canonicalize([("0", "1", "1", "0")], [("1", "1", "0", "0")])]).view_counts == (1,) * 16
 
 
 def test_system_json_roundtrip(tmp_path):
@@ -409,3 +452,14 @@ def test_a_stale_callback_leaves_a_newer_trace_in_the_table():
     del t
     gc.collect()
     assert key not in traces._TABLE
+
+
+def test_view_keeps_a_bounded_number_of_traces_alive():
+    """Traces that fall out of ``view``'s cache are freed, and leave the table."""
+    made = [canonicalize(*_fresh_lasso(f"view-bound-{i}")) for i in range(traces._CACHE_BOUND + 100)]
+    assert all(view(t, L_VIEW).cycle == (("0", "0"),) for t in made)
+    during = len(traces._TABLE)
+    del made
+    gc.collect()
+    assert view.cache_info().currsize <= traces._CACHE_BOUND
+    assert len(traces._TABLE) <= during - 100
