@@ -4,7 +4,9 @@ system of a universe at once.
 ``BitUniverse.property_ok`` runs it once per property; closure under a
 type is decided by view classes instead (``enumeration``).
 ``families.closed_over_pool`` runs it once per event declaration in
-PROP-PSP-SIF, over the first traces of the declaration's pool.
+PROP-PSP-SIF, over the first traces of the declaration's pool.  The
+pinning verifier (``families.verify_zigzag_collection``, THM5) uses
+``avoiding`` alone, over the 2^k subfamilies of a k-member collection.
 
 A system is a bitmask over an n-trace universe, and a verdict vector
 over the 2^n systems is one int whose bit m is the verdict of system m.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import ceil, log
 from typing import Iterator
 
 from .enumeration import standard_universe
@@ -31,6 +32,72 @@ from .zl import AsyncSystem, EventDecl, ExtensionalQ, _member_classes
 DEFAULT_SEED = 74911
 
 _BITS = ("0", "1")
+
+
+class _Draws(random.Random):
+    """The random stream of every seeded generator here.
+
+    It is ``random.Random`` with the bounded draws of ``randint``,
+    ``choice`` and ``sample`` made in one Python frame each, as the
+    standard library makes them: a draw below n takes
+    ``n.bit_length()`` bits and is redrawn while it is ``>= n``, and
+    ``sample`` picks its pool or its set branch by the library's
+    ``setsize`` rule.  So a seed gives the same values and leaves the
+    same state.  ``random``, ``getrandbits``, ``shuffle`` and
+    ``randrange`` are the library's own.  ``sample`` takes a sequence and
+    no ``counts``.
+    """
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        getrandbits, k = self.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        getrandbits, k = self.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    def sample(self, population, k: int) -> list:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        getrandbits = self.getrandbits
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** ceil(log(k * 3, 4))
+        result = []
+        if n <= setsize:
+            # the library's pool branch: the unpicked items are pool[:m]
+            pool = list(population)
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            # the library's set branch: redraw below n until unpicked
+            bits = n.bit_length()
+            picked = set()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in picked:
+                    j = getrandbits(bits)
+                picked.add(j)
+                result.append(population[j])
+        return result
 
 
 # ---------------------------------------------------------------- protocols
@@ -116,7 +183,7 @@ def designed_strategy_systems() -> list[StrategySystem]:
     return out
 
 
-def _random_user(rng: random.Random) -> UserProtocol:
+def _random_user(rng: _Draws) -> UserProtocol:
     states = tuple(f"u{i}" for i in range(rng.randint(1, 2)))
     emit = {
         s: _BITS if rng.random() < 0.25 else (rng.choice(_BITS),)
@@ -126,7 +193,7 @@ def _random_user(rng: random.Random) -> UserProtocol:
     return UserProtocol(states, states[0], emit, update)
 
 
-def _random_machine(rng: random.Random) -> SystemProtocol:
+def _random_machine(rng: _Draws) -> SystemProtocol:
     states = tuple(f"m{i}" for i in range(rng.randint(1, 2)))
     pairs = [(a, b) for a in _BITS for b in _BITS]
     output = {}
@@ -164,7 +231,7 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
     bounded retry stops at its first oversized family; no build draws a
     random number, so stopping early keeps every later draw as it was.
     """
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     out = designed_strategy_systems()
     attempts = 0
     while len(out) < count:
@@ -207,7 +274,7 @@ def disjoint_collection(block_sizes: list[int], seed: int = DEFAULT_SEED) -> lis
     traces = _standard_traces()
     if sum(block_sizes) > len(traces) or any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive and fit the universe")
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     rng.shuffle(traces)
     space = binary_space()
     out = []
@@ -234,7 +301,7 @@ def zigzag_corpus(count: int = 24, seed: int = DEFAULT_SEED) -> tuple[list[list[
     representation, so rejections are expected and reported rather than
     hidden.
     """
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     traces = _standard_traces()
     space = binary_space()
     collections: list[list[System]] = []
@@ -315,7 +382,7 @@ ASYNC_MAX_TRACES = 6
 
 def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem]:
     """Random event systems, larger than the capped enumeration covers."""
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     out = []
     # systems with the same level split share one declaration and trace pool
     shared: dict[tuple, tuple[EventDecl, list]] = {}
@@ -338,23 +405,36 @@ def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem
 # -------------------------------------------------------- randomized cases
 
 
+def _system_of(systems: dict, space, members) -> System:
+    """The system of ``members``, built once per distinct member set and
+    kept in ``systems``, so its low-view classes are computed once too."""
+    key = frozenset(members)
+    s = systems.get(key)
+    if s is None:
+        s = systems[key] = System(space, key)
+    return s
+
+
 def conj_cases(
     count: int = 1000, seed: int = DEFAULT_SEED
 ) -> Iterator[tuple[System, list[ExtensionalSif], list[ExtensionalSif]]]:
     """Random (system, family, family) triples for the pairing identity.
+    Cases that draw the same members share one ``System``.
 
-    Its draws are the ones ``Random.choice`` makes, and
+    Its stream is the module's one draw class, ``_Draws``.  The tables
+    draw inline, as ``_Draws.choice`` would, and
     ``tests/test_pairing.py::test_random_case_streams_are_pinned`` pins the
     cases they give.
     """
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     random_, getrandbits = rng.random, rng.getrandbits
     traces = _standard_traces()
     anywhere = (traces, len(traces), len(traces).bit_length())
     space = binary_space()
+    systems: dict = {}
     for _ in range(count):
         members = rng.sample(traces, rng.randint(2, 5))
-        s = System(space, members)
+        s = _system_of(systems, space, members)
         inside = (members, len(members), len(members).bit_length())
         pairs = [(a, b) for a in members for b in members]
         f1: list[ExtensionalSif] = []
@@ -366,7 +446,7 @@ def conj_cases(
                     if random_() < 0.8:
                         # mostly map back into the system, sometimes out
                         pool, n, k = inside if random_() < 0.85 else anywhere
-                        # Random.choice's draw: n.bit_length() bits, redrawn while >= n
+                        # _Draws.choice's draw: n.bit_length() bits, redrawn while >= n
                         i = getrandbits(k)
                         while i >= n:
                             i = getrandbits(k)
@@ -378,8 +458,9 @@ def conj_cases(
 def zl_conj_cases(
     count: int = 1000, seed: int = DEFAULT_SEED
 ) -> Iterator[tuple[System, ExtensionalQ, ExtensionalQ]]:
-    """Random (system, Q, Q') triples for the conjunction identity."""
-    rng = random.Random(seed)
+    """Random (system, Q, Q') triples for the conjunction identity.
+    Cases that draw the same members share one ``System``."""
+    rng = _Draws(seed)
     traces = _standard_traces()
     space = binary_space()
     all_classes = []
@@ -388,15 +469,11 @@ def zl_conj_cases(
             s = System(space, rng.sample(traces, size))
             all_classes.extend(_member_classes(s))
     class_pool = sorted(set(all_classes), key=lambda c: sorted(map(repr, c)))
+    systems: dict = {}
     for _ in range(count):
-        s = System(space, rng.sample(traces, rng.randint(1, 4)))
+        s = _system_of(systems, space, rng.sample(traces, rng.randint(1, 4)))
         own = _member_classes(s)
-        q1 = ExtensionalQ(
-            frozenset(c for c in own if rng.random() < 0.7)
-            | frozenset(c for c in rng.sample(class_pool, 4))
-        )
-        q2 = ExtensionalQ(
-            frozenset(c for c in own if rng.random() < 0.7)
-            | frozenset(c for c in rng.sample(class_pool, 4))
-        )
+        # each Q accepts some of the system's classes and four drawn ones
+        q1 = ExtensionalQ(frozenset([c for c in own if rng.random() < 0.7] + rng.sample(class_pool, 4)))
+        q2 = ExtensionalQ(frozenset([c for c in own if rng.random() < 0.7] + rng.sample(class_pool, 4)))
         yield s, q1, q2

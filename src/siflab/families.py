@@ -19,10 +19,10 @@ lands.  Four realizations matter:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._accel import sweep_pairs
+from ._accel import avoiding, powerset_size, sweep_pairs
 from .errors import SiflabError
 from .properties import StrategySystem, require_injectivity
 from .traces import L_VIEW, LassoTrace, System, _sort_key, view
@@ -144,7 +144,7 @@ def zigzag_sif(target: System) -> ZigzagSif:
     return ZigzagSif(target.traces, target.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjPairGenSif:
     """The pairing of two functions: undefined where either component is,
     otherwise the union of their outputs (a single trace counts as a
@@ -160,16 +160,14 @@ class ConjPairGenSif:
         gb = self.g(a, b)
         if gb is None:
             return None
-        if not isinstance(fa, frozenset):
-            fa = frozenset((fa,))
-        if not isinstance(gb, frozenset):
-            gb = frozenset((gb,))
-        return fa | gb
+        if isinstance(fa, frozenset):
+            return fa.union(gb) if isinstance(gb, frozenset) else fa.union((gb,))
+        return gb.union((fa,)) if isinstance(gb, frozenset) else frozenset((fa, gb))
 
 
 def conj_family(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[ConjPairGenSif, ...]:
     """Conjunction of two families: each member of ``f1`` paired with each of ``f2``."""
-    return tuple(ConjPairGenSif(f, g) for f in f1 for g in f2)
+    return tuple(starmap(ConjPairGenSif, product(f1, f2)))
 
 
 def closed_under_family(s: System, family: Iterable[Sif]) -> bool:
@@ -246,10 +244,32 @@ def _pair_witness_masks(collection: Sequence[System]) -> list[list[int]]:
     return table
 
 
-def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionReport:
-    """Exhaustively check uniqueness and subfamily representation.
+def _subfamily_verdicts(collection: Sequence[System]) -> list[int]:
+    """For each member q, the verdict int over the 2^k subfamilies of the
+    collection: bit S is set when q is closed under {f_T : T in S}.
 
-    All members must be nonempty and pairwise distinct.
+    Member q is closed under S when S meets the witness mask of each of
+    its pairs, so every subfamily avoiding some witness mask is ruled out.
+    More than ``_accel.MAX_TRACES`` members raise ``CapExceeded`` before
+    any table is built.
+    """
+    k = len(collection)
+    full = (1 << powerset_size(k)) - 1
+    verdicts = []
+    for rows in _pair_witness_masks(collection):
+        ruled = 0
+        for w in set(rows):
+            ruled |= avoiding(w, k)
+        verdicts.append(full & ~ruled)
+    return verdicts
+
+
+def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionReport:
+    """Exhaustively check uniqueness and subfamily representation, for all
+    2^k subfamilies at once.
+
+    All members must be nonempty and pairwise distinct, and there may be
+    at most ``_accel.MAX_TRACES`` (24) of them.
     """
     k = len(collection)
     if k == 0:
@@ -258,15 +278,10 @@ def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionRe
         raise SiflabError("collection members must be nonempty")
     if len({s.traces for s in collection}) != k:
         raise SiflabError("collection members must be pairwise distinct")
-    witness = _pair_witness_masks(collection)
-    uniqueness_ok = True
-    representation_ok = True
-    for subset in range(1 << k):
-        for q in range(k):
-            if all(w & subset for w in witness[q]) != bool(subset >> q & 1):
-                representation_ok = False
-                if bin(subset).count("1") == 1:
-                    uniqueness_ok = False
-        if not representation_ok and not uniqueness_ok:
-            break
+    verdicts = _subfamily_verdicts(collection)
+    full = (1 << (1 << k)) - 1  # k is within the cap the verdicts passed
+    # representation: member q is closed under exactly the subfamilies holding q
+    representation_ok = all(v == full ^ avoiding(1 << q, k) for q, v in enumerate(verdicts))
+    # uniqueness: of the singleton subfamilies {m}, q is closed under {q} alone
+    uniqueness_ok = all((v >> (1 << m) & 1) == (m == q) for q, v in enumerate(verdicts) for m in range(k))
     return ZigzagCollectionReport(uniqueness_ok, representation_ok)

@@ -140,7 +140,7 @@ def _member_classes(s: AnySystem) -> tuple[frozenset, ...]:
 QPredicate = Callable[[frozenset], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionalQ:
     """A predicate given by the explicit family of accepted sets."""
 
@@ -164,7 +164,7 @@ class NosPredicate:
         return all(a & fam.traces for _, fam in self.ss.families)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndQ:
     q1: QPredicate
     q2: QPredicate
@@ -175,7 +175,7 @@ class AndQ:
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
     """Q holds of every member's low-view equivalence class; vacuous on empty sets."""
-    return all(q(c) for c in _member_classes(s))
+    return all(map(q, _member_classes(s)))
 
 
 def nos_as_zl(ss: StrategySystem) -> bool:

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import brute_closed_under_family, enumerate_async_systems, zigzag_expected
 from siflab import (
+    CapExceeded,
     ExtensionalSif,
     InjectivityError,
     InsertionSif,
@@ -25,9 +26,10 @@ from siflab import (
     verify_zigzag_collection,
     zigzag_sif,
 )
+from siflab import families
 from siflab import fixtures as F
 from siflab.corpus import disjoint_ten, enumerate_async_pools
-from siflab.families import NosMemberSif, ZigzagSif, closed_over_pool
+from siflab.families import NosMemberSif, ZigzagSif, _subfamily_verdicts, closed_over_pool
 from siflab.traces import _sort_key
 
 SPACE, UNIVERSE = standard_universe()
@@ -235,6 +237,67 @@ def test_mixing_gap_is_detected():
         != bool(subset >> member & 1)
     ]
     assert gaps and all(bin(subset).count("1") != 1 for subset, _ in gaps)
+
+
+def _random_collections(count, seed):
+    """Collections of 2 to 8 distinct members of 1 to 4 traces; about a
+    third of the members add a trace to, or drop one from, an earlier
+    member, so nested members like those of the mixing gap are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(2, 8)
+        members: list[System] = []
+        while len(members) < k:
+            if members and rng.random() < 0.35:
+                traces = set(rng.choice(members).members)
+                if len(traces) > 1 and rng.random() < 0.5:
+                    traces.discard(rng.choice(sorted(traces, key=_sort_key)))
+                else:
+                    traces.add(rng.choice(UNIVERSE))
+            else:
+                traces = rng.sample(UNIVERSE, rng.randint(1, 4))
+            s = System(SPACE, traces)
+            if all(s.traces != m.traces for m in members):
+                members.append(s)
+        yield members
+
+
+def test_subfamily_verdicts_match_closure_under_every_subfamily():
+    """Every (subfamily, member) bit of the verdict ints, and both report
+    fields, against closure under the subfamily's pinning functions."""
+    reports = set()
+    for members in _random_collections(200, seed=11):
+        k = len(members)
+        fams = [zigzag_sif(s) for s in members]
+        verdicts = _subfamily_verdicts(members)
+        brute = [
+            [closed_under_family(s, [fams[i] for i in range(k) if subset >> i & 1]) for subset in range(1 << k)]
+            for s in members
+        ]
+        for q in range(k):
+            assert 0 <= verdicts[q] < 1 << (1 << k)
+            assert [bool(verdicts[q] >> subset & 1) for subset in range(1 << k)] == brute[q], (members, q)
+        representation_ok = all(brute[q][subset] == bool(subset >> q & 1) for q in range(k) for subset in range(1 << k))
+        uniqueness_ok = all(brute[q][1 << m] == (m == q) for q in range(k) for m in range(k))
+        report = verify_zigzag_collection(members)
+        assert (report.uniqueness_ok, report.representation_ok) == (uniqueness_ok, representation_ok), members
+        reports.add(representation_ok)
+    assert reports == {True, False}
+
+
+def test_a_collection_past_the_cap_is_refused_before_any_table(monkeypatch):
+    pairs = [System(SPACE, [UNIVERSE[0], t]) for t in UNIVERSE[1:]]
+    pairs += [System(SPACE, [UNIVERSE[1], t]) for t in UNIVERSE[2:12]]
+    assert len(pairs) == 25 and len({s.traces for s in pairs}) == 25
+
+    def boom(collection):
+        raise AssertionError("built a witness table")
+
+    monkeypatch.setattr(families, "_pair_witness_masks", boom)
+    with pytest.raises(CapExceeded, match="25"):
+        verify_zigzag_collection(pairs)
+    with pytest.raises(AssertionError):
+        verify_zigzag_collection(pairs[:24])
 
 
 def test_verify_zigzag_collection_input_validation():

@@ -1,7 +1,8 @@
 """Source hygiene: every module uses each name it imports, imports at
 module level only, and imports no NumPy; every definition in the package
-is named somewhere, and no module-level function only forwards its
-parameters to another.
+is named somewhere, no module-level function only forwards its
+parameters to another, and one class defines the package's random
+stream.
 
 No linter is a dependency of the package, so the checks read syntax
 trees with :mod:`ast`.  A name counts as used when the module mentions it
@@ -241,3 +242,45 @@ def test_the_check_sees_functions_that_only_forward():
 def test_no_function_only_forwards():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert forwarding_functions(sources) == []
+
+
+def random_uses(source: str) -> list[str]:
+    """What ``source`` takes from :mod:`random` other than the base of a
+    class, as ``name:line``: ``random.Random(seed)``, ``random.randint``
+    and ``from random import Random`` each draw from a stream that is
+    not the package's one."""
+    tree = ast.parse(source)
+    bases = {id(base) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for base in node.bases}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "random" and id(node) not in bases:
+            found.append(f"{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [f"{alias.name}:{node.lineno}" for alias in node.names]
+    return found
+
+
+def test_the_check_sees_uses_of_random():
+    source = (
+        "import random\n"
+        "from random import Random\n"
+        "class _Draws(random.Random):\n"
+        "    'random.Random(seed) in a docstring'\n"
+        "def f(seed):\n"
+        "    return random.Random(seed), random.randint(0, 1), _Draws(seed)\n"
+    )
+    assert random_uses(source) == ["Random:2", "Random:6", "randint:6"]
+
+
+def test_one_class_defines_the_random_stream():
+    """Every seeded generator draws from ``corpus._Draws``, the one
+    subclass of ``random.Random``; no module makes a stream of its own."""
+    found = {p.name: random_uses(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {module: where for module, where in found.items() if where} == {}
+    subclasses = [
+        f"{p.name}:{node.name}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "random.Random" for base in node.bases)
+    ]
+    assert subclasses == ["corpus.py:_Draws"]
