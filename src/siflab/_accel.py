@@ -28,10 +28,12 @@ BACKEND = "int"
 MAX_TRACES = 24
 
 
-def powerset_size(n: int) -> int:
-    """The number of systems over ``n`` traces, capped at ``MAX_TRACES``."""
+def powerset_size(n: int, item: str = "trace") -> int:
+    """The number of subsets of ``n`` items, capped at ``MAX_TRACES``;
+    ``item`` names them in the message (the systems of a universe's
+    traces, or THM5's subfamilies of a collection's members)."""
     if n > MAX_TRACES:
-        raise CapExceeded(f"{n} traces exceed the {MAX_TRACES}-trace sweep limit")
+        raise CapExceeded(f"{n} {item}s exceed the {MAX_TRACES}-{item} sweep limit")
     return 1 << n
 
 

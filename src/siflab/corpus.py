@@ -18,12 +18,16 @@ from .enumeration import standard_universe
 from .errors import CapExceeded, ProtocolError, RunExplosion
 from .families import ExtensionalSif, verify_zigzag_collection
 from .fixtures import echo_protocols
-from .properties import StrategySystem, check_injectivity
+from .properties import StrategySystem, _injective
 from .strategies import (
     GenerationMode,
     SystemProtocol,
     UserProtocol,
+    _expand_exact,
+    _run_keys,
+    _system_of_keys,
     build_strategy_system,
+    derive_space,
     protocols_from_obj,
 )
 from .traces import LassoTrace, System, binary_space
@@ -183,40 +187,87 @@ def designed_strategy_systems() -> list[StrategySystem]:
     return out
 
 
+# The tables a random protocol fills, by its number of states: the
+# states, then the keys its draws fill, in the order they draw.
+_USER_TABLES = tuple((states, tuple(product(states, _BITS, _BITS))) for states in (("u0",), ("u0", "u1")))
+_MACHINE_TABLES = tuple(
+    (
+        states,
+        tuple(product(states, _BITS, _BITS)),
+        tuple(product(states, _BITS, _BITS, _BITS, _BITS)),
+    )
+    for states in (("m0",), ("m0", "m1"))
+)
+_PAIRS = tuple(product(_BITS, _BITS))
+
+# Each bounded draw below is ``_Draws.choice``'s, made inline: a value
+# below n takes ``n.bit_length()`` bits and is redrawn while ``>= n``.
+# ``randint(1, 2)`` is such a draw below 2, and ``sample(pairs, 2)`` is
+# one below 4 and one below 3 from the pool with its pick replaced by
+# the last pair.
+
+
+def _draw_table(getrandbits, keys, values) -> dict:
+    """``{key: values[i]}`` over ``keys`` in order, each i a draw below
+    ``len(values)``."""
+    n = len(values)
+    k = n.bit_length()
+    table = {}
+    for key in keys:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        table[key] = values[r]
+    return table
+
+
 def _random_user(rng: _Draws) -> UserProtocol:
-    states = tuple(f"u{i}" for i in range(rng.randint(1, 2)))
-    emit = {
-        s: _BITS if rng.random() < 0.25 else (rng.choice(_BITS),)
-        for s in states
-    }
-    update = {(s, i, o): rng.choice(states) for s in states for i in _BITS for o in _BITS}
-    return UserProtocol(states, states[0], emit, update)
+    getrandbits, random_ = rng.getrandbits, rng.random
+    r = getrandbits(2)
+    while r >= 2:
+        r = getrandbits(2)
+    states, keys = _USER_TABLES[r]
+    emit = {}
+    for s in states:
+        if random_() < 0.25:
+            emit[s] = _BITS
+        else:
+            r = getrandbits(2)
+            while r >= 2:
+                r = getrandbits(2)
+            emit[s] = (_BITS[r],)
+    return UserProtocol(states, states[0], emit, _draw_table(getrandbits, keys, states))
 
 
 def _random_machine(rng: _Draws) -> SystemProtocol:
-    states = tuple(f"m{i}" for i in range(rng.randint(1, 2)))
-    pairs = [(a, b) for a in _BITS for b in _BITS]
+    getrandbits, random_ = rng.getrandbits, rng.random
+    r = getrandbits(2)
+    while r >= 2:
+        r = getrandbits(2)
+    states, output_keys, update_keys = _MACHINE_TABLES[r]
     output = {}
-    for key in product(states, _BITS, _BITS):
-        if rng.random() < 0.2:
-            output[key] = tuple(rng.sample(pairs, 2))
+    for key in output_keys:
+        if random_() < 0.2:
+            first = getrandbits(3)
+            while first >= 4:
+                first = getrandbits(3)
+            r = getrandbits(2)
+            while r >= 3:
+                r = getrandbits(2)
+            output[key] = (_PAIRS[first], _PAIRS[3] if r == first else _PAIRS[r])
         else:
-            output[key] = (rng.choice(pairs),)
-    update = {
-        (s, hi, li, ho, lo): rng.choice(states)
-        for s in states
-        for hi in _BITS
-        for li in _BITS
-        for ho in _BITS
-        for lo in _BITS
-    }
-    return SystemProtocol(states, states[0], output, update)
+            r = getrandbits(3)
+            while r >= 4:
+                r = getrandbits(3)
+            output[key] = (_PAIRS[r],)
+    return SystemProtocol(states, states[0], output, _draw_table(getrandbits, update_keys, states))
 
 
 # Random protocol sets run at most this many high protocols and keep
 # only systems whose families all have at most this many traces.
 MAX_PROTOCOLS = 3
 MAX_FAMILY_SIZE = 8
+_HIGH_NAMES = tuple(f"H{i}" for i in range(MAX_PROTOCOLS))
 
 
 def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[StrategySystem]:
@@ -224,12 +275,17 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
 
     Starts with the designed systems (so both NOS verdicts and a
     separable union are always present), then draws random protocol
-    sets, preferring exact lasso generation and falling back to bounded
-    runs when a cycle carries a choice.  A draw is skipped when its
-    tables are incomplete, when a family has more than
-    ``MAX_FAMILY_SIZE`` traces, or when the system is not injective.  The
-    bounded retry stops at its first oversized family; no build draws a
-    random number, so stopping early keeps every later draw as it was.
+    sets.  A draw is generated exactly when every family passes exact
+    mode's check, and as ``bounded:3`` runs when some family has a
+    choice on a cycle; the bounded runs reuse the moves the check
+    computed.  It is skipped when its tables are incomplete, when a
+    family has more than ``MAX_FAMILY_SIZE`` runs (the enumeration stops
+    there), or when its families are not injective.  All of that is
+    decided on the runs' canonical ``(prefix, cycle)`` keys; traces,
+    systems and the space are built only for a kept draw.  No build
+    draws a random number, so a skip keeps every later draw as it was.
+    ``tests/test_strategies.py`` pins the corpus and checks it against a
+    rebuild through ``build_strategy_system``.
     """
     rng = _Draws(seed)
     out = designed_strategy_systems()
@@ -238,26 +294,24 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("strategy corpus generation stalled; loosen the filters")
-        hs = {f"H{i}": _random_user(rng) for i in range(rng.randint(1, MAX_PROTOCOLS))}
+        highs = [_random_user(rng) for _ in range(rng.randint(1, MAX_PROTOCOLS))]
         pl = _random_user(rng)
         ps = _random_machine(rng)
+        memos = [{} for _ in highs]
         try:
             try:
-                # Not capped: an oversized exact family followed by one that
-                # raises RunExplosion sends the whole draw to the bounded
-                # retry, which may keep it, so a cap here could drop a
-                # system.  Exact families that large are rare (none in 30
-                # seeds of 200 systems), so the cap would save little.
-                ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
+                for h, memo in zip(highs, memos):
+                    _expand_exact(ps, pl, h, memo)
+                bound = None
             except RunExplosion:
-                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3), max_traces=MAX_FAMILY_SIZE)
+                bound = 3
+            keys = [_run_keys(ps, pl, h, memo, bound, MAX_FAMILY_SIZE) for h, memo in zip(highs, memos)]
+            if not _injective(keys):
+                continue
+            space = derive_space(ps, pl, highs)
         except (ProtocolError, CapExceeded):
             continue
-        if any(len(fam) > MAX_FAMILY_SIZE for _, fam in ss.families):
-            continue
-        if not check_injectivity(ss):
-            continue
-        out.append(ss)
+        out.append(StrategySystem(tuple(zip(_HIGH_NAMES, (_system_of_keys(space, k) for k in keys)))))
     return out[:count]
 
 

@@ -254,7 +254,7 @@ def _subfamily_verdicts(collection: Sequence[System]) -> list[int]:
     any table is built.
     """
     k = len(collection)
-    full = (1 << powerset_size(k)) - 1
+    full = (1 << powerset_size(k, "member")) - 1
     verdicts = []
     for rows in _pair_witness_masks(collection):
         ruled = 0

@@ -129,6 +129,22 @@ def union_system(ss: StrategySystem) -> System:
     return ss.union
 
 
+def _injective(sets) -> bool:
+    """True when every set of ``sets`` holds an element no other set holds.
+
+    The one injectivity decider: :func:`check_injectivity` gives it the
+    families' trace sets, ``corpus.strategy_corpus`` a draw's run keys.
+    """
+    for i, own in enumerate(sets):
+        others: set = set()
+        for j, other in enumerate(sets):
+            if j != i:
+                others |= other
+        if own <= others:
+            return False
+    return True
+
+
 def check_injectivity(ss: StrategySystem) -> bool:
     """True when every family owns a trace no other family produces.
 
@@ -136,14 +152,7 @@ def check_injectivity(ss: StrategySystem) -> bool:
     both necessary and sufficient for the distinguishability requirement
     NOS rests on.
     """
-    for name, fam in ss.families:
-        others: set = set()
-        for other_name, other in ss.families:
-            if other_name != name:
-                others |= other.traces
-        if fam.traces <= others:
-            return False
-    return True
+    return _injective([fam.traces for _, fam in ss.families])
 
 
 def require_injectivity(ss: StrategySystem) -> StrategySystem:

@@ -16,11 +16,12 @@ collects all length-n finite traces and accepts any nondeterminism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, FormatError, ProtocolError, RunExplosion
 from .properties import StrategySystem, union_system
-from .traces import H_VIEW, LassoTrace, System, TraceSpace, _coerce_symbol, _list, canonicalize, view
+from .traces import H_VIEW, LassoTrace, System, TraceSpace, _canonical_form, _coerce_symbol, _list, view
 
 Symbol = str
 State = str
@@ -178,6 +179,97 @@ def derive_space(ps: SystemProtocol, pl: UserProtocol, hs: Sequence[UserProtocol
     return TraceSpace({"hi": sorted(hi), "li": sorted(li), "ho": sorted(ho), "lo": sorted(lo)})
 
 
+def _expand_exact(ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, memo: dict) -> None:
+    """Exact mode's check for one family, filling ``memo`` with the moves
+    of every reachable joint state.
+
+    A table error anywhere reachable raises :class:`ProtocolError` and
+    wins over a choice on a cycle, which raises :class:`RunExplosion`.
+    """
+    initial: JointState = (ps.initial, pl.initial, h.initial)
+    todo = [initial]
+    while todo:
+        js = todo.pop()
+        if js not in memo:
+            memo[js] = got = _moves(ps, pl, h, js)
+            todo.extend(nxt for _, nxt in got[0])
+    # Peel off the states of in-degree 0.  The rest lie on a cycle or
+    # after one, and a run leaves a cycle only through a choice on it,
+    # so a choice is left over exactly when one lies on a cycle.
+    indegree = dict.fromkeys(memo, 0)
+    for outs, _ in memo.values():
+        for _, nxt in outs:
+            indegree[nxt] += 1
+    peel = [js for js, d in indegree.items() if d == 0]
+    while peel:
+        js = peel.pop()
+        del indegree[js]
+        for _, nxt in memo[js][0]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                peel.append(nxt)
+    for js in indegree:
+        if memo[js][1] > 1:
+            raise RunExplosion(
+                f"nondeterministic choice at joint state {js!r} lies on or after a reachable cycle; "
+                "use a bounded mode instead"
+            )
+
+
+def _run_keys(
+    ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, memo: dict, bound: int | None, max_traces: int | None
+) -> set[tuple[tuple, tuple]]:
+    """The runs of one family as canonical ``(prefix, cycle)`` keys.
+
+    Depth-first over runs.  With ``bound`` None (exact mode, after
+    :func:`_expand_exact`) a run closes when it re-enters a state on its
+    own path and gives the canonical form of its lasso; otherwise it
+    closes at ``bound`` tuples and gives ``(word, ())``.  Moves missing
+    from ``memo`` are computed and kept there.  Past ``max_traces`` keys
+    it raises :class:`CapExceeded`.
+    """
+
+    def moves(js: JointState) -> list:
+        got = memo.get(js)
+        if got is None:
+            got = memo[js] = _moves(ps, pl, h, js)
+        return got[0]
+
+    initial: JointState = (ps.initial, pl.initial, h.initial)
+    keys: set[tuple[tuple, tuple]] = set()
+    emitted: list = []
+    entered = {initial: 0}  # exact mode: the path's states and where each begins
+    path = [(initial, iter(moves(initial)))]
+    while path:
+        step = next(path[-1][1], None)
+        if step is None:
+            entered.pop(path.pop()[0], None)
+            if emitted:
+                emitted.pop()
+            continue
+        tup, nxt = step
+        emitted.append(tup)
+        if bound is None and nxt in entered:
+            at = entered[nxt]
+            keys.add(_canonical_form(tuple(emitted[:at]), tuple(emitted[at:])))
+        elif len(emitted) == bound:
+            keys.add((tuple(emitted), ()))
+        else:
+            if bound is None:
+                entered[nxt] = len(emitted)
+            path.append((nxt, iter(moves(nxt))))
+            continue
+        emitted.pop()
+        if max_traces is not None and len(keys) > max_traces:
+            raise CapExceeded(f"the runs give more than {max_traces} traces")
+    return keys
+
+
+def _system_of_keys(space: TraceSpace, keys) -> System:
+    """The system of canonical ``(prefix, cycle)`` keys."""
+    return System(space, starmap(LassoTrace, keys))
+
+
 def generate_sigma_h(
     ps: SystemProtocol,
     pl: UserProtocol,
@@ -193,71 +285,10 @@ def generate_sigma_h(
     """
     if space is None:
         space = derive_space(ps, pl, [h])
-    initial: JointState = (ps.initial, pl.initial, h.initial)
-    memo: dict[JointState, tuple[list, int]] = {}
-
-    def moves(js: JointState) -> list:
-        if js not in memo:
-            memo[js] = _moves(ps, pl, h, js)
-        return memo[js][0]
-
+    memo: dict = {}
     if mode.bound is None:
-        # Expand every reachable state first, so a table error wins.
-        todo = [initial]
-        while todo:
-            js = todo.pop()
-            if js not in memo:
-                todo.extend(nxt for _, nxt in moves(js))
-        # Peel off the states of in-degree 0.  The rest lie on a cycle or
-        # after one, and a run leaves a cycle only through a choice on it,
-        # so a choice is left over exactly when one lies on a cycle.
-        indegree = dict.fromkeys(memo, 0)
-        for outs, _ in memo.values():
-            for _, nxt in outs:
-                indegree[nxt] += 1
-        peel = [js for js, d in indegree.items() if d == 0]
-        while peel:
-            js = peel.pop()
-            del indegree[js]
-            for _, nxt in memo[js][0]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    peel.append(nxt)
-        for js in indegree:
-            if memo[js][1] > 1:
-                raise RunExplosion(
-                    f"nondeterministic choice at joint state {js!r} lies on or after a reachable cycle; "
-                    "use a bounded mode instead"
-                )
-
-    # Depth-first over runs; exact mode closes a run when it re-enters a
-    # state on its own path, bounded mode when it has ``mode.bound`` tuples.
-    traces: set[LassoTrace] = set()
-    emitted: list = []
-    entered = {initial: 0}  # exact mode: the path's states and where each begins
-    path = [(initial, iter(moves(initial)))]
-    while path:
-        step = next(path[-1][1], None)
-        if step is None:
-            entered.pop(path.pop()[0], None)
-            if emitted:
-                emitted.pop()
-            continue
-        tup, nxt = step
-        emitted.append(tup)
-        if mode.bound is None and nxt in entered:
-            traces.add(canonicalize(emitted[: entered[nxt]], emitted[entered[nxt] :]))
-        elif len(emitted) == mode.bound:
-            traces.add(canonicalize(emitted, ()))
-        else:
-            if mode.bound is None:
-                entered[nxt] = len(emitted)
-            path.append((nxt, iter(moves(nxt))))
-            continue
-        emitted.pop()
-        if max_traces is not None and len(traces) > max_traces:
-            raise CapExceeded(f"the runs give more than {max_traces} traces")
-    return System(space, traces)
+        _expand_exact(ps, pl, h, memo)
+    return _system_of_keys(space, _run_keys(ps, pl, h, memo, mode.bound, max_traces))
 
 
 def build_strategy_system(
@@ -268,12 +299,25 @@ def build_strategy_system(
     max_traces: int | None = None,
 ) -> StrategySystem:
     """Run every named high protocol against the shared pair (system, low
-    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`."""
+    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`.
+
+    Exact mode checks every family before it enumerates any family's
+    runs, so a choice on a cycle in any family raises
+    :class:`RunExplosion` before a cap is tested.
+    """
     if not hs:
         raise FormatError("at least one high protocol is required")
     space = derive_space(ps, pl, list(hs.values()))
-    families = tuple((name, generate_sigma_h(ps, pl, h, mode, space, max_traces)) for name, h in hs.items())
-    return StrategySystem(families)
+    memos = [{} for _ in hs]
+    if mode.bound is None:
+        for h, memo in zip(hs.values(), memos):
+            _expand_exact(ps, pl, h, memo)
+    return StrategySystem(
+        tuple(
+            (name, _system_of_keys(space, _run_keys(ps, pl, h, memo, mode.bound, max_traces)))
+            for (name, h), memo in zip(hs.items(), memos)
+        )
+    )
 
 
 def family_h_view_determined(ss: StrategySystem) -> bool:

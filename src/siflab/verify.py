@@ -71,11 +71,28 @@ def _result(result_id: str, description: str):
     return register
 
 
+def _setup_input(build):
+    """A lazily built, cached context input whose build time is recorded
+    in ``VerifyContext.setup_seconds`` under the input's name."""
+
+    def timed(ctx):
+        start = time.perf_counter()
+        value = build(ctx)
+        ctx.setup_seconds[build.__name__] = time.perf_counter() - start
+        return value
+
+    timed.__name__ = build.__name__
+    return cached_property(timed)
+
+
 class VerifyContext:
     """Shared, lazily built inputs for the reproduction procedures.
 
     The defaults keep a full run at desk scale; the corpora are seeded,
-    so two runs with the same context see identical inputs.
+    so two runs with the same context see identical inputs.  Each input
+    records its build time in ``setup_seconds`` (input name -> seconds,
+    in build order), and :func:`verify_paper` charges it to the run's
+    setup, not to the result that first used the input.
     """
 
     def __init__(
@@ -93,16 +110,17 @@ class VerifyContext:
         self.psp_cap = psp_cap
         self.async_count = async_count
         self.seed = seed
+        self.setup_seconds: dict[str, float] = {}
 
-    @cached_property
+    @_setup_input
     def universe(self) -> BitUniverse:
         return BitUniverse.standard()
 
-    @cached_property
+    @_setup_input
     def corpus(self):
         return corpora.strategy_corpus(self.corpus_count, self.seed)
 
-    @cached_property
+    @_setup_input
     def zigzag(self):
         return corpora.zigzag_corpus(self.zigzag_count, self.seed)
 
@@ -125,7 +143,12 @@ class ResultOutcome:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The outcomes, and ``setup``: the context inputs built during the
+    run, as (input name, seconds) pairs in build order.  A result's
+    runtime leaves out the inputs it triggered."""
+
     outcomes: tuple[ResultOutcome, ...]
+    setup: tuple[tuple[str, float], ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -163,6 +186,7 @@ class VerificationReport:
                 }
                 for o in self.outcomes
             ],
+            "setup": [{"input": name, "runtime_seconds": round(seconds, 4)} for name, seconds in self.setup],
         }
 
 
@@ -510,14 +534,18 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
         # canonical order, duplicates collapsed
         requested = [i for i in RESULT_IDS if i in set(requested)]
     ctx = context if context is not None else VerifyContext()
+    built_before = set(ctx.setup_seconds)
     outcomes = []
     for result_id in requested:
         _, procedure = _REGISTRY[result_id]
+        setup_before = sum(ctx.setup_seconds.values())
         start = time.perf_counter()
         try:
             passed, detail = procedure(ctx)
             error = False
         except Exception as exc:  # recorded as this result's outcome; the rest still run
             passed, detail, error = False, f"ERROR: {type(exc).__name__}: {exc}", True
-        outcomes.append(ResultOutcome(result_id, passed, detail, time.perf_counter() - start, error))
-    return VerificationReport(tuple(outcomes))
+        runtime = time.perf_counter() - start - (sum(ctx.setup_seconds.values()) - setup_before)
+        outcomes.append(ResultOutcome(result_id, passed, detail, runtime, error))
+    setup = tuple((name, seconds) for name, seconds in ctx.setup_seconds.items() if name not in built_before)
+    return VerificationReport(tuple(outcomes), setup)

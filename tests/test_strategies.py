@@ -23,7 +23,16 @@ from siflab import (
 )
 from siflab import canonicalize
 from siflab import fixtures as F
-from siflab.corpus import _random_machine, _random_user, constant_user, echo_high_machine, strategy_corpus
+from siflab.corpus import (
+    MAX_FAMILY_SIZE,
+    MAX_PROTOCOLS,
+    _random_machine,
+    _random_user,
+    constant_user,
+    designed_strategy_systems,
+    echo_high_machine,
+    strategy_corpus,
+)
 from siflab.properties import check_injectivity, strategy_system_to_obj
 from siflab.strategies import derive_space, family_h_view_determined, protocols_from_obj
 from siflab.traces import load_json
@@ -351,3 +360,59 @@ def test_strategy_corpus_is_pinned(corpus120):
     # filter rejects, and leave every later draw as it was.
     assert _corpus_digest(corpus120) == "20285a6f5b1c9af2"
     assert _corpus_digest(strategy_corpus(200, 1)) == "117395d127eea380"
+
+
+def _reference_user(rng: random.Random) -> UserProtocol:
+    states = tuple(f"u{i}" for i in range(rng.randint(1, 2)))
+    emit = {s: ("0", "1") if rng.random() < 0.25 else (rng.choice("01"),) for s in states}
+    update = {(s, i, o): rng.choice(states) for s in states for i in "01" for o in "01"}
+    return UserProtocol(states, states[0], emit, update)
+
+
+def _reference_machine(rng: random.Random) -> SystemProtocol:
+    states = tuple(f"m{i}" for i in range(rng.randint(1, 2)))
+    pairs = [(a, b) for a in "01" for b in "01"]
+    output = {}
+    for s in states:
+        for hi in "01":
+            for li in "01":
+                output[(s, hi, li)] = tuple(rng.sample(pairs, 2)) if rng.random() < 0.2 else (rng.choice(pairs),)
+    update = {
+        (s, hi, li, ho, lo): rng.choice(states) for s in states for hi in "01" for li in "01" for ho in "01" for lo in "01"
+    }
+    return SystemProtocol(states, states[0], output, update)
+
+
+def _reference_corpus(count: int, seed: int) -> list[StrategySystem]:
+    """``strategy_corpus`` through the public builders: draws from the
+    library's ``random.Random``, every system built in exact mode, then
+    ``bounded:3`` capped at ``MAX_FAMILY_SIZE`` when a cycle carries a
+    choice, then the size filter and ``check_injectivity``."""
+    rng = random.Random(seed)
+    out = designed_strategy_systems()
+    while len(out) < count:
+        hs = {f"H{i}": _reference_user(rng) for i in range(rng.randint(1, MAX_PROTOCOLS))}
+        pl = _reference_user(rng)
+        ps = _reference_machine(rng)
+        try:
+            try:
+                ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
+            except RunExplosion:
+                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3), max_traces=MAX_FAMILY_SIZE)
+        except (ProtocolError, CapExceeded):
+            continue
+        if any(len(fam) > MAX_FAMILY_SIZE for _, fam in ss.families):
+            continue
+        if check_injectivity(ss):
+            out.append(ss)
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_strategy_corpus_matches_a_rebuild_through_the_public_builders(seed):
+    # Seeds the pin does not cover; each holds exact and bounded systems,
+    # and a family of exactly MAX_FAMILY_SIZE traces.
+    got = strategy_corpus(60, seed)
+    want = _reference_corpus(60, seed)
+    assert got == want
+    assert [strategy_system_to_obj(ss) for ss in got] == [strategy_system_to_obj(ss) for ss in want]

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from siflab import AsyncSystem, SiflabError, UnknownResultError, VerifyContext, verify_paper
+from siflab import corpus as corpora
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
@@ -108,6 +110,29 @@ def test_psp_sif_builds_only_the_randomized_systems(monkeypatch):
     report = verify_paper(["PROP-PSP-SIF"], context=VerifyContext(psp_cap=600, async_count=50))
     assert report.outcome("PROP-PSP-SIF").detail.endswith("on 536 enumerated and 50 randomized event systems")
     assert len(built) == 50
+
+
+def test_shared_inputs_are_timed_apart_from_the_result_that_builds_them(monkeypatch):
+    build = corpora.strategy_corpus
+
+    def slow_corpus(count, seed):
+        time.sleep(0.3)
+        return build(count, seed)
+
+    monkeypatch.setattr(corpora, "strategy_corpus", slow_corpus)
+    ctx = VerifyContext()
+    report = verify_paper(["EX1", "PROP1", "THM4"], ctx)
+    assert report.all_passed
+    assert [name for name, _ in report.setup] == ["universe", "corpus"]
+    assert dict(report.setup)["corpus"] >= 0.3
+    assert report.outcome("PROP1").runtime < 0.3
+    obj = report.to_obj()["setup"]
+    assert [entry["input"] for entry in obj] == ["universe", "corpus"]
+    assert all(set(entry) == {"input", "runtime_seconds"} for entry in obj)
+    # a context builds each input once, so a second run reports only the one it adds
+    again = verify_paper(["PROP1", "THM5"], ctx)
+    assert [name for name, _ in again.setup] == ["zigzag"]
+    assert list(ctx.setup_seconds) == ["universe", "corpus", "zigzag"]
 
 
 def test_context_defaults_meet_the_claim_sizes():
