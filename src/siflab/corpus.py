@@ -432,27 +432,27 @@ def enumerate_async_pools(
 ASYNC_MAX_EVENTS = 4
 ASYNC_MAX_LEN = 4
 ASYNC_MAX_TRACES = 6
+_ASYNC_NAMES = tuple(f"e{i}" for i in range(1, ASYNC_MAX_EVENTS + 1))
 
 
 def async_corpus(count: int = 500, seed: int = DEFAULT_SEED) -> list[AsyncSystem]:
     """Random event systems, larger than the capped enumeration covers."""
     rng = _Draws(seed)
+    randint, choice = rng.randint, rng.choice
     out = []
     # systems with the same level split share one declaration and trace pool
     shared: dict[tuple, tuple[EventDecl, list]] = {}
     while len(out) < count:
-        k = rng.randint(2, ASYNC_MAX_EVENTS)
-        names = tuple(f"e{i}" for i in range(1, k + 1))
-        levels = tuple(rng.choice("LH") for _ in names)
+        levels = tuple([choice("LH") for _ in range(randint(2, ASYNC_MAX_EVENTS))])
         if "L" not in levels or "H" not in levels:
             continue
-        events = tuple(zip(names, levels))
-        if events not in shared:
-            decl = EventDecl(events)
-            shared[events] = (decl, enumerate_event_traces(decl, ASYNC_MAX_LEN))
-        decl, pool = shared[events]
-        size = rng.randint(1, ASYNC_MAX_TRACES)
-        out.append(AsyncSystem(decl, (tuple(t) for t in rng.sample(pool, size))))
+        entry = shared.get(levels)
+        if entry is None:
+            # events e1, e2, ... at the drawn levels
+            decl = EventDecl(tuple(zip(_ASYNC_NAMES, levels)))
+            entry = shared[levels] = (decl, enumerate_event_traces(decl, ASYNC_MAX_LEN))
+        decl, pool = entry
+        out.append(AsyncSystem(decl, rng.sample(pool, randint(1, ASYNC_MAX_TRACES))))
     return out
 
 
@@ -481,31 +481,40 @@ def conj_cases(
     cases they give.
     """
     rng = _Draws(seed)
-    random_, getrandbits = rng.random, rng.getrandbits
+    random_, getrandbits, randint = rng.random, rng.getrandbits, rng.randint
     traces = _standard_traces()
-    anywhere = (traces, len(traces), len(traces).bit_length())
+    n_all = len(traces)
+    k_all = n_all.bit_length()
     space = binary_space()
     systems: dict = {}
+    adopt = ExtensionalSif._adopt
     for _ in range(count):
-        members = rng.sample(traces, rng.randint(2, 5))
+        members = rng.sample(traces, randint(2, 5))
         s = _system_of(systems, space, members)
-        inside = (members, len(members), len(members).bit_length())
-        pairs = [(a, b) for a in members for b in members]
+        n = len(members)
+        k = n.bit_length()
+        pairs = list(product(members, repeat=2))
         f1: list[ExtensionalSif] = []
         f2: list[ExtensionalSif] = []
         for fam in (f1, f2):
-            for _ in range(rng.randint(1, 3)):
+            for _ in range(randint(1, 3)):
                 table = {}
                 for pair in pairs:
                     if random_() < 0.8:
-                        # mostly map back into the system, sometimes out
-                        pool, n, k = inside if random_() < 0.85 else anywhere
-                        # _Draws.choice's draw: n.bit_length() bits, redrawn while >= n
-                        i = getrandbits(k)
-                        while i >= n:
+                        # mostly map back into the system, sometimes out;
+                        # each branch is _Draws.choice's draw: the bits of
+                        # the pool's length, redrawn while past it
+                        if random_() < 0.85:
                             i = getrandbits(k)
-                        table[pair] = pool[i]
-                fam.append(ExtensionalSif(table))
+                            while i >= n:
+                                i = getrandbits(k)
+                            table[pair] = members[i]
+                        else:
+                            i = getrandbits(k_all)
+                            while i >= n_all:
+                                i = getrandbits(k_all)
+                            table[pair] = traces[i]
+                fam.append(adopt(table))
         yield s, f1, f2
 
 
@@ -524,10 +533,11 @@ def zl_conj_cases(
             all_classes.extend(_member_classes(s))
     class_pool = sorted(set(all_classes), key=lambda c: sorted(map(repr, c)))
     systems: dict = {}
+    random_, randint, sample = rng.random, rng.randint, rng.sample
     for _ in range(count):
-        s = _system_of(systems, space, rng.sample(traces, rng.randint(1, 4)))
+        s = _system_of(systems, space, sample(traces, randint(1, 4)))
         own = _member_classes(s)
         # each Q accepts some of the system's classes and four drawn ones
-        q1 = ExtensionalQ(frozenset([c for c in own if rng.random() < 0.7] + rng.sample(class_pool, 4)))
-        q2 = ExtensionalQ(frozenset([c for c in own if rng.random() < 0.7] + rng.sample(class_pool, 4)))
+        q1 = ExtensionalQ(frozenset([c for c in own if random_() < 0.7] + sample(class_pool, 4)))
+        q2 = ExtensionalQ(frozenset([c for c in own if random_() < 0.7] + sample(class_pool, 4)))
         yield s, q1, q2

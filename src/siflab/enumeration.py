@@ -106,7 +106,7 @@ class BitUniverse:
     ``PROPERTY_VIEWS`` is swept once and its verdict is cached.  Closure
     verdicts come from the view classes of the type's mask pair, and are
     cached per pair apart from the sweeps, so the two never share a
-    verdict.
+    verdict.  A witness table is built once per mask pair and kept.
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
@@ -131,6 +131,7 @@ class BitUniverse:
             for i, key in enumerate(keys):
                 groups[key] = groups.get(key, 0) | 1 << i
             self._eq.append(tuple(groups[key] for key in keys))
+        self._tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._avoiding: dict[int, int] = {}
         self._swept: dict[tuple[int, int], int] = {}
         self._closed: dict[tuple[int, int], int] = {}
@@ -150,8 +151,14 @@ class BitUniverse:
         trace b's ``second`` view.  A system satisfies the pair-quantified
         condition of the mask pair (a type's ``masks``, or a pair of
         ``PROPERTY_VIEWS``) exactly when it meets ``W[a][b]`` for every
-        ordered pair of its members."""
-        return tuple(tuple(x & y for y in self._eq[second]) for x in self._eq[first])
+        ordered pair of its members.  Each pair's table is built once."""
+        table = self._tables.get((first, second))
+        if table is None:
+            seconds = self._eq[second]
+            # the traces of one first-view class share one row
+            rows = {x: tuple(x & y for y in seconds) for x in set(self._eq[first])}
+            table = self._tables[first, second] = tuple(map(rows.__getitem__, self._eq[first]))
+        return table
 
     def _avoiding_class(self, members: int) -> int:
         """The systems avoiding the view class ``members``, built once."""

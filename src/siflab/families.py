@@ -43,6 +43,14 @@ class ExtensionalSif:
     def __init__(self, mapping: Mapping[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset]):
         self._lookup = dict(mapping)
 
+    @classmethod
+    def _adopt(cls, table: dict) -> "ExtensionalSif":
+        """The table over ``table`` itself, not a copy, for a caller that
+        hands over a fresh dict and keeps no other reference to it."""
+        f = object.__new__(cls)
+        f._lookup = table
+        return f
+
     @property
     def table(self) -> tuple[tuple[tuple[LassoTrace, LassoTrace], LassoTrace | frozenset], ...]:
         """The entries in a canonical order: by argument pair, each
@@ -64,23 +72,38 @@ class ExtensionalSif:
         return f"ExtensionalSif(table={self.table!r})"
 
 
-@dataclass(frozen=True)
 class NosMemberSif:
     """Returns its fixed trace when the first argument shares that trace's
     low view and the second argument belongs to the fixed family;
-    undefined otherwise."""
+    undefined otherwise.  Two are equal when their family name, trace and
+    family traces are."""
 
-    family_name: str
-    sigma: LassoTrace
-    family_traces: frozenset
+    __slots__ = ("family_name", "sigma", "family_traces", "_low")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_low", view(self.sigma, L_VIEW))
+    def __init__(self, family_name: str, sigma: LassoTrace, family_traces: frozenset):
+        self.family_name = family_name
+        self.sigma = sigma
+        self.family_traces = family_traces
+        self._low = view(sigma, L_VIEW)
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
-        if b in self.family_traces and self._low == view(a, L_VIEW):
+        # views are interned traces, so equal views are one object
+        if b in self.family_traces and self._low is view(a, L_VIEW):
             return self.sigma
         return None
+
+    def _fields(self) -> tuple:
+        return (self.family_name, self.sigma, self.family_traces)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is NosMemberSif and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        name, sigma, traces = self._fields()
+        return f"NosMemberSif(family_name={name!r}, sigma={sigma!r}, family_traces={traces!r})"
 
 
 def nos_family(ss: StrategySystem) -> tuple[NosMemberSif, ...]:
@@ -97,7 +120,6 @@ def nos_family(ss: StrategySystem) -> tuple[NosMemberSif, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ZigzagSif:
     """The trace-set-pinning function over an ordered core.
 
@@ -105,20 +127,31 @@ class ZigzagSif:
     one argument in the core, that argument is returned; with neither,
     the first core element.  With both in the core at 1-based positions
     i and j, the result is the core element at i+1 when j is even and
-    i-1 when j is odd, wrapped into 1..k.
+    i-1 when j is odd, wrapped into 1..k.  Two are equal when their
+    targets and cores are.
     """
 
-    target: frozenset
-    core: tuple
+    __slots__ = ("target", "core", "_pos")
 
-    def __post_init__(self):
-        if not self.core:
+    def __init__(self, target: frozenset, core: tuple):
+        if not core:
             raise SiflabError("the ordered core must be nonempty")
-        if len(set(self.core)) != len(self.core):
+        if len(set(core)) != len(core):
             raise SiflabError("core elements must be distinct")
-        if not set(self.core) <= self.target:
+        if not set(core) <= target:
             raise SiflabError("the core must be a subset of the target set")
-        object.__setattr__(self, "_pos", {t: i + 1 for i, t in enumerate(self.core)})
+        self.target = target
+        self.core = core
+        self._pos = {t: i + 1 for i, t in enumerate(core)}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ZigzagSif and self.target == other.target and self.core == other.core
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.core))
+
+    def __repr__(self) -> str:
+        return f"ZigzagSif(target={self.target!r}, core={self.core!r})"
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         if a not in self.target or b not in self.target:
@@ -144,20 +177,44 @@ def zigzag_sif(target: System) -> ZigzagSif:
     return ZigzagSif(target.traces, target.members)
 
 
-@dataclass(frozen=True, slots=True)
 class ConjPairGenSif:
     """The pairing of two functions: undefined where either component is,
     otherwise the union of their outputs (a single trace counts as a
-    one-element set)."""
+    one-element set).  Two pairings are equal when their components are.
 
-    f: object
-    g: object
+    It keeps each component's bound ``__call__``, as
+    :func:`closed_under_family` does, and reads the components ``f`` and
+    ``g`` back from them.
+    """
+
+    __slots__ = ("_f", "_g")
+
+    def __init__(self, f: Sif, g: Sif):
+        self._f = f.__call__
+        self._g = g.__call__
+
+    @property
+    def f(self) -> Sif:
+        return self._f.__self__
+
+    @property
+    def g(self) -> Sif:
+        return self._g.__self__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ConjPairGenSif and self.f == other.f and self.g == other.g
+
+    def __hash__(self) -> int:
+        return hash((self.f, self.g))
+
+    def __repr__(self) -> str:
+        return f"ConjPairGenSif(f={self.f!r}, g={self.g!r})"
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> frozenset | None:
-        fa = self.f(a, b)
+        fa = self._f(a, b)
         if fa is None:
             return None
-        gb = self.g(a, b)
+        gb = self._g(a, b)
         if gb is None:
             return None
         if isinstance(fa, frozenset):
@@ -172,15 +229,21 @@ def conj_family(f1: Iterable[Sif], f2: Iterable[Sif]) -> tuple[ConjPairGenSif, .
 
 def closed_under_family(s: System, family: Iterable[Sif]) -> bool:
     """Every ordered pair of members has a function of ``family`` landing its output in ``s``."""
-    fams = tuple(family)
+    # bound __call__ methods: a call through one skips the lookup of the
+    # method on the function's type that calling the function makes
+    calls = [f.__call__ for f in family]
     inside = s.traces
     for a in s.members:
         for b in s.members:
-            for f in fams:
-                out = f(a, b)
-                # a trace set never holds a frozenset, so a scalar output
-                # is settled by the membership test alone
-                if out is not None and (out in inside or isinstance(out, frozenset) and out and out <= inside):
+            for call in calls:
+                out = call(a, b)
+                if out is None:
+                    continue
+                # a set lands when it is nonempty and inside; a trace, when inside
+                if isinstance(out, frozenset):
+                    if out and out <= inside:
+                        break
+                elif out in inside:
                     break
             else:
                 return False
@@ -228,17 +291,19 @@ def _pair_witness_masks(collection: Sequence[System]) -> list[list[int]]:
     """For member q and each ordered trace pair of it: the bitmask of
     collection members whose pinning function maps the pair back into
     member q."""
-    fams = [zigzag_sif(s) for s in collection]
+    # bound, as in closed_under_family
+    fams = [(zigzag_sif(s).__call__, 1 << m) for m, s in enumerate(collection)]
     table: list[list[int]] = []
-    for q, target in enumerate(collection):
+    for target in collection:
+        inside = target.traces
         rows = []
         for a in target.members:
             for b in target.members:
                 mask = 0
-                for m, f in enumerate(fams):
-                    out = f(a, b)
-                    if out is not None and out in target.traces:
-                        mask |= 1 << m
+                for f, bit in fams:
+                    # an undefined output, None, is never a member
+                    if f(a, b) in inside:
+                        mask |= bit
                 rows.append(mask)
         table.append(rows)
     return table

@@ -96,7 +96,8 @@ class StrategySystem:
 
     Every family must be nonempty.  The union is the trace set all
     pair-quantified properties are evaluated on; it is built on first use
-    and kept with the strategy system.
+    and kept with the strategy system, as is the NOS verdict once
+    :func:`check_nos` has decided it.
     """
 
     families: tuple[tuple[str, System], ...]
@@ -167,12 +168,21 @@ def check_nos(ss: StrategySystem) -> bool:
     """Decide NOS: every member's low view occurs inside every family.
 
     Raises :class:`InjectivityError` when the distinguishability
-    precondition fails (:func:`require_injectivity`).
+    precondition fails (:func:`require_injectivity`), on every call.  The
+    verdict is kept on ``ss`` only once the precondition has passed, so a
+    repeated question on the same system reads it.
     """
-    require_injectivity(ss)
+    nos = vars(ss).get("_nos")
+    if nos is None:
+        require_injectivity(ss)
+        nos = _nos_holds(ss)
+        object.__setattr__(ss, "_nos", nos)
+    return nos
+
+
+def _nos_holds(ss: StrategySystem) -> bool:
     low_views = {name: {view(t, L_VIEW) for t in fam.members} for name, fam in ss.families}
-    union = union_system(ss)
-    for t in union.members:
+    for t in union_system(ss).members:
         lv = view(t, L_VIEW)
         for name, _ in ss.families:
             if lv not in low_views[name]:

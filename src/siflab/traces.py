@@ -22,7 +22,7 @@ import json
 import weakref
 from enum import IntFlag
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -66,6 +66,15 @@ def view_columns(mask: int) -> tuple[int, ...]:
 VIEW_KEY = {mask: itemgetter(*columns) for mask, columns in enumerate(_VIEW_COLUMNS) if columns}
 
 
+# Per nonzero mask: the function that restricts a 4-tuple to the mask's
+# components, as a tuple (a one-column mask takes a one-element slice).
+_RESTRICT = {
+    mask: itemgetter(*columns) if len(columns) > 1 else itemgetter(slice(columns[0], columns[0] + 1))
+    for mask, columns in enumerate(_VIEW_COLUMNS)
+    if columns
+}
+
+
 def _primitive_root(cycle: tuple) -> tuple:
     """Shortest word whose repetition equals ``cycle``."""
     n = len(cycle)
@@ -106,12 +115,17 @@ class LassoTrace:
     and copying rebuild through the constructor, so they give the same
     object back.  Construction is not thread-safe, and nothing in siflab
     uses threads.
+
+    ``sort_key`` ranks the trace in the canonical member order
+    (``_sort_key``): prefix length, cycle length, prefix, cycle.  It is
+    built once, with the trace.
     """
 
-    __slots__ = ("prefix", "cycle", "__weakref__")
+    __slots__ = ("prefix", "cycle", "sort_key", "__weakref__")
 
     prefix: tuple
     cycle: tuple
+    sort_key: tuple
 
     def __new__(cls, prefix: tuple, cycle: tuple):
         key = (prefix, cycle)
@@ -132,6 +146,7 @@ class LassoTrace:
         t = object.__new__(cls)
         object.__setattr__(t, "prefix", prefix)
         object.__setattr__(t, "cycle", cycle)
+        object.__setattr__(t, "sort_key", (len(prefix), len(cycle), prefix, cycle))
         ref = _TableRef(t, _evict)
         ref.key = key
         _TABLE[key] = ref
@@ -197,10 +212,8 @@ def project(t: LassoTrace, mask: Component) -> LassoTrace:
         raise ValueError("empty component mask")
     if mask == FULL_VIEW:
         return t
-    idx = view_columns(mask)
-    pre = tuple(tuple(tup[i] for i in idx) for tup in t.prefix)
-    cyc = tuple(tuple(tup[i] for i in idx) for tup in t.cycle)
-    return canonicalize(pre, cyc)
+    restrict = _RESTRICT[mask]
+    return LassoTrace(*_canonical_form(tuple(map(restrict, t.prefix)), tuple(map(restrict, t.cycle))))
 
 
 # Bound on the entries of each of this module's caches (`view`,
@@ -230,13 +243,14 @@ class TraceSpace:
     """Per-component alphabets.
 
     ``_allowed`` holds the alphabets in ``_COMPONENT_KEYS`` order for
-    :meth:`contains`; equality and hashing use ``_key`` only.  It holds
-    tuples, not sets: alphabets have a few symbols, so a scan costs no
-    more than a lookup, and every system read from a file has its own
-    space, which four sets would enlarge.
+    :meth:`contains`; equality and hashing use ``_key`` only, and its
+    hash is taken once, as ``_hash``.  It holds tuples, not sets:
+    alphabets have a few symbols, so a scan costs no more than a lookup,
+    and every system read from a file has its own space, which four sets
+    would enlarge.
     """
 
-    __slots__ = ("alphabets", "_key", "_allowed")
+    __slots__ = ("alphabets", "_key", "_allowed", "_hash")
 
     def __init__(self, alphabets: Mapping[str, Sequence[Symbol]]):
         missing = [k for k in _COMPONENT_KEYS if k not in alphabets]
@@ -252,24 +266,35 @@ class TraceSpace:
         self.alphabets = cleaned
         self._key = tuple((k, cleaned[k]) for k in _COMPONENT_KEYS)
         self._allowed = tuple(cleaned[k] for k in _COMPONENT_KEYS)
+        self._hash = hash(self._key)
 
     def contains(self, t: LassoTrace) -> bool:
         """True when every symbol of ``t`` belongs to its component alphabet."""
+        return self.admits((t,))
+
+    def admits(self, traces: Iterable[LassoTrace]) -> bool:
+        """True when :meth:`contains` holds for every trace of ``traces``,
+        checked in one loop."""
         hi, li, ho, lo = self._allowed
-        # a trace's tuples share one arity, so an empty trace has none to check
-        for tup in t.prefix + t.cycle:
-            if len(tup) != 4:
-                return False
-            a, b, c, d = tup
-            if a not in hi or b not in li or c not in ho or d not in lo:
-                return False
+        for t in traces:
+            # a trace's tuples share one arity, so an empty trace has none to check
+            for tup in t.prefix + t.cycle:
+                if len(tup) != 4:
+                    return False
+                a, b, c, d = tup
+                if a not in hi or b not in li or c not in ho or d not in lo:
+                    return False
         return True
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TraceSpace) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, so the hash is that of the loading process
+        return (TraceSpace, (self.alphabets,))
 
     def __repr__(self) -> str:
         sizes = "x".join(str(len(self.alphabets[k])) for k in _COMPONENT_KEYS)
@@ -284,8 +309,8 @@ def binary_space() -> TraceSpace:
 _NO_COLUMNS = ((), (), (), ())
 
 
-def _sort_key(t: LassoTrace):
-    return (len(t.prefix), len(t.cycle), t.prefix, t.cycle)
+# The canonical member order, read off the key each trace keeps.
+_sort_key = attrgetter("sort_key")
 
 
 class System:
@@ -303,14 +328,14 @@ class System:
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
-        outside = [t for t in tset if not space.contains(t)]
-        if outside:
+        if not space.admits(tset):
+            outside = [t for t in tset if not space.contains(t)]
             # the least rendering, so the message does not depend on set order
             raise AlphabetError(f"trace {min(map(format_trace, outside))} does not conform to the system's space")
         self.space = space
         self.traces = tset
         self.members = tuple(sorted(tset, key=_sort_key))
-        self._hash = hash((space, tset))
+        self._hash = hash((space._hash, tset))
         self._ids = None
         self._counts = None
         self._verdicts = None

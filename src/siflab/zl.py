@@ -16,6 +16,7 @@ can be re-inserted before any low-only suffix.  A single total function
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateTraceError, FormatError, SiflabError
@@ -128,26 +129,43 @@ def _member_classes(s: AnySystem) -> tuple[frozenset, ...]:
     """``lles(t, s)`` for each member ``t``, in ``members`` order, from
     one pass that groups the members by low view; kept on ``s``."""
     if s._classes is None:
-        keys = [low_view_key(t, s) for t in s.members]
+        if isinstance(s, AsyncSystem):
+            decl = s.decl
+            keys = [low_projection(t, decl) for t in s.members]
+        else:
+            keys = list(map(view, s.members, repeat(L_VIEW)))
         groups: dict = {}
         for key, t in zip(keys, s.members):
             groups.setdefault(key, []).append(t)
-        classes = {key: frozenset(group) for key, group in groups.items()}
-        s._classes = tuple(classes[key] for key in keys)
+        for key, group in groups.items():
+            groups[key] = frozenset(group)
+        s._classes = tuple(map(groups.__getitem__, keys))
     return s._classes
 
 
 QPredicate = Callable[[frozenset], bool]
 
 
-@dataclass(frozen=True, slots=True)
 class ExtensionalQ:
-    """A predicate given by the explicit family of accepted sets."""
+    """A predicate given by the explicit family of accepted sets; two are
+    equal when they accept the same sets."""
 
-    accepted: frozenset
+    __slots__ = ("accepted",)
+
+    def __init__(self, accepted: frozenset):
+        self.accepted = accepted
 
     def __call__(self, a: frozenset) -> bool:
         return frozenset(a) in self.accepted
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExtensionalQ and self.accepted == other.accepted
+
+    def __hash__(self) -> int:
+        return hash(self.accepted)
+
+    def __repr__(self) -> str:
+        return f"ExtensionalQ(accepted={self.accepted!r})"
 
 
 @dataclass(frozen=True)
@@ -164,18 +182,34 @@ class NosPredicate:
         return all(a & fam.traces for _, fam in self.ss.families)
 
 
-@dataclass(frozen=True, slots=True)
 class AndQ:
-    q1: QPredicate
-    q2: QPredicate
+    """The conjunction of two predicates; two are equal when their
+    components are."""
+
+    __slots__ = ("q1", "q2")
+
+    def __init__(self, q1: QPredicate, q2: QPredicate):
+        self.q1 = q1
+        self.q2 = q2
 
     def __call__(self, a: frozenset) -> bool:
         return self.q1(a) and self.q2(a)
 
+    def __eq__(self, other) -> bool:
+        return type(other) is AndQ and self.q1 == other.q1 and self.q2 == other.q2
+
+    def __hash__(self) -> int:
+        return hash((self.q1, self.q2))
+
+    def __repr__(self) -> str:
+        return f"AndQ(q1={self.q1!r}, q2={self.q2!r})"
+
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
     """Q holds of every member's low-view equivalence class; vacuous on empty sets."""
-    return all(map(q, _member_classes(s)))
+    # Q's bound __call__: a call through it skips the lookup of the method
+    # on Q's type that calling Q makes
+    return all(map(q.__call__, _member_classes(s)))
 
 
 def nos_as_zl(ss: StrategySystem) -> bool:
@@ -223,19 +257,31 @@ def low_projection(t: EventTrace, decl: EventDecl) -> EventTrace:
     return tuple(filter(decl.lows.__contains__, t))
 
 
-@dataclass(frozen=True)
 class InsertionSif:
     """The total function whose closure condition is the insertion property.
 
     On (s1, s2): when s2 ends with a high event e, its remainder is a
     prefix of s1, and the rest of s1 is low-only, the result re-inserts e
-    there; otherwise the result is s1's low projection.
+    there; otherwise the result is s1's low projection.  Two are equal
+    when their declarations are.
 
     It shares no code with :func:`psp_check` beyond :class:`EventDecl`,
     so PROP-PSP-SIF compares two independent deciders.
     """
 
-    decl: EventDecl
+    __slots__ = ("decl",)
+
+    def __init__(self, decl: EventDecl):
+        self.decl = decl
+
+    def __eq__(self, other) -> bool:
+        return type(other) is InsertionSif and self.decl == other.decl
+
+    def __hash__(self) -> int:
+        return hash(self.decl)
+
+    def __repr__(self) -> str:
+        return f"InsertionSif(decl={self.decl!r})"
 
     def __call__(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
         s1 = tuple(s1)

@@ -197,6 +197,19 @@ def test_view_counts_decide_every_type_like_the_witness_table_sweep(bit_universe
             assert bu.witness_table(*pair) == witness_table(bu.traces, *idxs), kind
 
 
+def test_each_witness_table_is_a_fresh_build_made_once():
+    """For each type's mask pair and its swap, the witness table equals a
+    build from ``view_eq_mask`` alone, and asking again gives the same
+    table back rather than a second build."""
+    bu = BitUniverse.standard()
+    for t in enumerate_types():
+        for first, second in (t.masks, swap_type(t).masks):
+            table = bu.witness_table(first, second)
+            firsts, seconds = bu.view_eq_mask(Component(first)), bu.view_eq_mask(Component(second))
+            assert table == tuple(tuple(x & y for y in seconds) for x in firsts), (t, first, second)
+            assert bu.witness_table(first, second) is table
+
+
 def test_dgni_table_is_the_conjunction(bit_universe):
     bu = bit_universe
     assert bu.property_ok(PropertyKind.DGNI) == bu.property_ok(PropertyKind.GNI) & bu.property_ok(PropertyKind.RGNI)

@@ -29,8 +29,9 @@ from siflab import (
 from siflab import families
 from siflab import fixtures as F
 from siflab.corpus import disjoint_ten, enumerate_async_pools
-from siflab.families import NosMemberSif, ZigzagSif, _subfamily_verdicts, closed_over_pool
+from siflab.families import ConjPairGenSif, NosMemberSif, ZigzagSif, _subfamily_verdicts, closed_over_pool
 from siflab.traces import _sort_key
+from siflab.zl import AndQ, EventDecl, ExtensionalQ
 
 SPACE, UNIVERSE = standard_universe()
 
@@ -53,6 +54,36 @@ def test_from_mapping_is_canonical_in_insertion_order():
     pairs = [pair for pair, _ in f.table]
     assert pairs == sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
     assert f != ExtensionalSif(dict(items[1:]))
+
+
+def test_the_function_classes_compare_hash_and_print_by_their_fields():
+    """Two functions built from equal fields are equal, hash alike and
+    print alike, so ``family_union`` keeps one of them; a changed field,
+    or an object of another class, is not equal."""
+    a, b = UNIVERSE[0], UNIVERSE[1]
+    f, g = ExtensionalSif({(a, b): a}), ExtensionalSif({(a, b): b})
+    f_again = ExtensionalSif({(a, b): a})
+    assert ExtensionalSif._adopt({(a, b): a}) == f
+    ss = F.nos_two_trace()
+    target = System(SPACE, UNIVERSE[:3])
+    q1, q2 = ExtensionalQ(frozenset({frozenset({a})})), ExtensionalQ(frozenset())
+    decl = EventDecl((("l", "L"), ("h", "H")))
+    cases = [
+        (ConjPairGenSif(f, g), ConjPairGenSif(f_again, g), ConjPairGenSif(g, f)),
+        (nos_family(ss)[0], nos_family(ss)[0], nos_family(ss)[1]),
+        (zigzag_sif(target), ZigzagSif(target.traces, target.members), ZigzagSif(target.traces, target.members[::-1])),
+        (q1, ExtensionalQ(frozenset({frozenset({a})})), q2),
+        (AndQ(q1, q2), AndQ(ExtensionalQ(q1.accepted), q2), AndQ(q2, q1)),
+        (InsertionSif(decl), InsertionSif(EventDecl(decl.events)), InsertionSif(EventDecl((("l", "L"),)))),
+    ]
+    for x, same, other in cases:
+        assert x is not same
+        assert x == same and hash(x) == hash(same) and repr(x) == repr(same), x
+        assert x != other and x != repr(x), x
+        assert family_union([x], [same]) == (x,), x
+    pairing = cases[0][0]
+    assert pairing.f is f and pairing.g is g
+    assert repr(pairing) == f"ConjPairGenSif(f={f!r}, g={g!r})"
 
 
 def test_nos_member_sif_semantics():

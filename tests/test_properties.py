@@ -28,6 +28,7 @@ from siflab import (
     union_system,
 )
 from siflab import fixtures as F
+from siflab import properties
 from siflab.properties import (
     save_strategy_system,
     strategy_system_from_obj,
@@ -152,6 +153,24 @@ def test_union_and_injectivity():
     assert not brute_injective({"H0": (t0, t1), "H1": (t0,)})
     with pytest.raises(InjectivityError):
         check_nos(shared)
+
+
+def test_check_nos_refuses_a_non_injective_system_on_every_call():
+    t0, t1 = F.zl_pair_traces()
+    shared = strategy_system_from_mapping(binary_space(), {"H0": [t0, t1], "H1": [t0]})
+    for _ in range(3):
+        with pytest.raises(InjectivityError):
+            check_nos(shared)
+
+
+def test_check_nos_decides_each_system_once(monkeypatch):
+    decided = []
+    decide = properties._nos_holds
+    monkeypatch.setattr(properties, "_nos_holds", lambda ss: decided.append(ss) or decide(ss))
+    for ss in (F.nos_two_trace(), F.nos_false_pair()):
+        expected = brute_nos({name: fam.members for name, fam in ss.families})
+        assert [check_nos(ss) for _ in range(3)] == [expected] * 3
+    assert len(decided) == 2
 
 
 def test_nos_fixture_verdicts():

@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,27 @@ def test_system_rejects_foreign_traces_and_dedupes():
     assert len(s) == 1 and good in s
 
 
+def test_members_follow_the_canonical_order_for_mixed_lengths():
+    """Members come out by prefix length, cycle length, prefix, then
+    cycle, in whatever order the traces are given; a trace outside the
+    space among them is still refused."""
+    rng = random.Random(5)
+    letters = [tuple(str(i >> j & 1) for j in range(4)) for i in range(16)]
+
+    def word():
+        return [rng.choice(letters) for _ in range(rng.randint(0, 3))]
+
+    given = list({canonicalize(word(), word()) for _ in range(80)})
+    assert len({(len(t.prefix), len(t.cycle)) for t in given}) >= 12
+    expected = tuple(sorted(given, key=lambda t: (len(t.prefix), len(t.cycle), t.prefix, t.cycle)))
+    for _ in range(3):
+        rng.shuffle(given)
+        assert System(binary_space(), given).members == expected
+    foreign = canonicalize([], [("0", "2", "0", "0")])
+    with pytest.raises(AlphabetError, match=r"^trace \[\(0,2,0,0\)\]\^w does not conform"):
+        System(binary_space(), given + [foreign])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257])
 def test_view_counts_count_each_mask_at_every_packing_width(n):
     """Systems of ``n`` finite binary words whose LI column has ``n``
@@ -365,6 +387,27 @@ def test_unpickled_trace_hashes_under_the_loading_hash_seed():
     done = subprocess.run(
         [sys.executable, "-c", script], input=pickle.dumps((t, s, a)), capture_output=True, env=env, check=False
     )
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) != hash("siflab")  # the two processes hash differently
+
+
+def test_an_unpickled_space_hashes_under_the_loading_hash_seed():
+    """A pickled trace space, loaded where strings hash differently,
+    hashes as a fresh copy does, though a space keeps the hash it took
+    at construction."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    script = (
+        "import pickle, sys\n"
+        "from siflab.traces import binary_space\n"
+        "space = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = binary_space()\n"
+        "assert space == fresh and hash(space) == hash(fresh) and {fresh: 1}.get(space) == 1\n"
+        "print(hash('siflab'))\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    payload = pickle.dumps(binary_space())
+    done = subprocess.run([sys.executable, "-c", script], input=payload, capture_output=True, env=env, check=False)
     assert done.returncode == 0, done.stderr.decode()
     assert int(done.stdout) != hash("siflab")  # the two processes hash differently
 
