@@ -18,7 +18,7 @@ lands.  Four realizations matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -72,38 +72,25 @@ class ExtensionalSif:
         return f"ExtensionalSif(table={self.table!r})"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class NosMemberSif:
     """Returns its fixed trace when the first argument shares that trace's
     low view and the second argument belongs to the fixed family;
-    undefined otherwise.  Two are equal when their family name, trace and
-    family traces are."""
+    undefined otherwise."""
 
-    __slots__ = ("family_name", "sigma", "family_traces", "_low")
+    family_name: str
+    sigma: LassoTrace
+    family_traces: frozenset
+    _low: LassoTrace = field(init=False, repr=False, compare=False)
 
-    def __init__(self, family_name: str, sigma: LassoTrace, family_traces: frozenset):
-        self.family_name = family_name
-        self.sigma = sigma
-        self.family_traces = family_traces
-        self._low = view(sigma, L_VIEW)
+    def __post_init__(self):
+        self._low = view(self.sigma, L_VIEW)
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         # views are interned traces, so equal views are one object
         if b in self.family_traces and self._low is view(a, L_VIEW):
             return self.sigma
         return None
-
-    def _fields(self) -> tuple:
-        return (self.family_name, self.sigma, self.family_traces)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is NosMemberSif and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        name, sigma, traces = self._fields()
-        return f"NosMemberSif(family_name={name!r}, sigma={sigma!r}, family_traces={traces!r})"
 
 
 def nos_family(ss: StrategySystem) -> tuple[NosMemberSif, ...]:
@@ -120,6 +107,7 @@ def nos_family(ss: StrategySystem) -> tuple[NosMemberSif, ...]:
     return tuple(out)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ZigzagSif:
     """The trace-set-pinning function over an ordered core.
 
@@ -127,31 +115,22 @@ class ZigzagSif:
     one argument in the core, that argument is returned; with neither,
     the first core element.  With both in the core at 1-based positions
     i and j, the result is the core element at i+1 when j is even and
-    i-1 when j is odd, wrapped into 1..k.  Two are equal when their
-    targets and cores are.
+    i-1 when j is odd, wrapped into 1..k.
     """
 
-    __slots__ = ("target", "core", "_pos")
+    target: frozenset
+    core: tuple
+    _pos: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, target: frozenset, core: tuple):
+    def __post_init__(self):
+        core = self.core
         if not core:
             raise SiflabError("the ordered core must be nonempty")
         if len(set(core)) != len(core):
             raise SiflabError("core elements must be distinct")
-        if not set(core) <= target:
+        if not set(core) <= self.target:
             raise SiflabError("the core must be a subset of the target set")
-        self.target = target
-        self.core = core
         self._pos = {t: i + 1 for i, t in enumerate(core)}
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ZigzagSif and self.target == other.target and self.core == other.core
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.core))
-
-    def __repr__(self) -> str:
-        return f"ZigzagSif(target={self.target!r}, core={self.core!r})"
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         if a not in self.target or b not in self.target:
@@ -177,38 +156,24 @@ def zigzag_sif(target: System) -> ZigzagSif:
     return ZigzagSif(target.traces, target.members)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ConjPairGenSif:
     """The pairing of two functions: undefined where either component is,
     otherwise the union of their outputs (a single trace counts as a
-    one-element set).  Two pairings are equal when their components are.
+    one-element set).
 
-    It keeps each component's bound ``__call__``, as
-    :func:`closed_under_family` does, and reads the components ``f`` and
-    ``g`` back from them.
+    It calls each component through its bound ``__call__``, as
+    :func:`closed_under_family` does.
     """
 
-    __slots__ = ("_f", "_g")
+    f: Sif
+    g: Sif
+    _f: Sif = field(init=False, repr=False, compare=False)
+    _g: Sif = field(init=False, repr=False, compare=False)
 
-    def __init__(self, f: Sif, g: Sif):
-        self._f = f.__call__
-        self._g = g.__call__
-
-    @property
-    def f(self) -> Sif:
-        return self._f.__self__
-
-    @property
-    def g(self) -> Sif:
-        return self._g.__self__
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ConjPairGenSif and self.f == other.f and self.g == other.g
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.g))
-
-    def __repr__(self) -> str:
-        return f"ConjPairGenSif(f={self.f!r}, g={self.g!r})"
+    def __post_init__(self):
+        self._f = self.f.__call__
+        self._g = self.g.__call__
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> frozenset | None:
         fa = self._f(a, b)

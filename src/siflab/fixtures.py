@@ -17,8 +17,6 @@ from .properties import StrategySystem, strategy_system_from_mapping, strategy_s
 from .traces import LassoTrace, System, binary_space, canonicalize, system_to_obj
 from .zl import AsyncSystem, EventDecl, async_system_to_obj, collection_to_obj
 
-_B = ("0", "1")
-
 
 def _step(bits: tuple[int, int, int, int]) -> tuple[str, str, str, str]:
     return tuple(str(b) for b in bits)  # type: ignore[return-value]

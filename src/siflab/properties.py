@@ -96,8 +96,8 @@ class StrategySystem:
 
     Every family must be nonempty.  The union is the trace set all
     pair-quantified properties are evaluated on; it is built on first use
-    and kept with the strategy system, as is the NOS verdict once
-    :func:`check_nos` has decided it.
+    and kept with the strategy system, as are the injectivity and NOS
+    verdicts.
     """
 
     families: tuple[tuple[str, System], ...]
@@ -123,6 +123,19 @@ class StrategySystem:
     def union(self) -> System:
         """The deduplicated union of all families."""
         return System(self.space, frozenset().union(*(fam.traces for _, fam in self.families)))
+
+    @cached_property
+    def injective(self) -> bool:
+        """The verdict of :func:`check_injectivity`."""
+        return _injective([fam.traces for _, fam in self.families])
+
+    @cached_property
+    def nos(self) -> bool:
+        """The verdict of :func:`check_nos`; kept only once the
+        injectivity precondition has passed, so a system that fails it
+        raises on every read."""
+        require_injectivity(self)
+        return _nos_holds(self)
 
 
 def union_system(ss: StrategySystem) -> System:
@@ -151,9 +164,9 @@ def check_injectivity(ss: StrategySystem) -> bool:
 
     Over a finite explicit family map this set-difference condition is
     both necessary and sufficient for the distinguishability requirement
-    NOS rests on.
+    NOS rests on.  The verdict is kept on ``ss`` (``ss.injective``).
     """
-    return _injective([fam.traces for _, fam in ss.families])
+    return ss.injective
 
 
 def require_injectivity(ss: StrategySystem) -> StrategySystem:
@@ -169,15 +182,10 @@ def check_nos(ss: StrategySystem) -> bool:
 
     Raises :class:`InjectivityError` when the distinguishability
     precondition fails (:func:`require_injectivity`), on every call.  The
-    verdict is kept on ``ss`` only once the precondition has passed, so a
-    repeated question on the same system reads it.
+    verdict is kept on ``ss`` (``ss.nos``) only once the precondition has
+    passed, so a repeated question on the same system reads it.
     """
-    nos = vars(ss).get("_nos")
-    if nos is None:
-        require_injectivity(ss)
-        nos = _nos_holds(ss)
-        object.__setattr__(ss, "_nos", nos)
-    return nos
+    return ss.nos
 
 
 def _nos_holds(ss: StrategySystem) -> bool:

@@ -124,6 +124,19 @@ class VerifyContext:
     def zigzag(self):
         return corpora.zigzag_corpus(self.zigzag_count, self.seed)
 
+    @cached_property
+    def dgni_refutation(self):
+        """THM2's refutation of the 81 types for DGNI, which COR-CONJ
+        reads too; charged to whichever of the two runs first."""
+        pool = {
+            "dgni_not_sep_15": fixtures.dgni_not_sep_15(),
+            "li_equals_hi_8": fixtures.li_equals_hi_8(),
+            "ho_equals_li_8": fixtures.ho_equals_li_8(),
+            "lo_equals_hi_8": fixtures.lo_equals_hi_8(),
+        }
+        predicate = lambda s: check_property(PropertyKind.DGNI, s)
+        return refute_all_types(predicate, pool)
+
 
 @dataclass(frozen=True)
 class ResultOutcome:
@@ -277,20 +290,9 @@ def _thm1(ctx) -> tuple[bool, str]:
 
 @_result("THM2", "no copy type represents DGNI")
 def _thm2(ctx) -> tuple[bool, str]:
-    report = _thm2_report()
+    report = ctx.dgni_refutation
     ok = report.all_refuted
     return ok, f"all 81 types refuted for DGNI; witnesses: {_witness_summary(report)}"
-
-
-def _thm2_report():
-    pool = {
-        "dgni_not_sep_15": fixtures.dgni_not_sep_15(),
-        "li_equals_hi_8": fixtures.li_equals_hi_8(),
-        "ho_equals_li_8": fixtures.ho_equals_li_8(),
-        "lo_equals_hi_8": fixtures.lo_equals_hi_8(),
-    }
-    predicate = lambda s: check_property(PropertyKind.DGNI, s)
-    return refute_all_types(predicate, pool)
 
 
 @_result("COR-CONJ", "type-representable properties are not closed under conjunction")
@@ -298,7 +300,7 @@ def _cor_conj(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     gni_rep = bu.property_ok(PropertyKind.GNI) == bu.type_ok(GNI_TYPE)
     rgni_rep = bu.property_ok(PropertyKind.RGNI) == bu.type_ok(RGNI_TYPE)
-    dgni_unrep = _thm2_report().all_refuted
+    dgni_unrep = ctx.dgni_refutation.all_refuted
     ok = gni_rep and rgni_rep and dgni_unrep
     return ok, (
         f"GNI and RGNI are each type-represented ({gni_rep}, {rgni_rep}) "

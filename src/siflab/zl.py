@@ -146,26 +146,14 @@ def _member_classes(s: AnySystem) -> tuple[frozenset, ...]:
 QPredicate = Callable[[frozenset], bool]
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ExtensionalQ:
-    """A predicate given by the explicit family of accepted sets; two are
-    equal when they accept the same sets."""
+    """A predicate given by the explicit family of accepted sets."""
 
-    __slots__ = ("accepted",)
-
-    def __init__(self, accepted: frozenset):
-        self.accepted = accepted
+    accepted: frozenset
 
     def __call__(self, a: frozenset) -> bool:
         return frozenset(a) in self.accepted
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ExtensionalQ and self.accepted == other.accepted
-
-    def __hash__(self) -> int:
-        return hash(self.accepted)
-
-    def __repr__(self) -> str:
-        return f"ExtensionalQ(accepted={self.accepted!r})"
 
 
 @dataclass(frozen=True)
@@ -182,27 +170,15 @@ class NosPredicate:
         return all(a & fam.traces for _, fam in self.ss.families)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class AndQ:
-    """The conjunction of two predicates; two are equal when their
-    components are."""
+    """The conjunction of two predicates."""
 
-    __slots__ = ("q1", "q2")
-
-    def __init__(self, q1: QPredicate, q2: QPredicate):
-        self.q1 = q1
-        self.q2 = q2
+    q1: QPredicate
+    q2: QPredicate
 
     def __call__(self, a: frozenset) -> bool:
         return self.q1(a) and self.q2(a)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is AndQ and self.q1 == other.q1 and self.q2 == other.q2
-
-    def __hash__(self) -> int:
-        return hash((self.q1, self.q2))
-
-    def __repr__(self) -> str:
-        return f"AndQ(q1={self.q1!r}, q2={self.q2!r})"
 
 
 def zl_check(s: AnySystem, q: QPredicate) -> bool:
@@ -257,31 +233,19 @@ def low_projection(t: EventTrace, decl: EventDecl) -> EventTrace:
     return tuple(filter(decl.lows.__contains__, t))
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class InsertionSif:
     """The total function whose closure condition is the insertion property.
 
     On (s1, s2): when s2 ends with a high event e, its remainder is a
     prefix of s1, and the rest of s1 is low-only, the result re-inserts e
-    there; otherwise the result is s1's low projection.  Two are equal
-    when their declarations are.
+    there; otherwise the result is s1's low projection.
 
     It shares no code with :func:`psp_check` beyond :class:`EventDecl`,
     so PROP-PSP-SIF compares two independent deciders.
     """
 
-    __slots__ = ("decl",)
-
-    def __init__(self, decl: EventDecl):
-        self.decl = decl
-
-    def __eq__(self, other) -> bool:
-        return type(other) is InsertionSif and self.decl == other.decl
-
-    def __hash__(self) -> int:
-        return hash(self.decl)
-
-    def __repr__(self) -> str:
-        return f"InsertionSif(decl={self.decl!r})"
+    decl: EventDecl
 
     def __call__(self, s1: EventTrace, s2: EventTrace) -> EventTrace:
         s1 = tuple(s1)

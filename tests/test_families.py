@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -26,7 +28,7 @@ from siflab import (
     verify_zigzag_collection,
     zigzag_sif,
 )
-from siflab import families
+from siflab import families, properties
 from siflab import fixtures as F
 from siflab.corpus import disjoint_ten, enumerate_async_pools
 from siflab.families import ConjPairGenSif, NosMemberSif, ZigzagSif, _subfamily_verdicts, closed_over_pool
@@ -57,9 +59,11 @@ def test_from_mapping_is_canonical_in_insertion_order():
 
 
 def test_the_function_classes_compare_hash_and_print_by_their_fields():
-    """Two functions built from equal fields are equal, hash alike and
-    print alike, so ``family_union`` keeps one of them; a changed field,
-    or an object of another class, is not equal."""
+    """Two functions built from equal fields are equal, hash alike, print
+    alike and answer alike, so ``family_union`` keeps one of them; a
+    function's pickled, copied and deep-copied copies are equal, hash
+    alike and answer alike too.  A changed field, or an object of another
+    class, is not equal."""
     a, b = UNIVERSE[0], UNIVERSE[1]
     f, g = ExtensionalSif({(a, b): a}), ExtensionalSif({(a, b): b})
     f_again = ExtensionalSif({(a, b): a})
@@ -68,17 +72,32 @@ def test_the_function_classes_compare_hash_and_print_by_their_fields():
     target = System(SPACE, UNIVERSE[:3])
     q1, q2 = ExtensionalQ(frozenset({frozenset({a})})), ExtensionalQ(frozenset())
     decl = EventDecl((("l", "L"), ("h", "H")))
+    # the arguments each case is asked on
+    pairs = [(s, t) for s in target.members for t in target.members]
+    nos_pairs = [(s, t) for s in union_system(ss).members for t in union_system(ss).members]
+    sets = [(frozenset(),), (frozenset({a}),), (frozenset({a, b}),)]
+    events = [(("l",), ("h",)), (("h", "l"), ("h",)), (("l", "h"), ("l",))]
     cases = [
-        (ConjPairGenSif(f, g), ConjPairGenSif(f_again, g), ConjPairGenSif(g, f)),
-        (nos_family(ss)[0], nos_family(ss)[0], nos_family(ss)[1]),
-        (zigzag_sif(target), ZigzagSif(target.traces, target.members), ZigzagSif(target.traces, target.members[::-1])),
-        (q1, ExtensionalQ(frozenset({frozenset({a})})), q2),
-        (AndQ(q1, q2), AndQ(ExtensionalQ(q1.accepted), q2), AndQ(q2, q1)),
-        (InsertionSif(decl), InsertionSif(EventDecl(decl.events)), InsertionSif(EventDecl((("l", "L"),)))),
+        (ConjPairGenSif(f, g), ConjPairGenSif(f_again, g), ConjPairGenSif(g, f), [(a, b), (b, a)]),
+        (nos_family(ss)[0], nos_family(ss)[0], nos_family(ss)[1], nos_pairs),
+        (
+            zigzag_sif(target),
+            ZigzagSif(target.traces, target.members),
+            ZigzagSif(target.traces, target.members[::-1]),
+            pairs,
+        ),
+        (q1, ExtensionalQ(frozenset({frozenset({a})})), q2, sets),
+        (AndQ(q1, q2), AndQ(ExtensionalQ(q1.accepted), q2), AndQ(q2, q1), sets),
+        (InsertionSif(decl), InsertionSif(EventDecl(decl.events)), InsertionSif(EventDecl((("l", "L"),))), events),
     ]
-    for x, same, other in cases:
-        assert x is not same
-        assert x == same and hash(x) == hash(same) and repr(x) == repr(same), x
+    for x, same, other, args in cases:
+        assert x is not same and repr(x) == repr(same), x
+        answers = [x(*arg) for arg in args]
+        # a copied set field may list its members in another order, so
+        # copies need not print alike
+        for y in (same, pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert x == y and hash(x) == hash(y), x
+            assert [y(*arg) for arg in args] == answers, x
         assert x != other and x != repr(x), x
         assert family_union([x], [same]) == (x,), x
     pairing = cases[0][0]
@@ -107,6 +126,16 @@ def test_nos_family_requires_injectivity():
     shared = strategy_system_from_mapping(binary_space(), {"H0": [t0, t1], "H1": [t0]})
     with pytest.raises(InjectivityError):
         nos_family(shared)
+
+
+def test_check_nos_then_nos_family_decide_injectivity_once(monkeypatch):
+    decided = []
+    decide = properties._injective
+    monkeypatch.setattr(properties, "_injective", lambda sets: decided.append(sets) or decide(sets))
+    ss = F.nos_two_trace()
+    assert check_nos(ss) is True
+    assert len(nos_family(ss)) == sum(len(fam) for _, fam in ss.families)
+    assert len(decided) == 1
 
 
 def test_nos_closure_equivalence_on_fixtures():

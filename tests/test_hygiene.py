@@ -10,11 +10,12 @@ anywhere outside its import statements; a name that only a string
 annotation mentions counts as unused.  ``__init__.py`` is left out: its
 imports are the package's exports.
 
-A function, class or method defined in the package is live when its name
-occurs, as a name or an attribute, in the package, the tests or the
-benchmark outside its own definition; docstrings and imports do not
-count.  Dunder methods, which Python calls, and the ``@_result``
-procedures, which the result registry calls, are exempt.
+A function, class or method defined in the package, or a name a module
+assigns at its top level, is live when its name occurs, as a name or an
+attribute, in the package, the tests or the benchmark outside its own
+definition; docstrings and imports do not count.  Dunder names, which
+Python reads, and the ``@_result`` procedures, which the result registry
+calls, are exempt.
 
 A function only forwards when it is undecorated, takes a parameter, and
 is one ``return f(...)`` passing all its parameters and otherwise only
@@ -129,16 +130,21 @@ def _mentions(tree: ast.AST) -> Counter:
     )
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _exempt(node) -> bool:
-    if node.name.startswith("__") and node.name.endswith("__"):
+    if _dunder(node.name):
         return True
     return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_result" for d in node.decorator_list)
 
 
 def dead_definitions(defining: dict[str, str], referring: list[str]) -> list[str]:
-    """The functions, classes and methods of ``defining`` (module name to
-    source) that no source of ``defining`` or ``referring`` names outside
-    their own definitions, as ``module:qualified.name``."""
+    """The functions, classes, methods and module-level assigned names of
+    ``defining`` (module name to source) that no source of ``defining`` or
+    ``referring`` names outside their own definitions, as
+    ``module:qualified.name``."""
     trees = {module: ast.parse(source) for module, source in defining.items()}
     mentions = Counter()
     for tree in [*trees.values(), *map(ast.parse, referring)]:
@@ -152,6 +158,13 @@ def dead_definitions(defining: dict[str, str], referring: list[str]) -> list[str
                 if not _exempt(child) and mentions[child.name] == _mentions(child)[child.name]:
                     dead.append(f"{module}:{name}")
                 visit(child, module, name + ".")
+            elif isinstance(node, ast.Module) and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                own = _mentions(child)
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and not _dunder(n.id) and mentions[n.id] == own[n.id]:
+                            dead.append(f"{module}:{n.id}")
             else:
                 visit(child, module, prefix)
 
@@ -163,6 +176,10 @@ def dead_definitions(defining: dict[str, str], referring: list[str]) -> list[str
 def test_the_check_sees_dead_and_live_definitions():
     defining = {
         "m": (
+            "__all__ = ['A']\n"
+            "_UNUSED, _PAIR = 1, 2\n"
+            "_TABLE: dict = {_PAIR: 3}\n"
+            "_LIVE = _TABLE\n"
             "class A:\n"
             "    def __init__(self): pass\n"
             "    def used(self): return 1\n"
@@ -175,8 +192,8 @@ def test_the_check_sees_dead_and_live_definitions():
             "    return inner\n"
         )
     }
-    referring = ['"""helper, outer and A.recursive, in a docstring only"""\nfrom m import A, outer\nA().used()\n']
-    assert dead_definitions(defining, referring) == ["m:A.recursive", "m:helper", "m:outer"]
+    referring = ['"""helper, outer and A.recursive, in a docstring only"""\nfrom m import A, outer\nA().used(m._LIVE)\n']
+    assert dead_definitions(defining, referring) == ["m:_UNUSED", "m:A.recursive", "m:helper", "m:outer"]
 
 
 def test_every_definition_is_named_somewhere():

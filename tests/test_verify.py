@@ -12,6 +12,7 @@ import pytest
 
 from siflab import AsyncSystem, SiflabError, UnknownResultError, VerifyContext, verify_paper
 from siflab import corpus as corpora
+from siflab import verify
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
@@ -154,3 +155,21 @@ def test_full_catalogue_reproduces():
     golden = json.loads(GOLDEN.read_text())
     got = [{"id": o.result_id, "passed": o.passed, "detail": o.detail} for o in report.outcomes]
     assert got == golden
+
+
+def test_a_full_run_refutes_the_types_for_dgni_once(monkeypatch):
+    """THM2 and COR-CONJ both read the refutation of the 81 types for
+    DGNI; a full run makes it once."""
+    pools = []
+    refute = verify.refute_all_types
+
+    def counting(predicate, pool, *extension):
+        pools.append(sorted(pool))
+        return refute(predicate, pool, *extension)
+
+    monkeypatch.setattr(verify, "refute_all_types", counting)
+    report = verify_paper()
+    assert report.all_passed
+    dgni_pool = ["dgni_not_sep_15", "ho_equals_li_8", "li_equals_hi_8", "lo_equals_hi_8"]
+    assert pools.count(dgni_pool) == 1
+    assert len(pools) == 3  # THM1, THM2 and THM3
