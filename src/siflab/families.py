@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ._accel import avoiding, powerset_size, sweep_pairs
 from .errors import SiflabError
 from .properties import StrategySystem, require_injectivity
-from .traces import L_VIEW, LassoTrace, System, _sort_key, view
+from .traces import L_VIEW, LassoTrace, System, _sort_key, canonical_repr, view
 
 Sif = Callable[[LassoTrace, LassoTrace], "LassoTrace | frozenset | None"]
 
@@ -86,6 +86,12 @@ class NosMemberSif:
     def __post_init__(self):
         self._low = view(self.sigma, L_VIEW)
 
+    def __repr__(self) -> str:
+        return (
+            f"NosMemberSif(family_name={self.family_name!r}, sigma={self.sigma!r}, "
+            f"family_traces={canonical_repr(self.family_traces)})"
+        )
+
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         # views are interned traces, so equal views are one object
         if b in self.family_traces and self._low is view(a, L_VIEW):
@@ -131,6 +137,9 @@ class ZigzagSif:
         if not set(core) <= self.target:
             raise SiflabError("the core must be a subset of the target set")
         self._pos = {t: i + 1 for i, t in enumerate(core)}
+
+    def __repr__(self) -> str:
+        return f"ZigzagSif(target={canonical_repr(self.target)}, core={self.core!r})"
 
     def __call__(self, a: LassoTrace, b: LassoTrace) -> LassoTrace | None:
         if a not in self.target or b not in self.target:

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -73,18 +74,21 @@ def check_property(kind: PropertyKind, s: System) -> bool:
     verdict is kept on ``s``, so a kind sharing the pair, or a repeated
     question, reads it instead of deciding again.
     """
+    if type(kind) is not PropertyKind:
+        # the conversion still refuses what is not a kind's value
+        kind = PropertyKind(kind)
     verdicts = s._verdicts
     if verdicts is None:
         verdicts = s._verdicts = {}
-    for pair in PROPERTY_VIEWS[PropertyKind(kind)]:
+    for pair in PROPERTY_VIEWS[kind]:
         holds = verdicts.get(pair)
         if holds is None:
             first, second = _VIEW_KEYS[pair]
             rows = s.view_ids
-            have = set(zip(map(first, rows), map(second, rows)))
-            firsts = set(map(first, rows))
-            seconds = set(map(second, rows))
-            verdicts[pair] = holds = all((a, b) in have for a in firsts for b in seconds)
+            firsts = list(map(first, rows))
+            seconds = list(map(second, rows))
+            # every (C1, C2) pair of views met must be one member's
+            verdicts[pair] = holds = set(zip(firsts, seconds)).issuperset(product(set(firsts), set(seconds)))
         if not holds:
             return False
     return True

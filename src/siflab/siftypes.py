@@ -57,10 +57,12 @@ class SifType:
 
     Each slot is the int 0, 1 or 2.  Construction also computes
     ``masks``, the pair (C1, C2) of component masks the type takes from
-    its first and its second argument, which closure checks read 81 times
-    per system, and its hash, ``hash(slots)`` as a generated dataclass hash
-    would be.  Pickling rebuilds the type from its slots, so a stored hash
-    never outlives the process that computed it.
+    its first and its second argument; ``_count_keys``, the indices
+    (C1 | C2, C1, C2) into ``System.view_counts`` that closure checks
+    read 81 times per system; and its hash, ``hash(slots)`` as a
+    generated dataclass hash would be.  Pickling rebuilds the type from
+    its slots, so a stored hash never outlives the process that computed
+    it.
     """
 
     in_h: int
@@ -76,6 +78,7 @@ class SifType:
                 raise FormatError(f"slot {name} must be the int 0, 1 or 2, got {slot!r}")
             masks[slot] |= int(comp)
         object.__setattr__(self, "masks", (masks[1], masks[2]))
+        object.__setattr__(self, "_count_keys", (masks[1] | masks[2], masks[1], masks[2]))
         object.__setattr__(self, "_hash", hash(self.slots))
 
     def __hash__(self) -> int:
@@ -147,9 +150,11 @@ def closed_under_type(s: System, t: SifType) -> bool:
     closure under t1 and under t2: each type holds every constraint-obeying
     function, and the quantifier over pairs distributes over the conjunction.
     """
-    first, second = t.masks
-    counts = s.view_counts
-    return counts[first | second] == counts[first] * counts[second]
+    both, first, second = t._count_keys
+    counts = s._counts
+    if counts is None:
+        counts = s.view_counts
+    return counts[both] == counts[first] * counts[second]
 
 
 REFUTED_HOLDS_NOT_CLOSED = "property-holds-not-closed"
@@ -206,6 +211,8 @@ class RefutationReport:
 
 def as_plain_system(member) -> System:
     """The trace set closure checks run on (union for strategy systems)."""
+    if type(member) is System:
+        return member
     if isinstance(member, StrategySystem):
         return union_system(member)
     if isinstance(member, System):

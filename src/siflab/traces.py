@@ -24,6 +24,7 @@ from enum import IntFlag
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetError, DuplicateTraceError, FormatError, SiflabError
@@ -64,6 +65,12 @@ def view_columns(mask: int) -> tuple[int, ...]:
 # Per nonzero mask, in mask order, the function that takes a row of
 # ``System.view_ids`` to its mask-view key: one id, or a tuple of ids.
 VIEW_KEY = {mask: itemgetter(*columns) for mask, columns in enumerate(_VIEW_COLUMNS) if columns}
+
+
+# The key functions of the masks of two or three components, in mask
+# order (3, 5, 6, 7, 9, ..., 14): the counts ``System.view_counts`` takes
+# a set for.
+_JOINT_KEYS = tuple(VIEW_KEY[mask] for mask, columns in enumerate(_VIEW_COLUMNS) if len(columns) in (2, 3))
 
 
 # Per nonzero mask: the function that restricts a 4-tuple to the mask's
@@ -134,9 +141,7 @@ class LassoTrace:
             t = ref()
             if t is not None:
                 return t
-        arities = set(map(len, prefix))
-        arities.update(map(len, cycle))
-        if len(arities) > 1:
+        if len({*map(len, prefix), *map(len, cycle)}) > 1:
             raise ValueError("mixed tuple arities in one trace")
         if cycle:
             if _primitive_root(cycle) != cycle:
@@ -144,9 +149,9 @@ class LassoTrace:
             if prefix and prefix[-1] == cycle[-1]:
                 raise ValueError("prefix not minimal; use canonicalize()")
         t = object.__new__(cls)
-        object.__setattr__(t, "prefix", prefix)
-        object.__setattr__(t, "cycle", cycle)
-        object.__setattr__(t, "sort_key", (len(prefix), len(cycle), prefix, cycle))
+        _set_prefix(t, prefix)
+        _set_cycle(t, cycle)
+        _set_sort_key(t, (len(prefix), len(cycle), prefix, cycle))
         ref = _TableRef(t, _evict)
         ref.key = key
         _TABLE[key] = ref
@@ -170,6 +175,14 @@ class LassoTrace:
 
     def __str__(self) -> str:
         return format_trace(self)
+
+
+# The slots' setters, for the constructor alone: ``LassoTrace.__setattr__``
+# refuses every assignment, and a setter call costs less than
+# ``object.__setattr__``'s lookup of the name.
+_set_prefix = LassoTrace.prefix.__set__
+_set_cycle = LassoTrace.cycle.__set__
+_set_sort_key = LassoTrace.sort_key.__set__
 
 
 def format_trace(t: LassoTrace) -> str:
@@ -217,7 +230,8 @@ def project(t: LassoTrace, mask: Component) -> LassoTrace:
 
 
 # Bound on the entries of each of this module's caches (`view`,
-# `_canonical_column`, `_LETTERS`); a module constant, not an option.
+# `_canonical_column`, `_LETTERS`, `_SPACES`); a module constant, not an
+# option.
 _CACHE_BOUND = 4096
 
 
@@ -245,9 +259,9 @@ class TraceSpace:
     ``_allowed`` holds the alphabets in ``_COMPONENT_KEYS`` order for
     :meth:`contains`; equality and hashing use ``_key`` only, and its
     hash is taken once, as ``_hash``.  It holds tuples, not sets:
-    alphabets have a few symbols, so a scan costs no more than a lookup,
-    and every system read from a file has its own space, which four sets
-    would enlarge.
+    alphabets have a few symbols, so a scan costs no more than a lookup.
+    Systems read with one alphabet spelling share one space
+    (:func:`space_from_obj`), so ``alphabets`` is a read-only mapping.
     """
 
     __slots__ = ("alphabets", "_key", "_allowed", "_hash")
@@ -263,7 +277,7 @@ class TraceSpace:
             if not syms:
                 raise FormatError(f"alphabet for {key} is empty")
             cleaned[key] = syms
-        self.alphabets = cleaned
+        self.alphabets = MappingProxyType(cleaned)
         self._key = tuple((k, cleaned[k]) for k in _COMPONENT_KEYS)
         self._allowed = tuple(cleaned[k] for k in _COMPONENT_KEYS)
         self._hash = hash(self._key)
@@ -294,7 +308,7 @@ class TraceSpace:
 
     def __reduce__(self):
         # rebuilt, so the hash is that of the loading process
-        return (TraceSpace, (self.alphabets,))
+        return (TraceSpace, (dict(self.alphabets),))
 
     def __repr__(self) -> str:
         sizes = "x".join(str(len(self.alphabets[k])) for k in _COMPONENT_KEYS)
@@ -313,18 +327,42 @@ _NO_COLUMNS = ((), (), (), ())
 _sort_key = attrgetter("sort_key")
 
 
+def _member_key(x):
+    # a trace ranks by its sort_key, a set by its members' keys in order,
+    # and any other member (an event trace, say) as itself
+    if type(x) is LassoTrace:
+        return x.sort_key
+    if type(x) is frozenset:
+        return sorted(map(_member_key, x))
+    return x
+
+
+def canonical_repr(x) -> str:
+    """``repr(x)``, with the members of each frozenset in it listed in the
+    canonical member order, so equal sets print alike whatever order they
+    were built in; a frozenset of sets lists each set so, and ranks them
+    by their members' keys."""
+    if type(x) is not frozenset:
+        return repr(x)
+    if not x:
+        return "frozenset()"
+    return "frozenset({" + ", ".join(map(canonical_repr, sorted(x, key=_member_key))) + "})"
+
+
 class System:
     """A finite set of canonical traces over a shared trace space.
 
-    Four slots are filled on first use and take no part in equality,
-    hashing or pickling: ``_ids`` and ``_counts`` by :attr:`view_ids` and
-    :attr:`view_counts`; ``_verdicts``, a dict from a (C1, C2) mask
-    pair of ``properties.PROPERTY_VIEWS`` to its verdict, created by the
-    first ``properties.check_property`` call; and ``_classes``, each
-    member's low-view class, by ``zl._member_classes``.
+    Five slots are filled on first use and take no part in equality,
+    hashing or pickling: ``_ids`` and ``_column_counts``, the number of
+    distinct ids in each of the four columns, by :attr:`view_ids`;
+    ``_counts`` by :attr:`view_counts`; ``_verdicts``, a dict from a
+    (C1, C2) mask pair of ``properties.PROPERTY_VIEWS`` to its verdict,
+    created by the first ``properties.check_property`` call; and
+    ``_classes``, each member's low-view class, by
+    ``zl._member_classes``.
     """
 
-    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_counts", "_verdicts", "_classes")
+    __slots__ = ("space", "traces", "members", "_hash", "_ids", "_column_counts", "_counts", "_verdicts", "_classes")
 
     def __init__(self, space: TraceSpace, traces: Iterable[LassoTrace]):
         tset = frozenset(traces)
@@ -337,6 +375,7 @@ class System:
         self.members = tuple(sorted(tset, key=_sort_key))
         self._hash = hash((space._hash, tset))
         self._ids = None
+        self._column_counts = None
         self._counts = None
         self._verdicts = None
         self._classes = None
@@ -357,10 +396,13 @@ class System:
             prefixes = [tuple(zip(*t.prefix)) or _NO_COLUMNS for t in self.members]
             cycles = [tuple(zip(*t.cycle)) or _NO_COLUMNS for t in self.members]
             columns = []
+            sizes = []
             for i in range(4):
                 seen: dict[tuple[tuple, tuple], int] = {}
                 columns.append([seen.setdefault(_canonical_column(pre[i], cyc[i]), len(seen)) for pre, cyc in zip(prefixes, cycles)])
+                sizes.append(len(seen))
             self._ids = tuple(zip(*columns))
+            self._column_counts = tuple(sizes)
         return self._ids
 
     @property
@@ -368,10 +410,18 @@ class System:
         """``view_counts[mask]``: the number of distinct ``mask``-views
         among the members, for each of the 16 component masks: the number
         of distinct ``VIEW_KEY[mask]`` keys of the :attr:`view_ids` rows
-        (``view_counts[0]`` is 1, or 0 for the empty system)."""
+        (``view_counts[0]`` is 1, or 0 for the empty system).
+
+        Only the ten masks of two or three components need a set: a
+        one-component count is its column's id count, and distinct
+        members have distinct full views, so the full-mask count is the
+        number of members."""
         if self._counts is None:
             rows = self.view_ids
-            self._counts = (min(len(rows), 1), *(len(set(map(key, rows))) for key in VIEW_KEY.values()))
+            n = len(rows)
+            hi, li, ho, lo = self._column_counts
+            c3, c5, c6, c7, c9, c10, c11, c12, c13, c14 = (len(set(map(key, rows))) for key in _JOINT_KEYS)
+            self._counts = (min(n, 1), hi, li, c3, ho, c5, c6, c7, lo, c9, c10, c11, c12, c13, c14, n)
         return self._counts
 
     def __contains__(self, t: LassoTrace) -> bool:
@@ -443,6 +493,24 @@ def _tuple_from_obj(obj) -> tuple:
     return tuple(map(_coerce_symbol, obj))
 
 
+def _word_from_obj(objs) -> tuple:
+    """The letters of a list of tuple objects, as :func:`_tuple_from_obj`
+    gives them: a memoized letter is read here, behind the same
+    exact-type test, and anything else goes through it."""
+    word = []
+    for obj in objs:
+        if type(obj) is list and len(obj) == 4:
+            a, b, c, d = obj
+            cls = type(a)
+            if (cls is int or cls is str) and type(b) is cls and type(c) is cls and type(d) is cls:
+                letter = _LETTERS.get((a, b, c, d))
+                if letter is not None:
+                    word.append(letter)
+                    continue
+        word.append(_tuple_from_obj(obj))
+    return tuple(word)
+
+
 def trace_from_obj(obj) -> LassoTrace:
     """Build a canonical trace from ``{"prefix": [...], "cycle": [...]}``."""
     if not isinstance(obj, dict):
@@ -450,8 +518,8 @@ def trace_from_obj(obj) -> LassoTrace:
     unknown = set(obj) - {"prefix", "cycle"}
     if unknown:
         raise FormatError(f"unknown trace keys: {sorted(unknown)}")
-    pre = tuple(map(_tuple_from_obj, _list(obj.get("prefix", []), "a trace prefix")))
-    cyc = tuple(map(_tuple_from_obj, _list(obj.get("cycle", []), "a trace cycle")))
+    pre = _word_from_obj(_list(obj.get("prefix", []), "a trace prefix"))
+    cyc = _word_from_obj(_list(obj.get("cycle", []), "a trace cycle"))
     return LassoTrace(*_canonical_form(pre, cyc))
 
 
@@ -459,10 +527,24 @@ def trace_to_obj(t: LassoTrace) -> dict:
     return {"prefix": [list(tup) for tup in t.prefix], "cycle": [list(tup) for tup in t.cycle]}
 
 
+# Coerced alphabet spelling, ((key, symbols), ...) in the object's order,
+# -> its one shared space; emptied before it would hold more than
+# _CACHE_BOUND keys.
+_SPACES: dict[tuple, TraceSpace] = {}
+
+
 def space_from_obj(obj) -> TraceSpace:
+    """The space of an alphabets object; equal spellings share one space."""
     if not isinstance(obj, dict):
         raise FormatError("alphabets must be an object with keys hi/li/ho/lo")
-    return TraceSpace({k: [_coerce_symbol(s) for s in _list(v, f"alphabet {k}")] for k, v in obj.items()})
+    key = tuple((k, tuple(map(_coerce_symbol, _list(v, f"alphabet {k}")))) for k, v in obj.items())
+    space = _SPACES.get(key)
+    if space is None:
+        space = TraceSpace(dict(key))
+        if len(_SPACES) >= _CACHE_BOUND:
+            _SPACES.clear()
+        _SPACES[key] = space
+    return space
 
 
 def space_to_obj(space: TraceSpace) -> dict:

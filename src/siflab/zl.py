@@ -27,6 +27,7 @@ from .traces import (
     System,
     _coerce_symbol,
     _list,
+    canonical_repr,
     space_from_obj,
     space_to_obj,
     system_from_objs,
@@ -151,6 +152,9 @@ class ExtensionalQ:
     """A predicate given by the explicit family of accepted sets."""
 
     accepted: frozenset
+
+    def __repr__(self) -> str:
+        return f"ExtensionalQ(accepted={canonical_repr(self.accepted)})"
 
     def __call__(self, a: frozenset) -> bool:
         return frozenset(a) in self.accepted

@@ -117,8 +117,22 @@ def test_a_reloaded_system_decides_afresh():
 
 
 def test_check_property_accepts_string_kinds():
-    s = F.lo_equals_li_8()
-    assert check_property("sep", s) is True
+    """A kind's value gives the kind's verdict; another spelling, NOS, or
+    a value of another type is refused with ``ValueError``, before and
+    after the system has verdicts."""
+    seen = set()
+    for s in (F.lo_equals_li_8(), _system(0b1011)):
+        for kind in KINDS:
+            verdict = check_property(kind, s)
+            assert check_property(kind.value, s) == verdict
+            assert check_property(kind.value, System(s.space, s.traces)) == verdict
+            seen.add(verdict)
+        for bad in ("SEP", "nos", [], None, 3):
+            with pytest.raises(ValueError):
+                check_property(bad, s)
+            with pytest.raises(ValueError):
+                check_property(bad, System(s.space, s.traces))
+    assert check_property("sep", F.lo_equals_li_8()) is True and seen == {True, False}
 
 
 # ------------------------------------------------------- strategy systems

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 from itertools import product
@@ -72,6 +73,7 @@ def test_masks_are_the_components_each_argument_supplies():
         for i, slot in enumerate(t.slots):
             walked[slot] |= 1 << i
         assert t.masks == (walked[1], walked[2]), t
+        assert t._count_keys == (walked[1] | walked[2], walked[1], walked[2]), t
 
 
 def test_each_property_is_its_table_of_mask_pairs():
@@ -219,6 +221,21 @@ def test_cached_column_words_change_no_view():
             fresh = System(s.space, s.traces)
             assert fresh.view_ids == ids and fresh.view_counts == direct, (cold, s.members)
     assert traces._canonical_column.cache_info().hits
+
+
+def test_closure_reads_the_counts_of_fresh_reloaded_and_copied_systems():
+    """``closed_under_type`` gives the oracle's verdict on a system, its
+    pickled copy and its deep copy, each asked before its counts are read
+    and again after."""
+    rng = random.Random(13)
+    for _ in range(40):
+        drawn = _multi_period_system(rng)
+        expected = [brute_closed_under_type(drawn.members, t.slots) for t in enumerate_types()]
+        for s in (System(drawn.space, drawn.traces), pickle.loads(pickle.dumps(drawn)), copy.deepcopy(drawn)):
+            assert s._counts is None
+            assert [closed_under_type(s, t) for t in enumerate_types()] == expected, s.members
+            assert len(s.view_counts) == 16
+            assert [closed_under_type(s, t) for t in enumerate_types()] == expected, s.members
 
 
 def test_filled_lazy_slots_leave_equality_and_hashing_alone():

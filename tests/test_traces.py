@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lasso_equal, proj_raw, unroll, words_equal
+from test_siftypes import _multi_period_system
 from siflab import (
     AlphabetError,
     AsyncSystem,
@@ -29,6 +30,7 @@ from siflab import (
     H_VIEW,
     HI_VIEW,
     L_VIEW,
+    LO_VIEW,
     LassoTrace,
     System,
     TraceSpace,
@@ -45,6 +47,7 @@ from siflab import traces
 from siflab.cli import main
 from siflab.strategies import protocols_from_obj
 from siflab.traces import (
+    COMPONENT_ORDER,
     load_json,
     system_from_obj,
     system_to_obj,
@@ -264,8 +267,10 @@ def test_members_follow_the_canonical_order_for_mixed_lengths():
         System(binary_space(), given + [foreign])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257])
-def test_view_counts_count_each_mask_at_every_packing_width(n):
+PACKING_WIDTHS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257]
+
+
+def _packing_width_systems(n: int) -> list[System]:
     """Systems of ``n`` finite binary words whose LI column has ``n``
     distinct views (ids 0 .. n-1), with the other columns distinct,
     constant or paired, so the masked counts are n, about n/2 or 1."""
@@ -273,11 +278,75 @@ def test_view_counts_count_each_mask_at_every_packing_width(n):
     words = [format(i, f"0{length}b") for i in range(n)]
     zeros = ["0" * length] * n
     pairs = [words[i // 2] for i in range(n)]
-    for columns in ((words, words, words, words), (zeros, words, words, words), (words, words, pairs, zeros)):
-        s = System(binary_space(), [canonicalize(list(zip(*(col[i] for col in columns))), ()) for i in range(n)])
+    return [
+        System(binary_space(), [canonicalize(list(zip(*(col[i] for col in columns))), ()) for i in range(n)])
+        for columns in ((words, words, words, words), (zeros, words, words, words), (words, words, pairs, zeros))
+    ]
+
+
+@pytest.mark.parametrize("n", PACKING_WIDTHS)
+def test_view_counts_count_each_mask_at_every_packing_width(n):
+    """The systems of :func:`_packing_width_systems`."""
+    for s in _packing_width_systems(n):
         assert len(s) == n and {row[1] for row in s.view_ids} == set(range(n))
         direct = tuple(len({tuple(row[i] for i in view_columns(mask)) for row in s.view_ids}) for mask in range(16))
         assert s.view_counts == direct
+
+
+def test_the_counts_taken_without_a_set_are_direct_set_counts():
+    """The five entries ``view_counts`` reads off ``view_ids``, each
+    one-component count and ``view_counts[15] == len(s)``, equal set
+    counts of the members' projections: over the column-word cache test's
+    draws, the packing-width systems and finite traces of several lengths.
+    The full-mask entry rests on distinct members having distinct
+    four-component views, which is checked too."""
+    rng = random.Random(9)
+    systems = [_multi_period_system(rng) for _ in range(100)]
+    systems += [s for n in PACKING_WIDTHS for s in _packing_width_systems(n)]
+    z, lo, hi = ("0", "0", "0", "0"), ("0", "0", "0", "1"), ("1", "0", "0", "0")
+    finite = [canonicalize(w, ()) for w in ([], [z], [z, z], [z, lo], [lo, z], [hi, z, z])]
+    systems += [System(binary_space(), finite), System(binary_space(), finite + [canonicalize([], [z]), canonicalize([lo], [z])])]
+    for s in systems:
+        counts = s.view_counts
+        for i, comp in enumerate(COMPONENT_ORDER):
+            assert counts[1 << i] == len({project(t, comp) for t in s.members}), (s.members, comp)
+        assert counts[FULL_VIEW] == len({tuple(project(t, comp) for comp in COMPONENT_ORDER) for t in s.members}) == len(s)
+    counts = System(binary_space(), finite).view_counts
+    # HI words "", "0", "00", "100"; LO words "", "0", "00", "01", "10", "000"
+    assert (counts[HI_VIEW], counts[LO_VIEW], counts[FULL_VIEW]) == (4, 6, 6)
+
+
+def _alphabets(*symbols) -> dict:
+    return {k: list(symbols) for k in ("hi", "li", "ho", "lo")}
+
+
+def test_equal_alphabets_share_one_space():
+    """Two systems read with alphabets of one spelling, after symbols are
+    coerced, share one space; another alphabet, or another order of the
+    same symbols, gets its own, and a symbol the parser refuses is
+    refused after an equal one was read."""
+    one = system_from_obj({"alphabets": _alphabets("0", "1"), "traces": []})
+    two = system_from_obj({"alphabets": _alphabets(0, 1), "traces": [{"cycle": [[1, 0, 0, 1]]}]})
+    assert two.space is one.space and one.space == binary_space()
+    with pytest.raises(TypeError):
+        one.space.alphabets["hi"] = ("7",)
+    three = system_from_obj({"alphabets": _alphabets("0", "1", "2"), "traces": []})
+    assert three.space is not one.space and three.space.alphabets["hi"] == ("0", "1", "2")
+    assert system_from_obj({"alphabets": _alphabets("1", "0"), "traces": []}).space.alphabets["lo"] == ("1", "0")
+    assert system_from_obj({"alphabets": _alphabets(1, 0), "traces": []}).space.alphabets["hi"] == ("1", "0")
+    for bad in (True, 1.0, None):
+        with pytest.raises(FormatError, match="symbols must be strings or integers"):
+            system_from_obj({"alphabets": _alphabets(bad, 0), "traces": []})
+    with pytest.raises(FormatError, match="alphabets must have keys"):
+        traces.space_from_obj({"hi": [0], "li": [0], "ho": [0]})
+
+
+def test_the_space_memo_stays_within_its_bound():
+    first = traces.space_from_obj(_alphabets(1, 0))
+    for i in range(traces._CACHE_BOUND + 4):
+        assert traces.space_from_obj({"hi": [i], "li": [0], "ho": [0], "lo": [0]}).alphabets["hi"] == (str(i),)
+    assert len(traces._SPACES) <= traces._CACHE_BOUND
+    assert traces.space_from_obj(_alphabets(1, 0)) == first
 
 
 def test_view_counts_of_the_empty_and_a_one_trace_system():
