@@ -23,8 +23,7 @@ from .strategies import (
     GenerationMode,
     SystemProtocol,
     UserProtocol,
-    _expand_exact,
-    _run_keys,
+    _family_keys,
     _system_of_keys,
     build_strategy_system,
     derive_space,
@@ -300,12 +299,9 @@ def strategy_corpus(count: int = 120, seed: int = DEFAULT_SEED) -> list[Strategy
         memos = [{} for _ in highs]
         try:
             try:
-                for h, memo in zip(highs, memos):
-                    _expand_exact(ps, pl, h, memo)
-                bound = None
+                keys = _family_keys(ps, pl, highs, None, MAX_FAMILY_SIZE, memos)
             except RunExplosion:
-                bound = 3
-            keys = [_run_keys(ps, pl, h, memo, bound, MAX_FAMILY_SIZE) for h, memo in zip(highs, memos)]
+                keys = _family_keys(ps, pl, highs, 3, MAX_FAMILY_SIZE, memos)
             if not _injective(keys):
                 continue
             space = derive_space(ps, pl, highs)

@@ -22,7 +22,7 @@ from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
 from .siftypes import SifType
 from .traces import (
-    COMPONENT_ORDER,
+    VIEW_KEY,
     _COMPONENT_KEYS,
     Component,
     LassoTrace,
@@ -123,11 +123,12 @@ class BitUniverse:
         rows = dict(zip(system.members, system.view_ids))
         ids = [rows[t] for t in self.traces]  # in universe order
         # joint-view equality is the conjunction of per-component view
-        # equalities, since word equality is positionwise
-        self._eq: list[tuple[int, ...]] = []
-        for mask in range(16):
-            keys = [tuple(row[col] for col, comp in enumerate(COMPONENT_ORDER) if mask & comp) for row in ids]
-            groups: dict[tuple[int, ...], int] = {}
+        # equalities, since word equality is positionwise; every trace
+        # shares the empty view
+        self._eq: list[tuple[int, ...]] = [((1 << self.n) - 1,) * self.n]
+        for key_of in VIEW_KEY.values():  # masks 1 to 15, in order
+            keys = list(map(key_of, ids))
+            groups: dict[int | tuple[int, ...], int] = {}
             for i, key in enumerate(keys):
                 groups[key] = groups.get(key, 0) | 1 << i
             self._eq.append(tuple(groups[key] for key in keys))

@@ -211,12 +211,10 @@ class RefutationReport:
 
 def as_plain_system(member) -> System:
     """The trace set closure checks run on (union for strategy systems)."""
-    if type(member) is System:
+    if isinstance(member, System):
         return member
     if isinstance(member, StrategySystem):
         return union_system(member)
-    if isinstance(member, System):
-        return member
     raise TypeError(f"expected a system or strategy system, got {type(member).__name__}")
 
 

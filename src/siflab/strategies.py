@@ -161,19 +161,10 @@ def _moves(ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, js: JointState
 
 def derive_space(ps: SystemProtocol, pl: UserProtocol, hs: Sequence[UserProtocol]) -> TraceSpace:
     """Alphabets read off the protocol tables."""
-    hi: set[str] = set()
-    for h in hs:
-        for syms in h.emit.values():
-            hi.update(syms)
-    li: set[str] = set()
-    for syms in pl.emit.values():
-        li.update(syms)
-    ho: set[str] = set()
-    lo: set[str] = set()
-    for outs in ps.output.values():
-        for a, b in outs:
-            ho.add(a)
-            lo.add(b)
+    hi = {sym for h in hs for syms in h.emit.values() for sym in syms}
+    li = {sym for syms in pl.emit.values() for sym in syms}
+    ho = {a for outs in ps.output.values() for a, _ in outs}
+    lo = {b for outs in ps.output.values() for _, b in outs}
     if not (hi and li and ho and lo):
         raise ProtocolError("could not derive nonempty alphabets from the protocol tables")
     return TraceSpace({"hi": sorted(hi), "li": sorted(li), "ho": sorted(ho), "lo": sorted(lo)})
@@ -270,25 +261,29 @@ def _system_of_keys(space: TraceSpace, keys) -> System:
     return System(space, starmap(LassoTrace, keys))
 
 
-def generate_sigma_h(
-    ps: SystemProtocol,
-    pl: UserProtocol,
-    h: UserProtocol,
-    mode: GenerationMode,
-    space: TraceSpace | None = None,
-    max_traces: int | None = None,
-) -> System:
-    """The trace set of the composed machine under ``mode``.
+def _family_keys(
+    ps: SystemProtocol, pl: UserProtocol, highs: list[UserProtocol], bound: int | None, max_traces: int | None, memos
+) -> list[set[tuple[tuple, tuple]]]:
+    """Per high protocol, the :func:`_run_keys` of its family, which keeps
+    its moves in its dict of ``memos``.  Exact mode (``bound`` None) checks
+    every family before it enumerates any family's runs, so a choice on a
+    cycle in any family raises :class:`RunExplosion` before a cap is
+    tested; a later call on the same memos reuses the check's moves."""
+    if bound is None:
+        for h, memo in zip(highs, memos):
+            _expand_exact(ps, pl, h, memo)
+    return [_run_keys(ps, pl, h, memo, bound, max_traces) for h, memo in zip(highs, memos)]
 
-    With ``max_traces`` set, the run search raises :class:`CapExceeded`
-    as soon as it has found more than that many traces.
-    """
-    if space is None:
-        space = derive_space(ps, pl, [h])
-    memo: dict = {}
-    if mode.bound is None:
-        _expand_exact(ps, pl, h, memo)
-    return _system_of_keys(space, _run_keys(ps, pl, h, memo, mode.bound, max_traces))
+
+def generate_sigma_h(
+    ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, mode: GenerationMode, max_traces: int | None = None
+) -> System:
+    """The trace set of the composed machine under ``mode``.  With
+    ``max_traces`` set, the run search raises :class:`CapExceeded` as
+    soon as it has found more than that many traces."""
+    space = derive_space(ps, pl, [h])
+    (keys,) = _family_keys(ps, pl, [h], mode.bound, max_traces, [{}])
+    return _system_of_keys(space, keys)
 
 
 def build_strategy_system(
@@ -299,25 +294,15 @@ def build_strategy_system(
     max_traces: int | None = None,
 ) -> StrategySystem:
     """Run every named high protocol against the shared pair (system, low
-    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`.
-
-    Exact mode checks every family before it enumerates any family's
-    runs, so a choice on a cycle in any family raises
-    :class:`RunExplosion` before a cap is tested.
+    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`,
+    and exact mode checks every family first (:func:`_family_keys`).
     """
     if not hs:
         raise FormatError("at least one high protocol is required")
-    space = derive_space(ps, pl, list(hs.values()))
-    memos = [{} for _ in hs]
-    if mode.bound is None:
-        for h, memo in zip(hs.values(), memos):
-            _expand_exact(ps, pl, h, memo)
-    return StrategySystem(
-        tuple(
-            (name, _system_of_keys(space, _run_keys(ps, pl, h, memo, mode.bound, max_traces)))
-            for (name, h), memo in zip(hs.items(), memos)
-        )
-    )
+    highs = list(hs.values())
+    space = derive_space(ps, pl, highs)
+    keys = _family_keys(ps, pl, highs, mode.bound, max_traces, [{} for _ in highs])
+    return StrategySystem(tuple(zip(hs, (_system_of_keys(space, k) for k in keys))))
 
 
 def family_h_view_determined(ss: StrategySystem) -> bool:

@@ -448,12 +448,7 @@ class System:
 
 
 def _coerce_symbol(x) -> Symbol:
-    # exact types first: they are what JSON gives, and bool is not int
-    cls = type(x)
-    if cls is str:
-        return x
-    if cls is int:
-        return str(x)
+    # bool is an int subclass, and not a symbol
     if isinstance(x, str):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -473,41 +468,30 @@ def _list(obj, what: str):
 _LETTERS: dict[tuple, tuple] = {}
 
 
-def _tuple_from_obj(obj) -> tuple:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-        raise FormatError(f"each trace tuple must be a 4-element list, got {obj!r}")
-    a, b, c, d = obj
-    # Only exact ints or exact strs are keys: True == 1 and 1.0 == 1, and
-    # both must still reach _coerce_symbol's error.
-    cls = type(a)
-    if (cls is int or cls is str) and type(b) is cls and type(c) is cls and type(d) is cls:
-        key = (a, b, c, d)
-        letter = _LETTERS.get(key)
-        if letter is None:
-            if len(_LETTERS) > _CACHE_BOUND - 2:  # room for key and coerced
-                _LETTERS.clear()
-            coerced = tuple(map(_coerce_symbol, key))
-            # the all-str key of the same letter shares its tuple
-            letter = _LETTERS[key] = _LETTERS.setdefault(coerced, coerced)
-        return letter
-    return tuple(map(_coerce_symbol, obj))
-
-
 def _word_from_obj(objs) -> tuple:
-    """The letters of a list of tuple objects, as :func:`_tuple_from_obj`
-    gives them: a memoized letter is read here, behind the same
-    exact-type test, and anything else goes through it."""
+    """The letters of a list of tuple objects.  A letter of four exact
+    ints or four exact strs is read from ``_LETTERS``, so equal letters
+    are one shared tuple; any other letter is coerced symbol by symbol."""
     word = []
     for obj in objs:
-        if type(obj) is list and len(obj) == 4:
-            a, b, c, d = obj
-            cls = type(a)
-            if (cls is int or cls is str) and type(b) is cls and type(c) is cls and type(d) is cls:
-                letter = _LETTERS.get((a, b, c, d))
-                if letter is not None:
-                    word.append(letter)
-                    continue
-        word.append(_tuple_from_obj(obj))
+        if not isinstance(obj, (list, tuple)) or len(obj) != 4:
+            raise FormatError(f"each trace tuple must be a 4-element list, got {obj!r}")
+        a, b, c, d = obj
+        # Only exact ints or exact strs are keys: True == 1 and 1.0 == 1, and
+        # both must still reach _coerce_symbol's error.
+        cls = type(a)
+        if (cls is int or cls is str) and type(b) is cls and type(c) is cls and type(d) is cls:
+            key = (a, b, c, d)
+            letter = _LETTERS.get(key)
+            if letter is None:
+                if len(_LETTERS) > _CACHE_BOUND - 2:  # room for key and coerced
+                    _LETTERS.clear()
+                coerced = tuple(map(_coerce_symbol, key))
+                # the all-str key of the same letter shares its tuple
+                letter = _LETTERS[key] = _LETTERS.setdefault(coerced, coerced)
+            word.append(letter)
+        else:
+            word.append(tuple(map(_coerce_symbol, obj)))
     return tuple(word)
 
 
@@ -551,29 +535,19 @@ def space_to_obj(space: TraceSpace) -> dict:
     return {k: list(space.alphabets[k]) for k in _COMPONENT_KEYS}
 
 
-def traces_from_objs(objs, where: str = "traces") -> tuple:
-    """Canonicalize a list of trace objects, in order; duplicates are an error.
-
-    Alphabets are not checked here: :func:`system_from_objs` leaves that
-    to the ``System`` constructor, so each trace is checked once.
-    """
-    out = []
+def system_from_objs(objs, space: TraceSpace, where: str = "traces") -> System:
+    """The system of a list of trace objects over ``space``.  Two objects
+    of one canonical trace, or a trace outside the alphabets, is an error
+    that names ``where``; the ``System`` constructor alone checks the
+    alphabets, so each trace is checked once."""
     seen: set[LassoTrace] = set()
     for obj in _list(objs, where):
         t = trace_from_obj(obj)
         if t in seen:
             raise DuplicateTraceError(f"duplicate trace {format_trace(t)} in {where} after canonicalization")
         seen.add(t)
-        out.append(t)
-    return tuple(out)
-
-
-def system_from_objs(objs, space: TraceSpace, where: str = "traces") -> System:
-    """The system of a list of trace objects over ``space``; a duplicate or
-    a trace outside the alphabets is an error that names ``where``."""
-    traces = traces_from_objs(objs, where)
     try:
-        return System(space, traces)
+        return System(space, seen)
     except AlphabetError as exc:
         raise AlphabetError(f"{exc}, in {where}") from None
 

@@ -73,12 +73,16 @@ def _result(result_id: str, description: str):
 
 def _setup_input(build):
     """A lazily built, cached context input whose build time is recorded
-    in ``VerifyContext.setup_seconds`` under the input's name."""
+    in ``VerifyContext.setup_seconds`` under the input's name.  An input
+    built inside this one records its own time, which this one's leaves
+    out, so no second is counted twice."""
 
     def timed(ctx):
+        nested_before = sum(ctx.setup_seconds.values())
         start = time.perf_counter()
         value = build(ctx)
-        ctx.setup_seconds[build.__name__] = time.perf_counter() - start
+        nested = sum(ctx.setup_seconds.values()) - nested_before
+        ctx.setup_seconds[build.__name__] = time.perf_counter() - start - nested
         return value
 
     timed.__name__ = build.__name__
@@ -91,8 +95,8 @@ class VerifyContext:
     The defaults keep a full run at desk scale; the corpora are seeded,
     so two runs with the same context see identical inputs.  Each input
     records its build time in ``setup_seconds`` (input name -> seconds,
-    in build order), and :func:`verify_paper` charges it to the run's
-    setup, not to the result that first used the input.
+    in the order the builds finish), and :func:`verify_paper` charges it
+    to the run's setup, not to the result that first used the input.
     """
 
     def __init__(
@@ -115,6 +119,12 @@ class VerifyContext:
     @_setup_input
     def universe(self) -> BitUniverse:
         return BitUniverse.standard()
+
+    @_setup_input
+    def sweeps(self) -> dict[PropertyKind, int]:
+        """The universe's property verdicts (:meth:`BitUniverse.property_ok`)
+        for every kind, from one pair sweep per mask pair."""
+        return {kind: self.universe.property_ok(kind) for kind in PropertyKind}
 
     @_setup_input
     def corpus(self):
@@ -235,10 +245,10 @@ def _ex3(ctx) -> tuple[bool, str]:
 
 @_result("PROP1", "SEP implies DGNI implies GNI; separable unions satisfy NOS")
 def _prop1(ctx) -> tuple[bool, str]:
-    bu = ctx.universe
-    v1 = implication_violations(bu.property_ok(PropertyKind.SEP), bu.property_ok(PropertyKind.DGNI))
-    v2 = implication_violations(bu.property_ok(PropertyKind.DGNI), bu.property_ok(PropertyKind.GNI))
-    n = (1 << bu.n) - 1  # the nonempty systems
+    swept = ctx.sweeps
+    v1 = implication_violations(swept[PropertyKind.SEP], swept[PropertyKind.DGNI])
+    v2 = implication_violations(swept[PropertyKind.DGNI], swept[PropertyKind.GNI])
+    n = (1 << ctx.universe.n) - 1  # the nonempty systems
     sep_cases = 0
     nos_bad = 0
     step_bad = 0
@@ -259,11 +269,11 @@ def _prop1(ctx) -> tuple[bool, str]:
 
 @_result("PROP2", "SEP and GNI coincide with closure under their copy types")
 def _prop2(ctx) -> tuple[bool, str]:
-    bu = ctx.universe
+    bu, swept = ctx.universe, ctx.sweeps
     n = (1 << bu.n) - 1  # the nonempty systems
-    sep_eq = bu.property_ok(PropertyKind.SEP) == bu.type_ok(SEP_TYPE)
-    gni_eq = bu.property_ok(PropertyKind.GNI) == bu.type_ok(GNI_TYPE)
-    rgni_eq = bu.property_ok(PropertyKind.RGNI) == bu.type_ok(RGNI_TYPE)
+    sep_eq = swept[PropertyKind.SEP] == bu.type_ok(SEP_TYPE)
+    gni_eq = swept[PropertyKind.GNI] == bu.type_ok(GNI_TYPE)
+    rgni_eq = swept[PropertyKind.RGNI] == bu.type_ok(RGNI_TYPE)
     ok = sep_eq and gni_eq and rgni_eq
     return ok, (
         f"over {n} systems: SEP<=>{SEP_TYPE}: {sep_eq}, GNI<=>{GNI_TYPE}: {gni_eq}, "
@@ -297,9 +307,9 @@ def _thm2(ctx) -> tuple[bool, str]:
 
 @_result("COR-CONJ", "type-representable properties are not closed under conjunction")
 def _cor_conj(ctx) -> tuple[bool, str]:
-    bu = ctx.universe
-    gni_rep = bu.property_ok(PropertyKind.GNI) == bu.type_ok(GNI_TYPE)
-    rgni_rep = bu.property_ok(PropertyKind.RGNI) == bu.type_ok(RGNI_TYPE)
+    bu, swept = ctx.universe, ctx.sweeps
+    gni_rep = swept[PropertyKind.GNI] == bu.type_ok(GNI_TYPE)
+    rgni_rep = swept[PropertyKind.RGNI] == bu.type_ok(RGNI_TYPE)
     dgni_unrep = ctx.dgni_refutation.all_refuted
     ok = gni_rep and rgni_rep and dgni_unrep
     return ok, (
@@ -405,7 +415,7 @@ def _prop_genconj(ctx) -> tuple[bool, str]:
 def _cor_dgni(ctx) -> tuple[bool, str]:
     bu = ctx.universe
     n = (1 << bu.n) - 1  # the nonempty systems
-    table_eq = bu.type_ok(GNI_TYPE) & bu.type_ok(RGNI_TYPE) == bu.property_ok(PropertyKind.DGNI)
+    table_eq = bu.type_ok(GNI_TYPE) & bu.type_ok(RGNI_TYPE) == ctx.sweeps[PropertyKind.DGNI]
     fixture_pair = (fixtures.dgni_not_sep_15(), fixtures.gni_not_dgni_4())
     paired = [closed_under_type(s, GNI_TYPE) and closed_under_type(s, RGNI_TYPE) for s in fixture_pair]
     spot = paired == [True, False]

@@ -16,7 +16,6 @@ from oracles import (
     witness_table,
 )
 from siflab import (
-    FULL_VIEW,
     H_VIEW,
     L_VIEW,
     SEP_TYPE,
@@ -103,14 +102,15 @@ def test_bit_universe_validation():
         BitUniverse(space, traces)  # 256 > 24
 
 
-def test_view_eq_mask_bits_mirror_view_equality(bit_universe):
-    bu = bit_universe
-    for comp in (Component.LI, L_VIEW, H_VIEW, FULL_VIEW):
-        eq = bu.view_eq_mask(comp)
-        for i, t in enumerate(bu.traces):
-            for j, u in enumerate(bu.traces):
-                bit = bool(eq[i] >> j & 1)
-                assert bit == (view(t, comp) == view(u, comp)), (comp, i, j)
+def test_view_eq_mask_bits_mirror_view_equality(bit_universe, mixed_universe):
+    for bu in (bit_universe, mixed_universe):
+        for mask in range(16):
+            eq = bu.view_eq_mask(mask)
+            for i, t in enumerate(bu.traces):
+                for j, u in enumerate(bu.traces):
+                    bit = bool(eq[i] >> j & 1)
+                    # every trace shares the empty view
+                    assert bit == (not mask or view(t, mask) == view(u, mask)), (mask, i, j)
 
 
 def _mixed_period_universe() -> BitUniverse:

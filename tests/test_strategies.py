@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from siflab import (
     GenerationMode,
     ProtocolError,
     RunExplosion,
+    SiflabError,
     StrategySystem,
     SystemProtocol,
     UserProtocol,
@@ -23,6 +25,7 @@ from siflab import (
 )
 from siflab import canonicalize
 from siflab import fixtures as F
+from siflab import strategies
 from siflab.corpus import (
     MAX_FAMILY_SIZE,
     MAX_PROTOCOLS,
@@ -149,6 +152,20 @@ def test_exact_lassos_unroll_to_the_bounded_runs():
             assert {unroll(t.prefix, t.cycle, n) for t in exact.members} == {t.prefix for t in bounded.members}
 
 
+def _sigma_h(ps, pl, h, mode, max_traces=None):
+    """``generate_sigma_h``, checked against the one family of a
+    one-protocol ``build_strategy_system``: the same system, or the same
+    error with the same message."""
+    try:
+        got = generate_sigma_h(ps, pl, h, mode, max_traces=max_traces)
+    except SiflabError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            build_strategy_system(ps, pl, {"H": h}, mode, max_traces=max_traces)
+        raise
+    assert build_strategy_system(ps, pl, {"H": h}, mode, max_traces=max_traces).families == (("H", got),)
+    return got
+
+
 def _capped_cases():
     """The echo protocols and 40 seeded random protocol sets, each in
     exact and bounded:3 mode, with the uncapped trace set; the draws
@@ -160,7 +177,7 @@ def _capped_cases():
     for ps, pl, h in draws:
         for mode in (GenerationMode.exact(), GenerationMode.bounded(3)):
             try:
-                yield ps, pl, h, mode, generate_sigma_h(ps, pl, h, mode)
+                yield ps, pl, h, mode, _sigma_h(ps, pl, h, mode)
             except (RunExplosion, ProtocolError):
                 continue
 
@@ -172,9 +189,9 @@ def test_a_trace_cap_raises_exactly_when_the_runs_exceed_it():
         for k in range(1, 11):
             if len(full) > k:
                 with pytest.raises(CapExceeded, match=f"^the runs give more than {k} traces$"):
-                    generate_sigma_h(ps, pl, h, mode, max_traces=k)
+                    _sigma_h(ps, pl, h, mode, max_traces=k)
             else:
-                assert generate_sigma_h(ps, pl, h, mode, max_traces=k) == full
+                assert _sigma_h(ps, pl, h, mode, max_traces=k) == full
     # sizes at, below and above the caps tried
     assert {1, 2, 4, 8} <= sizes and max(sizes) > 10
 
@@ -188,6 +205,15 @@ def test_build_strategy_system_caps_every_family():
     assert build_strategy_system(*args, max_traces=8) == full
     with pytest.raises(CapExceeded):
         build_strategy_system(*args, max_traces=7)
+
+
+def test_exact_mode_checks_every_family_before_it_enumerates_or_caps_any():
+    # the second family's user chooses freely on its one-state cycle
+    free = UserProtocol(("s",), "s", {"s": ("0", "1")}, {("s", i, o): "s" for i in "01" for o in "01"})
+    hs = {"one": constant_user("0"), "free": free}
+    for max_traces in (None, 1):
+        with pytest.raises(RunExplosion):
+            build_strategy_system(echo_high_machine(), constant_user("0"), hs, GenerationMode.exact(), max_traces)
 
 
 def test_build_strategy_system_runs_each_named_high_protocol():
@@ -353,6 +379,25 @@ def test_injectivity_report_names_offenders():
 def _corpus_digest(corpus) -> str:
     text = json.dumps([strategy_system_to_obj(ss) for ss in corpus])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_the_bounded_retry_reuses_the_moves_of_the_exact_check(monkeypatch):
+    """In ``strategy_corpus(120)`` each (family, joint state) has its
+    moves computed once: a draw retried as ``bounded:3`` reads the memos
+    its exact check filled."""
+    moves = strategies._moves
+    calls = []
+    alive = []  # keeps each family's protocols, so no id is reused
+
+    def counted(ps, pl, h, js):
+        alive.append((ps, pl, h))
+        calls.append((id(ps), id(pl), id(h), js))
+        return moves(ps, pl, h, js)
+
+    monkeypatch.setattr(strategies, "_moves", counted)
+    corpus = strategy_corpus(120)
+    assert any(t.is_finite for ss in corpus for _, fam in ss.families for t in fam)  # some draws retried
+    assert len(calls) == len(set(calls))
 
 
 def test_strategy_corpus_is_pinned(corpus120):

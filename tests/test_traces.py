@@ -50,10 +50,10 @@ from siflab.traces import (
     COMPONENT_ORDER,
     load_json,
     system_from_obj,
+    system_from_objs,
     system_to_obj,
     trace_from_obj,
     trace_to_obj,
-    traces_from_objs,
     view_columns,
 )
 
@@ -190,7 +190,7 @@ def test_the_letter_memo_rejects_what_the_parser_rejects(tmp_path, capsys):
     ``1.0 == 1``) reach the symbol check, in the library and the CLI; an
     int subclass is coerced by its own ``str`` as before."""
     system_from_obj(_one_letter_system([1, 0, 0, 0]))
-    cached = traces._tuple_from_obj([1, 0, 0, 0])
+    (cached,) = traces._word_from_obj([[1, 0, 0, 0]])
     for bad in ([True, 0, 0, 0], [1.0, 0, 0, 0], [None, 0, 0, 0], [[1], 0, 0, 0], [1, 0, 0, False]):
         with pytest.raises(FormatError, match="symbols must be strings or integers"):
             system_from_obj(_one_letter_system(bad))
@@ -199,14 +199,15 @@ def test_the_letter_memo_rejects_what_the_parser_rejects(tmp_path, capsys):
         assert main(["check", "--property", "sep", "--system", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "symbols must be strings or integers" in err
-    assert traces._tuple_from_obj([_Loud(True), 0, 0, 0]) == ("loud", "0", "0", "0")
-    assert traces._tuple_from_obj([1, 0, 0, 0]) is cached is traces._tuple_from_obj(["1", "0", "0", "0"])
+    assert traces._word_from_obj([[_Loud(True), 0, 0, 0]]) == (("loud", "0", "0", "0"),)
+    again, spelled = traces._word_from_obj([[1, 0, 0, 0], ["1", "0", "0", "0"]])
+    assert again is cached is spelled
 
 
 def test_the_letter_memo_stays_within_its_bound():
     first = trace_from_obj({"prefix": [[1, 1, 0, 0]], "cycle": [[1, 0, 0, 0]]})
     for i in range(traces._CACHE_BOUND + 10):
-        assert traces._tuple_from_obj([10**30 + i, 0, 0, 0])[0] == str(10**30 + i)
+        assert traces._word_from_obj([[10**30 + i, 0, 0, 0]])[0][0] == str(10**30 + i)
     assert len(traces._LETTERS) <= traces._CACHE_BOUND
     assert trace_from_obj({"prefix": [[1, 1, 0, 0]], "cycle": [[1, 0, 0, 0]]}) is first
 
@@ -379,12 +380,12 @@ def test_system_file_rejects_duplicates_after_canonicalization():
         system_from_obj(obj)
 
 
-def test_traces_from_objs_keeps_file_order_and_names_the_duplicate():
+def test_system_from_objs_names_the_duplicate():
     sp = binary_space()
     objs = [{"cycle": [[str(i >> b & 1) for b in range(4)]]} for i in (9, 2, 14, 0)]
-    assert [t.cycle[0] for t in traces_from_objs(objs)] == [tuple(o["cycle"][0]) for o in objs]
+    assert system_from_objs(objs, sp).traces == {trace_from_obj(o) for o in objs}
     with pytest.raises(DuplicateTraceError) as err:
-        traces_from_objs(objs + [{"prefix": objs[2]["cycle"], "cycle": objs[2]["cycle"]}], where="pool")
+        system_from_objs(objs + [{"prefix": objs[2]["cycle"], "cycle": objs[2]["cycle"]}], sp, where="pool")
     assert str(err.value) == "duplicate trace [(0,1,1,1)]^w in pool after canonicalization"
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from siflab import AsyncSystem, SiflabError, UnknownResultError, VerifyContext, verify_paper
+from siflab import AsyncSystem, PropertyKind, SiflabError, UnknownResultError, VerifyContext, verify_paper
 from siflab import corpus as corpora
 from siflab import verify
+from siflab.enumeration import BitUniverse
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
@@ -124,16 +125,40 @@ def test_shared_inputs_are_timed_apart_from_the_result_that_builds_them(monkeypa
     ctx = VerifyContext()
     report = verify_paper(["EX1", "PROP1", "THM4"], ctx)
     assert report.all_passed
-    assert [name for name, _ in report.setup] == ["universe", "corpus"]
+    assert [name for name, _ in report.setup] == ["universe", "sweeps", "corpus"]
     assert dict(report.setup)["corpus"] >= 0.3
     assert report.outcome("PROP1").runtime < 0.3
     obj = report.to_obj()["setup"]
-    assert [entry["input"] for entry in obj] == ["universe", "corpus"]
+    assert [entry["input"] for entry in obj] == ["universe", "sweeps", "corpus"]
     assert all(set(entry) == {"input", "runtime_seconds"} for entry in obj)
     # a context builds each input once, so a second run reports only the one it adds
     again = verify_paper(["PROP1", "THM5"], ctx)
     assert [name for name, _ in again.setup] == ["zigzag"]
-    assert list(ctx.setup_seconds) == ["universe", "corpus", "zigzag"]
+    assert list(ctx.setup_seconds) == ["universe", "sweeps", "corpus", "zigzag"]
+
+
+def test_the_sweeps_are_timed_apart_from_prop1_and_from_the_universe(monkeypatch):
+    """A slowed sweep is charged to the ``sweeps`` input, not to PROP1; the
+    universe it builds inside is charged once, to ``universe``."""
+    standard, property_ok = BitUniverse.standard.__func__, BitUniverse.property_ok
+
+    def slow_standard(cls):
+        time.sleep(0.6)
+        return standard(cls)
+
+    def slow_property_ok(bu, kind):
+        time.sleep(0.1)
+        return property_ok(bu, kind)
+
+    monkeypatch.setattr(BitUniverse, "standard", classmethod(slow_standard))
+    monkeypatch.setattr(BitUniverse, "property_ok", slow_property_ok)
+    report = verify_paper(["PROP1"])
+    assert report.all_passed
+    setup = dict(report.setup)
+    assert list(setup) == ["universe", "sweeps", "corpus"]
+    assert setup["universe"] >= 0.6
+    assert 0.1 * len(PropertyKind) <= setup["sweeps"] < 0.6
+    assert 0 <= report.outcome("PROP1").runtime < 0.1
 
 
 def test_context_defaults_meet_the_claim_sizes():
