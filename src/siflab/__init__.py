@@ -67,7 +67,6 @@ from .strategies import (
     SystemProtocol,
     UserProtocol,
     build_strategy_system,
-    generate_sigma_h,
 )
 from .traces import (
     Component,

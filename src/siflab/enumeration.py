@@ -144,7 +144,8 @@ class BitUniverse:
 
     def view_eq_mask(self, mask: Component) -> tuple[int, ...]:
         """Per trace: the bitmask of traces sharing its ``mask`` view.
-        Its distinct values are the ``mask`` view classes."""
+        Its distinct values are the ``mask`` view classes; it stays to
+        expose them to the oracle tests' word-level projection."""
         return self._eq[mask]
 
     def witness_table(self, first: int, second: int) -> tuple[tuple[int, ...], ...]:
@@ -200,6 +201,7 @@ class BitUniverse:
         return closed
 
     def system_from_mask(self, mask: int) -> System:
+        """It stays to turn the mask :func:`represents_over_universe` returns back into a system."""
         return System(self.space, (self.traces[i] for i in range(self.n) if mask >> i & 1))
 
     def describe_mask(self, mask: int) -> str:

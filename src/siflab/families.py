@@ -159,9 +159,10 @@ class ZigzagSif:
 
 
 def zigzag_sif(target: System) -> ZigzagSif:
-    """The pinning function for ``target``, over all of the target in its
-    canonical order, which always satisfies the distinguishing-core
-    condition."""
+    """The pinning function for ``target``, with all of the target as its
+    core in canonical order.  A pairwise disjoint collection passes
+    :func:`verify_zigzag_collection` with these cores; an overlapping one
+    may fail subset representation, and that checker decides it."""
     return ZigzagSif(target.traces, target.members)
 
 

@@ -298,14 +298,14 @@ def data_dir():
 
 
 def fixture_path(name: str) -> Path:
-    """Path of a bundled fixture file; raises KeyError for unknown names."""
+    """Path of a bundled fixture file, kept to locate the shipped JSON; raises KeyError for unknown names."""
     if name not in fixture_names():
         raise KeyError(name)
     return Path(str(data_dir() / f"{name}.json"))
 
 
 def write_all(directory: str | Path | None = None) -> list[Path]:
-    """Regenerate every fixture file; returns the paths written."""
+    """Regenerate every fixture file, kept to regenerate the shipped JSON; returns the paths written."""
     base = Path(directory) if directory is not None else Path(str(data_dir()))
     base.mkdir(parents=True, exist_ok=True)
     written = []

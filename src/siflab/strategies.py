@@ -10,7 +10,8 @@ Exact mode enumerates the complete set of eventually periodic runs as
 canonical lassos.  It requires every reachable cycle of the joint-state
 graph to be choice-free; a nondeterministic choice on a cycle yields
 infinitely many distinct runs and is reported as an error.  Bounded mode
-collects all length-n finite traces and accepts any nondeterminism.
+collects all length-n finite traces and accepts any nondeterminism.  In
+either mode a family past ``FAMILY_TRACE_CAP`` traces is an error.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class UserProtocol:
         if self.initial not in self.states:
             raise ProtocolError(f"initial state {self.initial!r} not among states")
         for s in self.states:
-            if not self.emit.get(s):
-                raise ProtocolError(f"state {s!r} has no emission choices")
-            for sym in self.emit[s]:
+            choices = self.emit.get(s)
+            if not choices or len(set(choices)) < len(choices):
+                raise ProtocolError(f"state {s!r} has no emission choices or repeats one")
+            for sym in choices:
                 if not isinstance(sym, str):
                     raise ProtocolError("symbols must be strings")
 
@@ -85,8 +87,8 @@ class SystemProtocol:
             outs = self.output[(state, hi, li)]
         except KeyError:
             raise ProtocolError(f"system output undefined for state={state!r} hi={hi!r} li={li!r}") from None
-        if not outs:
-            raise ProtocolError(f"system output empty for state={state!r} hi={hi!r} li={li!r}")
+        if not outs or len(set(outs)) < len(outs):
+            raise ProtocolError(f"system output for state={state!r} hi={hi!r} li={li!r} is empty or repeats a choice")
         return outs
 
     def step(self, state: State, hi: Symbol, li: Symbol, ho: Symbol, lo: Symbol) -> State:
@@ -136,6 +138,11 @@ class GenerationMode:
 
 
 JointState = tuple[State, State, State]  # system, low user, high user
+
+# The most traces a family of :func:`build_strategy_system` may hold.  No
+# protocol lists a choice twice, so no two runs give one trace and the
+# run search stops one run past the cap, at any depth.
+FAMILY_TRACE_CAP = 4096
 
 
 def _moves(ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, js: JointState):
@@ -208,7 +215,7 @@ def _expand_exact(ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, memo: d
 
 
 def _run_keys(
-    ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, memo: dict, bound: int | None, max_traces: int | None
+    ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, memo: dict, bound: int | None, max_traces: int
 ) -> set[tuple[tuple, tuple]]:
     """The runs of one family as canonical ``(prefix, cycle)`` keys.
 
@@ -251,7 +258,7 @@ def _run_keys(
             path.append((nxt, iter(moves(nxt))))
             continue
         emitted.pop()
-        if max_traces is not None and len(keys) > max_traces:
+        if len(keys) > max_traces:
             raise CapExceeded(f"the runs give more than {max_traces} traces")
     return keys
 
@@ -262,7 +269,7 @@ def _system_of_keys(space: TraceSpace, keys) -> System:
 
 
 def _family_keys(
-    ps: SystemProtocol, pl: UserProtocol, highs: list[UserProtocol], bound: int | None, max_traces: int | None, memos
+    ps: SystemProtocol, pl: UserProtocol, highs: list[UserProtocol], bound: int | None, max_traces: int, memos
 ) -> list[set[tuple[tuple, tuple]]]:
     """Per high protocol, the :func:`_run_keys` of its family, which keeps
     its moves in its dict of ``memos``.  Exact mode (``bound`` None) checks
@@ -275,33 +282,22 @@ def _family_keys(
     return [_run_keys(ps, pl, h, memo, bound, max_traces) for h, memo in zip(highs, memos)]
 
 
-def generate_sigma_h(
-    ps: SystemProtocol, pl: UserProtocol, h: UserProtocol, mode: GenerationMode, max_traces: int | None = None
-) -> System:
-    """The trace set of the composed machine under ``mode``.  With
-    ``max_traces`` set, the run search raises :class:`CapExceeded` as
-    soon as it has found more than that many traces."""
-    space = derive_space(ps, pl, [h])
-    (keys,) = _family_keys(ps, pl, [h], mode.bound, max_traces, [{}])
-    return _system_of_keys(space, keys)
-
-
 def build_strategy_system(
     ps: SystemProtocol,
     pl: UserProtocol,
     hs: Mapping[str, UserProtocol],
     mode: GenerationMode,
-    max_traces: int | None = None,
 ) -> StrategySystem:
     """Run every named high protocol against the shared pair (system, low
-    user); ``max_traces`` caps each family as in :func:`generate_sigma_h`,
-    and exact mode checks every family first (:func:`_family_keys`).
+    user).  Past ``FAMILY_TRACE_CAP`` traces in one family it raises
+    :class:`CapExceeded`, and exact mode checks every family first
+    (:func:`_family_keys`).
     """
     if not hs:
         raise FormatError("at least one high protocol is required")
     highs = list(hs.values())
     space = derive_space(ps, pl, highs)
-    keys = _family_keys(ps, pl, highs, mode.bound, max_traces, [{} for _ in highs])
+    keys = _family_keys(ps, pl, highs, mode.bound, FAMILY_TRACE_CAP, [{} for _ in highs])
     return StrategySystem(tuple(zip(hs, (_system_of_keys(space, k) for k in keys))))
 
 

@@ -41,6 +41,8 @@ class Component(IntFlag):
     LO = 8
 
 
+# The public column layout: component ``COMPONENT_ORDER[i]`` is column
+# ``i`` of a 4-tuple and bit ``i`` of a mask.
 COMPONENT_ORDER = (Component.HI, Component.LI, Component.HO, Component.LO)
 
 FULL_VIEW = Component.HI | Component.LI | Component.HO | Component.LO
@@ -52,14 +54,8 @@ HO_VIEW = Component.HO
 LO_VIEW = Component.LO
 
 
-# Component ``COMPONENT_ORDER[i]`` is bit ``i`` of a mask.
+# Per mask, its columns in ``COMPONENT_ORDER``.
 _VIEW_COLUMNS = tuple(tuple(i for i in range(4) if mask >> i & 1) for mask in range(16))
-
-
-def view_columns(mask: int) -> tuple[int, ...]:
-    """The positions of ``mask``'s components in a 4-tuple (and in a row
-    of :attr:`System.view_ids`), in ``COMPONENT_ORDER``."""
-    return _VIEW_COLUMNS[mask]
 
 
 # Per nonzero mask, in mask order, the function that takes a row of
@@ -168,10 +164,6 @@ class LassoTrace:
 
     def __repr__(self) -> str:
         return f"LassoTrace(prefix={self.prefix!r}, cycle={self.cycle!r})"
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.cycle
 
     def __str__(self) -> str:
         return format_trace(self)
@@ -559,6 +551,7 @@ def system_from_obj(obj) -> System:
 
 
 def system_to_obj(s: System) -> dict:
+    """The JSON object of ``s``; it stays to write the system fixtures."""
     return {"alphabets": space_to_obj(s.space), "traces": [trace_to_obj(t) for t in s.members]}
 
 

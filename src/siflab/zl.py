@@ -113,17 +113,12 @@ class AsyncSystem:
 AnySystem = Union[System, AsyncSystem]
 
 
-def low_view_key(t, s: AnySystem):
-    """The low view of ``t`` in the trace kind of ``s``."""
-    if isinstance(s, AsyncSystem):
-        return low_projection(t, s.decl)
-    return view(t, L_VIEW)
-
-
 def lles(t, s: AnySystem) -> frozenset:
-    """Members of ``s`` sharing ``t``'s low view."""
-    key = low_view_key(t, s)
-    return frozenset(x for x in s.members if low_view_key(x, s) == key)
+    """Members of ``s`` sharing ``t``'s low view: the paper's definition,
+    which stays as the reference :func:`_member_classes` is tested against."""
+    low = (lambda x: low_projection(x, s.decl)) if isinstance(s, AsyncSystem) else (lambda x: view(x, L_VIEW))
+    key = low(t)
+    return frozenset(x for x in s.members if low(x) == key)
 
 
 def _member_classes(s: AnySystem) -> tuple[frozenset, ...]:

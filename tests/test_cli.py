@@ -327,8 +327,25 @@ _EXACT = ["strategies", "generate", "--protocols", "FILE", "--mode", "exact"]
             _with(F.echo_protocols(), ["low"], _free_low_user()),
             "nondeterministic choice at joint state",
         ),
+        (
+            _GENERATE,
+            _with(F.echo_protocols(), ["low", "emit", 0, "choices"], ["0", "0"]),
+            "state 'free' has no emission choices or repeats one",
+        ),
+        (
+            _GENERATE,
+            _with(F.echo_protocols(), ["system", "output", 0, "choices"], [["0", "0"], ["0", "0"]]),
+            "system output for state='run' hi='0' li='0' is empty or repeats a choice",
+        ),
     ],
-    ids=["nos-not-injective", "update-key-missing", "update-to-unknown-state", "exact-mode-choice-on-a-cycle"],
+    ids=[
+        "nos-not-injective",
+        "update-key-missing",
+        "update-to-unknown-state",
+        "exact-mode-choice-on-a-cycle",
+        "user-choice-listed-twice",
+        "system-choice-listed-twice",
+    ],
 )
 def test_an_error_found_after_reading_names_its_file(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"
@@ -677,6 +694,25 @@ def test_strategies_generate_deep_bounded_runs(capsys):
     code, out, err = run(capsys, "strategies", "generate", "--protocols", protocols, "--mode", "bounded:1500")
     assert code == 0 and err == ""
     assert "mode bounded:1500" in out
+
+
+def _free_protocols():
+    """The echo machine with both users choosing freely on a one-state
+    cycle: four runs per step, so ``bounded:n`` gives 4^n traces."""
+    return _with(_with(F.echo_protocols(), ["low"], _free_low_user()), ["highs"], {"H": _free_low_user()})
+
+
+def test_strategies_generate_refuses_a_family_past_the_cap(tmp_path, capsys):
+    protocols = tmp_path / "free.json"
+    protocols.write_text(json.dumps(_free_protocols()))
+    argv = ["strategies", "generate", "--protocols", str(protocols), "--mode"]
+    code, obj, err = run_json(capsys, *argv, "bounded:6")
+    assert code == 0 and err == ""
+    assert obj["families"] == {"H": 4096}
+    for deep in ("bounded:7", "bounded:12"):
+        code, out, err = run(capsys, *argv, deep)
+        assert code == 2 and out == ""
+        assert err == f"error: {protocols}: the runs give more than 4096 traces\n"
 
 
 def test_strategies_generate_bad_mode(tmp_path, capsys):

@@ -44,6 +44,8 @@ COMMANDS = [
     (["zl", "q-search", "--target", "{}", "--universe", "other"], F.COLLECTION_FIXTURES),
     (["zl", "q-search", "--target", "other", "--universe", "{}"], F.COLLECTION_FIXTURES),
     (["strategies", "generate", "--protocols", "{}", "--mode", "bounded:3"], ["echo_protocols"]),
+    # deep enough that a mutation freeing a choice on a cycle meets the family cap
+    (["strategies", "generate", "--protocols", "{}", "--mode", "bounded:12"], ["echo_protocols"]),
 ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 
@@ -374,6 +375,26 @@ def test_verify_zigzag_collection_input_validation():
     s = System(SPACE, UNIVERSE[:2])
     with pytest.raises(SiflabError):
         verify_zigzag_collection([s, System(SPACE, UNIVERSE[:2])])
+
+
+def test_the_default_cores_pass_disjoint_collections_but_not_every_overlapping_one():
+    """``zigzag_sif``'s cores, the whole target in canonical order: of the
+    560 collections of two or three distinct nonempty sets of the first
+    four standard traces, every pairwise disjoint one passes and 4
+    overlapping ones fail."""
+    t = UNIVERSE[:4]
+    example = [System(SPACE, [t[i] for i in members]) for members in ((1, 2), (0, 1, 2), (1, 2, 3))]
+    report = verify_zigzag_collection(example)
+    assert report.uniqueness_ok and not report.representation_ok
+    subsets = [frozenset(c) for k in range(1, 5) for c in combinations(t, k)]
+    collections = [c for k in (2, 3) for c in combinations(subsets, k)]
+    failing = 0
+    for collection in collections:
+        report = verify_zigzag_collection([System(SPACE, members) for members in collection])
+        passed = report.uniqueness_ok and report.representation_ok
+        failing += not passed
+        assert passed or any(not a.isdisjoint(b) for a, b in combinations(collection, 2))
+    assert (len(collections), failing) == (560, 4)
 
 
 def test_zigzag_corpus_collections_verify(zigzag24):

@@ -15,7 +15,9 @@ assigns at its top level, is live when its name occurs, as a name or an
 attribute, in the package, the tests or the benchmark outside its own
 definition; docstrings and imports do not count.  Dunder names, which
 Python reads, and the ``@_result`` procedures, which the result registry
-calls, are exempt.
+calls, are exempt.  A definition that only the tests name is live only for
+them: the package keeps the ones in ``KEPT_FOR_TESTS`` alone, and each
+says in its docstring or comment why it stays.
 
 A function only forwards when it is undecorated, takes a parameter, and
 is one ``return f(...)`` passing all its parameters and otherwise only
@@ -26,6 +28,7 @@ names or constants: ``load(p)`` returning ``load_json(p, build)`` is
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -202,6 +205,53 @@ def test_every_definition_is_named_somewhere():
         p.read_text(encoding="utf-8") for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert dead_definitions(defining, referring) == []
+
+
+def only_named_by_tests(defining: dict[str, str], referring: list[str], tests: list[str]) -> list[str]:
+    """The definitions of ``defining`` that are dead with ``referring``
+    alone and live once ``tests`` count too, as :func:`dead_definitions`
+    names them."""
+    dead_with_tests = set(dead_definitions(defining, [*referring, *tests]))
+    return [name for name in dead_definitions(defining, referring) if name not in dead_with_tests]
+
+
+def test_the_check_sees_definitions_only_tests_name():
+    defining = {
+        "m": (
+            "LAYOUT = (1, 2)\n"
+            "class A:\n"
+            "    def used(self): pass\n"
+            "    def tested(self): pass\n"
+            "def helper(): pass\n"
+            "def dead(): pass\n"
+        )
+    }
+    referring = ["from m import A\nA().used()\n"]
+    tests = ['"""dead, in a docstring only"""\nfrom m import A, LAYOUT, helper\nA().tested(helper(), LAYOUT)\n']
+    assert only_named_by_tests(defining, referring, tests) == ["m:LAYOUT", "m:A.tested", "m:helper"]
+
+
+# The definitions that only the tests name, each kept for the reason its
+# docstring or comment gives.
+KEPT_FOR_TESTS = [
+    "enumeration.py:BitUniverse.view_eq_mask",
+    "enumeration.py:BitUniverse.system_from_mask",
+    "fixtures.py:fixture_path",
+    "fixtures.py:write_all",
+    "traces.py:COMPONENT_ORDER",
+    "zl.py:lles",
+]
+
+
+def test_no_definition_is_named_by_tests_alone_but_the_kept_ones():
+    """The package, the benchmark and the README's library example are
+    the sources that count without the tests."""
+    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    referring = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    referring += re.findall(r"```python\n(.*?)```", readme, re.S)
+    tests = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert only_named_by_tests(defining, referring, tests) == KEPT_FOR_TESTS
 
 
 def _only_forwards(node) -> bool:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 
 import pytest
 
@@ -16,12 +15,10 @@ from siflab import (
     GenerationMode,
     ProtocolError,
     RunExplosion,
-    SiflabError,
     StrategySystem,
     SystemProtocol,
     UserProtocol,
     build_strategy_system,
-    generate_sigma_h,
 )
 from siflab import canonicalize
 from siflab import fixtures as F
@@ -45,6 +42,13 @@ def _echo():
     return protocols_from_obj(F.echo_protocols())
 
 
+def _sigma_h(ps, pl, h, mode):
+    """The trace set of one high protocol: the one family of a
+    one-protocol ``build_strategy_system``."""
+    ((_, family),) = build_strategy_system(ps, pl, {"H": h}, mode).families
+    return family
+
+
 # ----------------------------------------------------------------- modes
 
 
@@ -66,7 +70,7 @@ def test_generation_mode_parse():
 
 def test_echo_exact_equals_the_designed_two_trace_family():
     ps, pl, hs = _echo()
-    got = generate_sigma_h(ps, pl, hs["H"], GenerationMode.exact())
+    got = _sigma_h(ps, pl, hs["H"], GenerationMode.exact())
     want = dict(F.nos_two_trace().families)["H"]
     assert got.traces == want.traces
 
@@ -75,15 +79,15 @@ def test_exact_mode_on_deterministic_protocols_gives_one_lasso():
     ps, pl, hs = _echo()
     # lock the low user to a single first choice: fully deterministic
     left = UserProtocol(pl.states, "lock0", pl.emit, pl.update)
-    got = generate_sigma_h(ps, left, hs["H"], GenerationMode.exact())
+    got = _sigma_h(ps, left, hs["H"], GenerationMode.exact())
     assert len(got.members) == 1
 
 
 def test_bounded_traces_are_prefixes_of_exact_unrollings():
     ps, pl, hs = _echo()
-    exact = generate_sigma_h(ps, pl, hs["H"], GenerationMode.exact())
+    exact = _sigma_h(ps, pl, hs["H"], GenerationMode.exact())
     for n in (1, 2, 3, 4):
-        bounded = generate_sigma_h(ps, pl, hs["H"], GenerationMode.bounded(n))
+        bounded = _sigma_h(ps, pl, hs["H"], GenerationMode.bounded(n))
         assert all(not t.cycle for t in bounded.members)
         assert len(bounded.members) == 2  # one per committed low bit
         for t in bounded.members:
@@ -102,9 +106,9 @@ def test_run_explosion_on_choiceful_cycle():
         {("free", i, o): "free" for i in ("0", "1") for o in ("0", "1")},
     )
     with pytest.raises(RunExplosion):
-        generate_sigma_h(ps, free, hs["H"], GenerationMode.exact())
+        _sigma_h(ps, free, hs["H"], GenerationMode.exact())
     # the bounded mode still works there
-    got = generate_sigma_h(ps, free, hs["H"], GenerationMode.bounded(3))
+    got = _sigma_h(ps, free, hs["H"], GenerationMode.bounded(3))
     assert len(got.members) == 8
 
 
@@ -130,10 +134,10 @@ def test_deep_deterministic_chain_gives_one_lasso_or_run():
     ps = _chain_machine(n)
     user = constant_user("0")
     tuples = [("0", "0", str(i % 2), str(i // 3 % 2)) for i in range(n)]
-    exact = generate_sigma_h(ps, user, user, GenerationMode.exact())
+    exact = _sigma_h(ps, user, user, GenerationMode.exact())
     assert exact.members == (canonicalize(tuples[:-1], tuples[-1:]),)
     assert len(exact.members[0].prefix) == n - 1
-    bounded = generate_sigma_h(ps, user, user, GenerationMode.bounded(n))
+    bounded = _sigma_h(ps, user, user, GenerationMode.bounded(n))
     assert bounded.members == (canonicalize(tuples, ()),)
 
 
@@ -143,27 +147,13 @@ def test_exact_lassos_unroll_to_the_bounded_runs():
     while accepted < 100:
         ps, pl, h = _random_machine(rng), _random_user(rng), _random_user(rng)
         try:
-            exact = generate_sigma_h(ps, pl, h, GenerationMode.exact())
+            exact = _sigma_h(ps, pl, h, GenerationMode.exact())
         except (RunExplosion, ProtocolError):
             continue
         accepted += 1
         for n in range(1, 7):
-            bounded = generate_sigma_h(ps, pl, h, GenerationMode.bounded(n))
+            bounded = _sigma_h(ps, pl, h, GenerationMode.bounded(n))
             assert {unroll(t.prefix, t.cycle, n) for t in exact.members} == {t.prefix for t in bounded.members}
-
-
-def _sigma_h(ps, pl, h, mode, max_traces=None):
-    """``generate_sigma_h``, checked against the one family of a
-    one-protocol ``build_strategy_system``: the same system, or the same
-    error with the same message."""
-    try:
-        got = generate_sigma_h(ps, pl, h, mode, max_traces=max_traces)
-    except SiflabError as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            build_strategy_system(ps, pl, {"H": h}, mode, max_traces=max_traces)
-        raise
-    assert build_strategy_system(ps, pl, {"H": h}, mode, max_traces=max_traces).families == (("H", got),)
-    return got
 
 
 def _capped_cases():
@@ -182,38 +172,43 @@ def _capped_cases():
                 continue
 
 
-def test_a_trace_cap_raises_exactly_when_the_runs_exceed_it():
+def test_a_trace_cap_raises_exactly_when_the_runs_exceed_it(monkeypatch):
     sizes = set()
-    for ps, pl, h, mode, full in _capped_cases():
+    # every case is built at the default cap, before the loop lowers it
+    for ps, pl, h, mode, full in list(_capped_cases()):
         sizes.add(len(full))
         for k in range(1, 11):
+            monkeypatch.setattr(strategies, "FAMILY_TRACE_CAP", k)
             if len(full) > k:
                 with pytest.raises(CapExceeded, match=f"^the runs give more than {k} traces$"):
-                    _sigma_h(ps, pl, h, mode, max_traces=k)
+                    _sigma_h(ps, pl, h, mode)
             else:
-                assert _sigma_h(ps, pl, h, mode, max_traces=k) == full
+                assert _sigma_h(ps, pl, h, mode) == full
     # sizes at, below and above the caps tried
     assert {1, 2, 4, 8} <= sizes and max(sizes) > 10
 
 
-def test_build_strategy_system_caps_every_family():
+def test_build_strategy_system_caps_every_family(monkeypatch):
     # the high input is echoed: one run for a constant user, 2^3 for one choosing freely
     free = UserProtocol(("s",), "s", {"s": ("0", "1")}, {("s", i, o): "s" for i in "01" for o in "01"})
     args = (echo_high_machine(), constant_user("0"), {"one": constant_user("0"), "free": free}, GenerationMode.bounded(3))
     full = build_strategy_system(*args)
     assert [len(fam) for _, fam in full.families] == [1, 8]
-    assert build_strategy_system(*args, max_traces=8) == full
+    monkeypatch.setattr(strategies, "FAMILY_TRACE_CAP", 8)
+    assert build_strategy_system(*args) == full
+    monkeypatch.setattr(strategies, "FAMILY_TRACE_CAP", 7)
     with pytest.raises(CapExceeded):
-        build_strategy_system(*args, max_traces=7)
+        build_strategy_system(*args)
 
 
-def test_exact_mode_checks_every_family_before_it_enumerates_or_caps_any():
+def test_exact_mode_checks_every_family_before_it_enumerates_or_caps_any(monkeypatch):
     # the second family's user chooses freely on its one-state cycle
     free = UserProtocol(("s",), "s", {"s": ("0", "1")}, {("s", i, o): "s" for i in "01" for o in "01"})
     hs = {"one": constant_user("0"), "free": free}
-    for max_traces in (None, 1):
+    for cap in (strategies.FAMILY_TRACE_CAP, 1):
+        monkeypatch.setattr(strategies, "FAMILY_TRACE_CAP", cap)
         with pytest.raises(RunExplosion):
-            build_strategy_system(echo_high_machine(), constant_user("0"), hs, GenerationMode.exact(), max_traces)
+            build_strategy_system(echo_high_machine(), constant_user("0"), hs, GenerationMode.exact())
 
 
 def test_build_strategy_system_runs_each_named_high_protocol():
@@ -259,6 +254,8 @@ def test_user_protocol_validation():
         UserProtocol(("a",), "a", {"a": ()}, {})
     with pytest.raises(ProtocolError):
         UserProtocol(("a",), "a", {"a": (0,)}, {})
+    with pytest.raises(ProtocolError, match="^state 'a' has no emission choices or repeats one$"):
+        UserProtocol(("a",), "a", {"a": ("0", "1", "0")}, {})
 
 
 def test_system_protocol_validation():
@@ -269,13 +266,17 @@ def test_system_protocol_validation():
         ps.choices("s", "0", "0")
     with pytest.raises(ProtocolError):
         ps.choices("s", "1", "1")
+    ps = SystemProtocol(("s",), "s", {("s", "0", "0"): (("0", "1"), ("1", "0"), ("0", "1"))}, {})
+    message = "^system output for state='s' hi='0' li='0' is empty or repeats a choice$"
+    with pytest.raises(ProtocolError, match=message):
+        ps.choices("s", "0", "0")
 
 
 def test_missing_update_surfaces_as_protocol_error():
     ps, pl, hs = _echo()
     broken = UserProtocol(pl.states, pl.initial, pl.emit, {})
     with pytest.raises(ProtocolError):
-        generate_sigma_h(ps, broken, hs["H"], GenerationMode.bounded(2))
+        _sigma_h(ps, broken, hs["H"], GenerationMode.bounded(2))
 
 
 # ------------------------------------------------------------------ loaders
@@ -326,7 +327,7 @@ def test_load_protocols_roundtrip(tmp_path):
     path = tmp_path / "protocols.json"
     path.write_text(json.dumps(F.echo_protocols()))
     ps, pl, hs = load_json(path, protocols_from_obj)
-    got = generate_sigma_h(ps, pl, hs["H"], GenerationMode.exact())
+    got = _sigma_h(ps, pl, hs["H"], GenerationMode.exact())
     assert len(got.members) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -396,7 +397,7 @@ def test_the_bounded_retry_reuses_the_moves_of_the_exact_check(monkeypatch):
 
     monkeypatch.setattr(strategies, "_moves", counted)
     corpus = strategy_corpus(120)
-    assert any(t.is_finite for ss in corpus for _, fam in ss.families for t in fam)  # some draws retried
+    assert any(not t.cycle for ss in corpus for _, fam in ss.families for t in fam)  # some draws retried
     assert len(calls) == len(set(calls))
 
 
@@ -431,8 +432,8 @@ def _reference_machine(rng: random.Random) -> SystemProtocol:
 def _reference_corpus(count: int, seed: int) -> list[StrategySystem]:
     """``strategy_corpus`` through the public builders: draws from the
     library's ``random.Random``, every system built in exact mode, then
-    ``bounded:3`` capped at ``MAX_FAMILY_SIZE`` when a cycle carries a
-    choice, then the size filter and ``check_injectivity``."""
+    ``bounded:3`` when a cycle carries a choice, then the size filter
+    and ``check_injectivity``."""
     rng = random.Random(seed)
     out = designed_strategy_systems()
     while len(out) < count:
@@ -443,8 +444,8 @@ def _reference_corpus(count: int, seed: int) -> list[StrategySystem]:
             try:
                 ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
             except RunExplosion:
-                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3), max_traces=MAX_FAMILY_SIZE)
-        except (ProtocolError, CapExceeded):
+                ss = build_strategy_system(ps, pl, hs, GenerationMode.bounded(3))
+        except ProtocolError:
             continue
         if any(len(fam) > MAX_FAMILY_SIZE for _, fam in ss.families):
             continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import re
-import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,13 +114,30 @@ def test_psp_sif_builds_only_the_randomized_systems(monkeypatch):
     assert len(built) == 50
 
 
+class _Clock:
+    """Stands in for :mod:`time` in :mod:`siflab.verify`: ``perf_counter``
+    moves only when a slowed stand-in calls ``sleep``.  It counts in exact
+    fractions, so no rounding moves a reading across a threshold."""
+
+    def __init__(self):
+        self.now = Fraction(0)
+
+    def perf_counter(self) -> Fraction:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += Fraction(seconds)
+
+
 def test_shared_inputs_are_timed_apart_from_the_result_that_builds_them(monkeypatch):
     build = corpora.strategy_corpus
+    clock = _Clock()
 
     def slow_corpus(count, seed):
-        time.sleep(0.3)
+        clock.sleep(0.3)
         return build(count, seed)
 
+    monkeypatch.setattr(verify, "time", clock)
     monkeypatch.setattr(corpora, "strategy_corpus", slow_corpus)
     ctx = VerifyContext()
     report = verify_paper(["EX1", "PROP1", "THM4"], ctx)
@@ -141,15 +158,17 @@ def test_the_sweeps_are_timed_apart_from_prop1_and_from_the_universe(monkeypatch
     """A slowed sweep is charged to the ``sweeps`` input, not to PROP1; the
     universe it builds inside is charged once, to ``universe``."""
     standard, property_ok = BitUniverse.standard.__func__, BitUniverse.property_ok
+    clock = _Clock()
 
     def slow_standard(cls):
-        time.sleep(0.6)
+        clock.sleep(0.6)
         return standard(cls)
 
     def slow_property_ok(bu, kind):
-        time.sleep(0.1)
+        clock.sleep(0.1)
         return property_ok(bu, kind)
 
+    monkeypatch.setattr(verify, "time", clock)
     monkeypatch.setattr(BitUniverse, "standard", classmethod(slow_standard))
     monkeypatch.setattr(BitUniverse, "property_ok", slow_property_ok)
     report = verify_paper(["PROP1"])
