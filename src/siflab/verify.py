@@ -56,16 +56,22 @@ from .zl import (
     zl_q_search,
 )
 
-# Result id -> (description, procedure), in catalogue order: the order in
-# which the procedures below are defined.
-_REGISTRY: dict[str, tuple[str, Callable]] = {}
+# Result id -> (description, detail template, procedure), in catalogue order.
+# A procedure returns (ok, record), the record naming every count, flag and
+# witness string ``ok`` reads; ``verify_paper`` renders ``template.format_map(record)``.
+_REGISTRY: dict[str, tuple[str, str, Callable]] = {}
+
+# The size floors of the seeded claims: a run on fewer inputs fails.
+_MIN_CORPUS = 100
+_MIN_COLLECTIONS = 20
+_MIN_CASES = 1000
 
 
-def _result(result_id: str, description: str):
+def _result(result_id: str, description: str, template: str):
     """Register the decorated procedure as the reproduction of ``result_id``."""
 
     def register(procedure):
-        _REGISTRY[result_id] = (description, procedure)
+        _REGISTRY[result_id] = (description, template, procedure)
         return procedure
 
     return register
@@ -120,6 +126,11 @@ class VerifyContext:
     def universe(self) -> BitUniverse:
         return BitUniverse.standard()
 
+    @property
+    def systems(self) -> int:
+        """The number of nonempty systems over the universe."""
+        return (1 << self.universe.n) - 1
+
     @_setup_input
     def sweeps(self) -> dict[PropertyKind, int]:
         """The universe's property verdicts (:meth:`BitUniverse.property_ok`)
@@ -147,16 +158,27 @@ class VerifyContext:
         predicate = lambda s: check_property(PropertyKind.DGNI, s)
         return refute_all_types(predicate, pool)
 
+    @cached_property
+    def echo(self):
+        """The echo protocols' exact strategy system, which EX3 and PROP-NOS-ZL read."""
+        ps, pl, hs = protocols_from_obj(fixtures.echo_protocols())
+        return build_strategy_system(ps, pl, hs, GenerationMode.exact())
+
+    def represents(self, kind: PropertyKind, t: SifType) -> bool:
+        """Whether closure under ``t`` is ``kind`` on every system of the universe."""
+        return self.sweeps[kind] == self.universe.type_ok(t)
+
 
 @dataclass(frozen=True)
 class ResultOutcome:
-    """One result's verdict.  ``error`` marks a procedure that raised:
-    it did not pass, and ``detail`` is ``ERROR: <type>: <message>``."""
+    """One result's verdict, and ``record``, the evidence ``detail`` renders.
+    ``error`` marks a procedure that raised: empty record, detail ``ERROR: <type>: <message>``."""
 
     result_id: str
     passed: bool
     detail: str
     runtime: float
+    record: dict
     error: bool = False
 
     def line(self) -> str:
@@ -213,113 +235,115 @@ class VerificationReport:
         }
 
 
-@_result("EX1", "15-trace system: both noninference directions hold, separability fails")
-def _ex1(ctx) -> tuple[bool, str]:
+@_result("EX1", "15-trace system: both noninference directions hold, separability fails",
+         "|S|={size}, DGNI={dgni}, SEP={sep}")
+def _ex1(ctx) -> tuple[bool, dict]:
     s = fixtures.dgni_not_sep_15()
     dgni = check_property(PropertyKind.DGNI, s)
     sep = check_property(PropertyKind.SEP, s)
     ok = len(s) == 15 and dgni and not sep
-    return ok, f"|S|={len(s)}, DGNI={dgni}, SEP={sep}"
+    return ok, {"size": len(s), "expected_size": 15, "dgni": dgni, "sep": sep}
 
 
-@_result("EX2", "4-trace system: forward noninference holds, the conjunction fails")
-def _ex2(ctx) -> tuple[bool, str]:
+@_result("EX2", "4-trace system: forward noninference holds, the conjunction fails",
+         "|S|={size}, GNI={gni}, DGNI={dgni}")
+def _ex2(ctx) -> tuple[bool, dict]:
     s = fixtures.gni_not_dgni_4()
     gni = check_property(PropertyKind.GNI, s)
     dgni = check_property(PropertyKind.DGNI, s)
     ok = len(s) == 4 and gni and not dgni
-    return ok, f"|S|={len(s)}, GNI={gni}, DGNI={dgni}"
+    return ok, {"size": len(s), "expected_size": 4, "gni": gni, "dgni": dgni}
 
 
-@_result("EX3", "protocol composition generates the expected two-trace family")
-def _ex3(ctx) -> tuple[bool, str]:
-    ps, pl, hs = protocols_from_obj(fixtures.echo_protocols())
-    ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
+@_result("EX3", "protocol composition generates the expected two-trace family",
+         "generated family matches fixture={same}, NOS={nos}, SEP={sep}")
+def _ex3(ctx) -> tuple[bool, dict]:
+    ss = ctx.echo
     expected = fixtures.nos_two_trace()
     same = dict(ss.families) == dict(expected.families)
     nos = check_nos(ss)
     sep = check_property(PropertyKind.SEP, union_system(ss))
     ok = same and nos and not sep
-    return ok, f"generated family matches fixture={same}, NOS={nos}, SEP={sep}"
+    return ok, {"same": same, "nos": nos, "sep": sep}
 
 
-@_result("PROP1", "SEP implies DGNI implies GNI; separable unions satisfy NOS")
-def _prop1(ctx) -> tuple[bool, str]:
+@_result("PROP1", "SEP implies DGNI implies GNI; separable unions satisfy NOS",
+         "{violations} violations of SEP=>DGNI=>GNI over {systems} systems; {sep_unions}/{corpus} separable unions "
+         "all satisfy NOS; high-view membership step holds on every generated system")
+def _prop1(ctx) -> tuple[bool, dict]:
     swept = ctx.sweeps
-    v1 = implication_violations(swept[PropertyKind.SEP], swept[PropertyKind.DGNI])
-    v2 = implication_violations(swept[PropertyKind.DGNI], swept[PropertyKind.GNI])
-    n = (1 << ctx.universe.n) - 1  # the nonempty systems
-    sep_cases = 0
+    violations = implication_violations(swept[PropertyKind.SEP], swept[PropertyKind.DGNI])
+    violations += implication_violations(swept[PropertyKind.DGNI], swept[PropertyKind.GNI])
+    sep_unions = 0
     nos_bad = 0
     step_bad = 0
     for ss in ctx.corpus:
         if check_property(PropertyKind.SEP, union_system(ss)):
-            sep_cases += 1
+            sep_unions += 1
             if not check_nos(ss):
                 nos_bad += 1
         if not family_h_view_determined(ss):
             step_bad += 1
-    ok = v1 == 0 and v2 == 0 and nos_bad == 0 and step_bad == 0 and len(ctx.corpus) >= 100
-    return ok, (
-        f"0 violations of SEP=>DGNI=>GNI over {n} systems; "
-        f"{sep_cases}/{len(ctx.corpus)} separable unions all satisfy NOS; "
-        f"high-view membership step holds on every generated system"
+    ok = violations == 0 and nos_bad == 0 and step_bad == 0 and len(ctx.corpus) >= _MIN_CORPUS
+    return ok, dict(
+        violations=violations, systems=ctx.systems, sep_unions=sep_unions, corpus=len(ctx.corpus),
+        min_corpus=_MIN_CORPUS, nos_bad=nos_bad, step_bad=step_bad,
     )
 
 
-@_result("PROP2", "SEP and GNI coincide with closure under their copy types")
-def _prop2(ctx) -> tuple[bool, str]:
-    bu, swept = ctx.universe, ctx.sweeps
-    n = (1 << bu.n) - 1  # the nonempty systems
-    sep_eq = swept[PropertyKind.SEP] == bu.type_ok(SEP_TYPE)
-    gni_eq = swept[PropertyKind.GNI] == bu.type_ok(GNI_TYPE)
-    rgni_eq = swept[PropertyKind.RGNI] == bu.type_ok(RGNI_TYPE)
-    ok = sep_eq and gni_eq and rgni_eq
-    return ok, (
-        f"over {n} systems: SEP<=>{SEP_TYPE}: {sep_eq}, GNI<=>{GNI_TYPE}: {gni_eq}, "
-        f"RGNI<=>{RGNI_TYPE} (chosen by symmetry): {rgni_eq}"
+@_result("PROP2", "SEP and GNI coincide with closure under their copy types",
+         "over {systems} systems: SEP<=>{sep_type}: {sep}, GNI<=>{gni_type}: {gni}, "
+         "RGNI<=>{rgni_type} (chosen by symmetry): {rgni}")
+def _prop2(ctx) -> tuple[bool, dict]:
+    sep = ctx.represents(PropertyKind.SEP, SEP_TYPE)
+    gni = ctx.represents(PropertyKind.GNI, GNI_TYPE)
+    rgni = ctx.represents(PropertyKind.RGNI, RGNI_TYPE)
+    ok = sep and gni and rgni
+    return ok, dict(
+        systems=ctx.systems, sep_type=str(SEP_TYPE), sep=sep, gni_type=str(GNI_TYPE), gni=gni,
+        rgni_type=str(RGNI_TYPE), rgni=rgni,
     )
 
 
-def _witness_summary(report) -> str:
+def _refutation_record(report) -> dict:
+    """The number of types ``report`` leaves unrefuted, and its witnesses."""
     used = sorted({e.witness for e in report.entries if e.witness})
-    return ", ".join(used)
+    return {"unrefuted": len(report.unrefuted), "witnesses": ", ".join(used)}
 
 
-@_result("THM1", "no copy type represents NOS over strategy systems")
-def _thm1(ctx) -> tuple[bool, str]:
+@_result("THM1", "no copy type represents NOS over strategy systems",
+         "all 81 types refuted for NOS; witnesses: {witnesses}")
+def _thm1(ctx) -> tuple[bool, dict]:
     pool = {
         "nos_two_trace": fixtures.nos_two_trace(),
         "nos_false_pair": fixtures.nos_false_pair(),
     }
     extension = ((f"corpus[{i}]", ss) for i, ss in enumerate(ctx.corpus))
     report = refute_all_types(check_nos, pool, extension)
-    ok = report.all_refuted
-    return ok, f"all 81 types refuted for NOS; witnesses: {_witness_summary(report)}"
+    return report.all_refuted, _refutation_record(report)
 
 
-@_result("THM2", "no copy type represents DGNI")
-def _thm2(ctx) -> tuple[bool, str]:
+@_result("THM2", "no copy type represents DGNI", "all 81 types refuted for DGNI; witnesses: {witnesses}")
+def _thm2(ctx) -> tuple[bool, dict]:
     report = ctx.dgni_refutation
-    ok = report.all_refuted
-    return ok, f"all 81 types refuted for DGNI; witnesses: {_witness_summary(report)}"
+    return report.all_refuted, _refutation_record(report)
 
 
-@_result("COR-CONJ", "type-representable properties are not closed under conjunction")
-def _cor_conj(ctx) -> tuple[bool, str]:
-    bu, swept = ctx.universe, ctx.sweeps
-    gni_rep = swept[PropertyKind.GNI] == bu.type_ok(GNI_TYPE)
-    rgni_rep = swept[PropertyKind.RGNI] == bu.type_ok(RGNI_TYPE)
-    dgni_unrep = ctx.dgni_refutation.all_refuted
-    ok = gni_rep and rgni_rep and dgni_unrep
-    return ok, (
-        f"GNI and RGNI are each type-represented ({gni_rep}, {rgni_rep}) "
-        f"but their conjunction DGNI is refuted for all 81 types ({dgni_unrep})"
-    )
+@_result("COR-CONJ", "type-representable properties are not closed under conjunction",
+         "GNI and RGNI are each type-represented ({gni}, {rgni}) "
+         "but their conjunction DGNI is refuted for all 81 types ({dgni_refuted})")
+def _cor_conj(ctx) -> tuple[bool, dict]:
+    gni = ctx.represents(PropertyKind.GNI, GNI_TYPE)
+    rgni = ctx.represents(PropertyKind.RGNI, RGNI_TYPE)
+    dgni_refuted = ctx.dgni_refutation.all_refuted
+    ok = gni and rgni and dgni_refuted
+    return ok, {"gni": gni, "rgni": rgni, "dgni_refuted": dgni_refuted}
 
 
-@_result("THM3", "type-representable properties are not closed under disjunction")
-def _thm3(ctx) -> tuple[bool, str]:
+@_result("THM3", "type-representable properties are not closed under disjunction",
+         "disjunction of SEP with closure under {pin}: all 81 types refuted; the five-system pool alone leaves "
+         "{gap} (the pinned type and its swap), settled by the separable echo pair")
+def _thm3(ctx) -> tuple[bool, dict]:
     pin = SifType(1, 2, 2, 2)
     predicate = lambda s: check_property(PropertyKind.SEP, s) or closed_under_type(s, pin)
     base_pool = {
@@ -330,18 +354,19 @@ def _thm3(ctx) -> tuple[bool, str]:
         "ho_equals_hi_xor_li_16": fixtures.ho_equals_hi_xor_li_16(),
     }
     report = refute_all_types(predicate, base_pool, [("high_echo_pair_2", fixtures.high_echo_pair_2())])
-    ok = report.all_refuted
-    # the types the five-system pool alone leaves unrefuted
-    gap = sum(e.witness not in base_pool for e in report.entries)
-    return ok, (
-        f"disjunction of SEP with closure under {pin}: all 81 types refuted; "
-        f"the five-system pool alone leaves {gap} (the pinned type and its swap), "
-        f"settled by the separable echo pair"
+    # the types the five-system pool alone leaves unrefuted: the pin and its swap
+    gap = [e.type for e in report.entries if e.witness not in base_pool]
+    pin_and_swap = {pin, swap_type(pin)}
+    ok = report.all_refuted and set(gap) == pin_and_swap
+    return ok, dict(
+        pin=str(pin), unrefuted=len(report.unrefuted), gap=len(gap), gap_types=", ".join(map(str, gap)),
+        pin_and_swap=", ".join(sorted(map(str, pin_and_swap))),
     )
 
 
-@_result("THM4", "NOS coincides with closure under the membership family")
-def _thm4(ctx) -> tuple[bool, str]:
+@_result("THM4", "NOS coincides with closure under the membership family",
+         "NOS <=> family closure on {systems} generated systems ({nos_false} NOS-false), {mismatches} mismatches")
+def _thm4(ctx) -> tuple[bool, dict]:
     mismatches = 0
     nos_false = 0
     for ss in ctx.corpus:
@@ -351,54 +376,45 @@ def _thm4(ctx) -> tuple[bool, str]:
         if nos != closed:
             mismatches += 1
         nos_false += not nos
-    ok = mismatches == 0 and nos_false > 0 and len(ctx.corpus) >= 100
-    return ok, (
-        f"NOS <=> family closure on {len(ctx.corpus)} generated systems "
-        f"({nos_false} NOS-false), {mismatches} mismatches"
-    )
+    ok = mismatches == 0 and nos_false > 0 and len(ctx.corpus) >= _MIN_CORPUS
+    return ok, {"systems": len(ctx.corpus), "min_corpus": _MIN_CORPUS, "nos_false": nos_false, "mismatches": mismatches}
 
 
-@_result("PROP-DISJ", "unions of representing families represent unions of properties")
-def _prop_disj(ctx) -> tuple[bool, str]:
+@_result("PROP-DISJ", "unions of representing families represent unions of properties",
+         "over a {systems}-system collection, the union family represents "
+         "the union of a {first}-member and a {second}-member property")
+def _prop_disj(ctx) -> tuple[bool, dict]:
     universe = corpora.disjoint_ten()
     s1 = universe[:3]
     s2 = universe[4:8]
     f1 = [zigzag_sif(s) for s in s1]
     f2 = [zigzag_sif(s) for s in s2]
     union = family_union(f1, f2)
-    ok = True
+    misjudged = 0
     for s in universe:
-        in_union = s in s1 or s in s2
-        if closed_under_family(s, union) != in_union:
-            ok = False
-        if closed_under_family(s, f1) != (s in s1):
-            ok = False
-        if closed_under_family(s, f2) != (s in s2):
-            ok = False
-    return ok, (
-        f"over a {len(universe)}-system collection, the union family represents "
-        f"the union of a {len(s1)}-member and a {len(s2)}-member property"
-    )
+        misjudged += closed_under_family(s, union) != (s in s1 or s in s2)
+        misjudged += closed_under_family(s, f1) != (s in s1)
+        misjudged += closed_under_family(s, f2) != (s in s2)
+    return misjudged == 0, {"systems": len(universe), "first": len(s1), "second": len(s2), "misjudged": misjudged}
 
 
-@_result("THM5", "pinning families: uniqueness and subset representation")
-def _thm5(ctx) -> tuple[bool, str]:
+@_result("THM5", "pinning families: uniqueness and subset representation",
+         "{collections} collections pass uniqueness and all-subset representation ({bad} failures); {rejected} "
+         "random draws were rejected by the checker up front (overlapping members can defeat subset representation)")
+def _thm5(ctx) -> tuple[bool, dict]:
     collections, rejected = ctx.zigzag
     bad = 0
     for members in collections:
         report = verify_zigzag_collection(members)
         if not (report.uniqueness_ok and report.representation_ok):
             bad += 1
-    ok = bad == 0 and len(collections) >= 20
-    return ok, (
-        f"{len(collections)} collections pass uniqueness and all-subset representation "
-        f"({bad} failures); {rejected} random draws were rejected by the checker up front "
-        f"(overlapping members can defeat subset representation)"
-    )
+    ok = bad == 0 and len(collections) >= _MIN_COLLECTIONS
+    return ok, dict(collections=len(collections), min_collections=_MIN_COLLECTIONS, bad=bad, rejected=rejected)
 
 
-@_result("PROP-GENCONJ", "pair-family closure equals the conjunction of closures")
-def _prop_genconj(ctx) -> tuple[bool, str]:
+@_result("PROP-GENCONJ", "pair-family closure equals the conjunction of closures",
+         "pairing identity holds on {cases} randomized (system, family, family) cases")
+def _prop_genconj(ctx) -> tuple[bool, dict]:
     mismatches = 0
     n = 0
     for s, f1, f2 in corpora.conj_cases(ctx.case_count, ctx.seed):
@@ -407,67 +423,64 @@ def _prop_genconj(ctx) -> tuple[bool, str]:
         rhs = closed_under_family(s, f1) and closed_under_family(s, f2)
         if lhs != rhs:
             mismatches += 1
-    ok = mismatches == 0 and n >= 1000
-    return ok, f"pairing identity holds on {n} randomized (system, family, family) cases"
+    ok = mismatches == 0 and n >= _MIN_CASES
+    return ok, {"cases": n, "min_cases": _MIN_CASES, "mismatches": mismatches}
 
 
-@_result("COR-DGNI", "DGNI is represented by the generalized pair family")
-def _cor_dgni(ctx) -> tuple[bool, str]:
+@_result("COR-DGNI", "DGNI is represented by the generalized pair family",
+         "closure under the paired ({gni_type}, {rgni_type}) family coincides with DGNI "
+         "on all {systems} systems; fixture spot checks agree")
+def _cor_dgni(ctx) -> tuple[bool, dict]:
     bu = ctx.universe
-    n = (1 << bu.n) - 1  # the nonempty systems
     table_eq = bu.type_ok(GNI_TYPE) & bu.type_ok(RGNI_TYPE) == ctx.sweeps[PropertyKind.DGNI]
     fixture_pair = (fixtures.dgni_not_sep_15(), fixtures.gni_not_dgni_4())
     paired = [closed_under_type(s, GNI_TYPE) and closed_under_type(s, RGNI_TYPE) for s in fixture_pair]
     spot = paired == [True, False]
     ok = table_eq and spot
-    return ok, (
-        f"closure under the paired ({GNI_TYPE}, {RGNI_TYPE}) family coincides with DGNI "
-        f"on all {n} systems; fixture spot checks agree"
-    )
+    return ok, dict(gni_type=str(GNI_TYPE), rgni_type=str(RGNI_TYPE), systems=ctx.systems, table_eq=table_eq, spot=spot)
 
 
-@_result("PROP-ZL-DISJ", "low-view-local properties are not closed under disjunction")
-def _prop_zl_disj(ctx) -> tuple[bool, str]:
+@_result("PROP-ZL-DISJ", "low-view-local properties are not closed under disjunction",
+         "each singleton target admits a predicate, the two-singleton union admits none "
+         "(synchronous and asynchronous)")
+def _prop_zl_disj(ctx) -> tuple[bool, dict]:
     sync_u = fixtures.zl_universe_sync()
-    singles_sync = [zl_q_search([s], sync_u) is not None for s in sync_u[:2]]
+    singles_sync = sum(zl_q_search([s], sync_u) is not None for s in sync_u[:2])
     none_sync = zl_q_search(fixtures.zl_target_disjunction(), sync_u) is None
     async_u = fixtures.zl_universe_async()
-    singles_async = [zl_q_search([s], async_u) is not None for s in async_u[:2]]
+    singles_async = sum(zl_q_search([s], async_u) is not None for s in async_u[:2])
     none_async = zl_q_search(async_u[:2], async_u) is None
-    ok = all(singles_sync) and none_sync and all(singles_async) and none_async
-    return ok, (
-        "each singleton target admits a predicate, the two-singleton union admits none "
-        "(synchronous and asynchronous)"
-    )
+    ok = singles_sync == 2 and none_sync and singles_async == 2 and none_async
+    return ok, dict(singles_sync=singles_sync, none_sync=none_sync, singles_async=singles_async, none_async=none_async)
 
 
-@_result("PROP-NOS-ZL", "NOS is a low-view-local property")
-def _prop_nos_zl(ctx) -> tuple[bool, str]:
+@_result("PROP-NOS-ZL", "NOS is a low-view-local property",
+         "low-view-local reformulation agrees with NOS on {systems} generated systems and on the two-trace example")
+def _prop_nos_zl(ctx) -> tuple[bool, dict]:
     mismatches = sum(1 for ss in ctx.corpus if nos_as_zl(ss) != check_nos(ss))
-    ps, pl, hs = protocols_from_obj(fixtures.echo_protocols())
-    ss = build_strategy_system(ps, pl, hs, GenerationMode.exact())
+    ss = ctx.echo
     example = nos_as_zl(ss) and check_nos(ss)
-    ok = mismatches == 0 and example
-    return ok, (
-        f"low-view-local reformulation agrees with NOS on {len(ctx.corpus)} "
-        f"generated systems and on the two-trace example"
-    )
+    ok = mismatches == 0 and example and len(ctx.corpus) >= _MIN_CORPUS
+    return ok, {"systems": len(ctx.corpus), "min_corpus": _MIN_CORPUS, "mismatches": mismatches, "example": example}
 
 
-@_result("THM-ZL-CONJ", "low-view-local properties are closed under conjunction")
-def _thm_zl_conj(ctx) -> tuple[bool, str]:
+@_result("THM-ZL-CONJ", "low-view-local properties are closed under conjunction",
+         "conjunction identity holds on {cases} randomized (system, Q, Q') cases")
+def _thm_zl_conj(ctx) -> tuple[bool, dict]:
     mismatches = 0
     n = 0
     for s, q1, q2 in corpora.zl_conj_cases(ctx.case_count, ctx.seed):
         n += 1
         if zl_check(s, AndQ(q1, q2)) != (zl_check(s, q1) and zl_check(s, q2)):
             mismatches += 1
-    ok = mismatches == 0 and n >= 1000
-    return ok, f"conjunction identity holds on {n} randomized (system, Q, Q') cases"
+    ok = mismatches == 0 and n >= _MIN_CASES
+    return ok, {"cases": n, "min_cases": _MIN_CASES, "mismatches": mismatches}
 
 
-@_result("PROP-PSP-SIF", "the insertion property equals closure under the insertion function")
-def _prop_psp_sif(ctx) -> tuple[bool, str]:
+@_result("PROP-PSP-SIF", "the insertion property equals closure under the insertion function",
+         "insertion property <=> closure under the insertion function on "
+         "{enumerated} enumerated and {randomized} randomized event systems")
+def _prop_psp_sif(ctx) -> tuple[bool, dict]:
     # A declaration's enumerated systems are the first subsets of one
     # trace pool, so each side decides all of them at once: one sweep of
     # the insertion function's table, and the decomposition's obligations
@@ -480,16 +493,13 @@ def _prop_psp_sif(ctx) -> tuple[bool, str]:
     randomized = corpora.async_corpus(ctx.async_count, ctx.seed)
     bad_rand = sum(psp_check(s) != closed_under_insertion(s) for s in randomized)
     ok = bad_enum + bad_rand == 0
-    return ok, (
-        f"insertion property <=> closure under the insertion function on "
-        f"{n_enum} enumerated and {len(randomized)} randomized event systems"
-    )
+    return ok, dict(enumerated=n_enum, randomized=len(randomized), bad_enum=bad_enum, bad_rand=bad_rand)
 
 
-@_result("LEM-SWAP", "closure is invariant under swapping argument roles")
-def _lem_swap(ctx) -> tuple[bool, str]:
+@_result("LEM-SWAP", "closure is invariant under swapping argument roles",
+         "closure tables equal under role swap for all 81 types over {systems} systems")
+def _lem_swap(ctx) -> tuple[bool, dict]:
     bu = ctx.universe
-    n = (1 << bu.n) - 1  # the nonempty systems
     bad = [t for t in enumerate_types() if bu.type_ok(t) != bu.type_ok(swap_type(t))]
     # the certificate, for every subset of the universe: swapping the
     # roles transposes the witness table, and a system meets W[a][b] for
@@ -500,13 +510,13 @@ def _lem_swap(ctx) -> tuple[bool, str]:
         if bu.witness_table(*swap_type(t).masks) != tuple(zip(*bu.witness_table(*t.masks)))
     ]
     ok = not bad and not untransposed
-    return ok, f"closure tables equal under role swap for all 81 types over {n} systems"
+    return ok, {"systems": ctx.systems, "bad": len(bad), "untransposed": len(untransposed)}
 
 
-@_result("LEM-ALLSYS", "the sixteen one-argument copy types close every system")
-def _lem_allsys(ctx) -> tuple[bool, str]:
+@_result("LEM-ALLSYS", "the sixteen one-argument copy types close every system",
+         "{types} one-argument types (the sixteen and their swaps) close every one of the {systems} systems")
+def _lem_allsys(ctx) -> tuple[bool, dict]:
     bu = ctx.universe
-    n = (1 << bu.n) - 1  # the nonempty systems
     candidates = list(ALL_SYSTEMS_TYPES) + [swap_type(t) for t in ALL_SYSTEMS_TYPES]
     bad = [t for t in candidates if bu.type_ok(t) != bu.full]
     # the certificate, for every subset of the universe: W[a][b] holds a
@@ -518,22 +528,21 @@ def _lem_allsys(ctx) -> tuple[bool, str]:
         if not all(w >> a & 1 for a, row in enumerate(table) for w in row)
     ]
     ok = not bad and not uncertified
-    return ok, (
-        f"{len(set(candidates))} one-argument types (the sixteen and their swaps) "
-        f"close every one of the {n} systems"
-    )
+    return ok, dict(types=len(set(candidates)), systems=ctx.systems, bad=len(bad), uncertified=len(uncertified))
 
 
 RESULT_IDS = tuple(_REGISTRY)
 
 
 def verify_paper(ids=None, context: VerifyContext | None = None) -> VerificationReport:
-    """Reproduce the requested results (all of them by default).
+    """Reproduce the results ``ids`` names: one id, several, or all by default.
 
     A procedure that raises gives an ERROR outcome, and the results after
     it still run.  A selection that names no result raises
     :class:`SiflabError`.
     """
+    if isinstance(ids, str):
+        ids = [ids]
     if ids is None:
         requested = list(RESULT_IDS)
     else:
@@ -549,15 +558,18 @@ def verify_paper(ids=None, context: VerifyContext | None = None) -> Verification
     built_before = set(ctx.setup_seconds)
     outcomes = []
     for result_id in requested:
-        _, procedure = _REGISTRY[result_id]
+        _, template, procedure = _REGISTRY[result_id]
         setup_before = sum(ctx.setup_seconds.values())
         start = time.perf_counter()
         try:
-            passed, detail = procedure(ctx)
+            passed, record = procedure(ctx)
+            detail = template.format_map(record)
+            if not passed:
+                detail += " [" + ", ".join(f"{k}={v!r}" for k, v in record.items()) + "]"
             error = False
         except Exception as exc:  # recorded as this result's outcome; the rest still run
-            passed, detail, error = False, f"ERROR: {type(exc).__name__}: {exc}", True
+            passed, record, detail, error = False, {}, f"ERROR: {type(exc).__name__}: {exc}", True
         runtime = time.perf_counter() - start - (sum(ctx.setup_seconds.values()) - setup_before)
-        outcomes.append(ResultOutcome(result_id, passed, detail, runtime, error))
+        outcomes.append(ResultOutcome(result_id, passed, detail, runtime, record, error))
     setup = tuple((name, seconds) for name, seconds in ctx.setup_seconds.items() if name not in built_before)
     return VerificationReport(tuple(outcomes), setup)

@@ -819,7 +819,7 @@ def test_verify_paper_error_exits_two_and_runs_the_rest(capsys, monkeypatch, jso
     def boom(ctx):
         raise RuntimeError("broken procedure")
 
-    monkeypatch.setitem(_REGISTRY, "EX1", (_REGISTRY["EX1"][0], boom))
+    monkeypatch.setitem(_REGISTRY, "EX1", (*_REGISTRY["EX1"][:2], boom))
     code, out, err = run(capsys, "verify-paper", "--only", "EX1,EX2", *json_flag)
     assert code == 2
     assert err == "error: 1 result(s) raised an exception: EX1\n"

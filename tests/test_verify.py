@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import re
+import string
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from siflab import AsyncSystem, PropertyKind, SiflabError, UnknownResultError, V
 from siflab import corpus as corpora
 from siflab import verify
 from siflab.enumeration import BitUniverse
+from siflab.siftypes import RefutationReport, swap_type
 from siflab.verify import _REGISTRY, RESULT_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_paper.json"
@@ -27,9 +30,11 @@ def test_catalogue_is_complete_and_stable():
 
 
 def test_requested_ids_run_in_canonical_order_without_duplicates():
-    report = verify_paper(["EX2", "EX1", "EX2"])
-    assert [o.result_id for o in report.outcomes] == ["EX1", "EX2"]
-    assert report.all_passed
+    # a string names one result; it is not read letter by letter
+    for ids, expected in ((["EX2", "EX1", "EX2"], ["EX1", "EX2"]), ("EX1", ["EX1"])):
+        report = verify_paper(ids)
+        assert [o.result_id for o in report.outcomes] == expected
+        assert report.all_passed
 
 
 def test_an_empty_selection_is_rejected():
@@ -62,7 +67,7 @@ def _raise_in(monkeypatch, result_id):
     def boom(ctx):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setitem(_REGISTRY, result_id, (_REGISTRY[result_id][0], boom))
+    monkeypatch.setitem(_REGISTRY, result_id, (*_REGISTRY[result_id][:2], boom))
 
 
 def test_a_raising_result_is_an_error_and_the_rest_still_run(monkeypatch):
@@ -90,12 +95,21 @@ def test_outcome_lookup():
 def test_determinism_of_seeded_results():
     ctx1 = VerifyContext(corpus_count=20, case_count=50, async_count=20)
     ctx2 = VerifyContext(corpus_count=20, case_count=50, async_count=20)
-    r1 = verify_paper(["PROP-GENCONJ", "THM-ZL-CONJ"], ctx1)
-    r2 = verify_paper(["PROP-GENCONJ", "THM-ZL-CONJ"], ctx2)
+    r1 = verify_paper(["THM4", "PROP-GENCONJ", "THM-ZL-CONJ"], ctx1)
+    r2 = verify_paper(["THM4", "PROP-GENCONJ", "THM-ZL-CONJ"], ctx2)
     assert [o.detail for o in r1.outcomes] == [o.detail for o in r2.outcomes]
     # smaller corpora than the published claim are reported as failures,
-    # not silently accepted
+    # not silently accepted, and the FAIL line ends with the whole record,
+    # the count and the floor it missed included
     assert not r1.all_passed
+    floors = {"THM4": ("systems=20", "min_corpus=100"), "PROP-GENCONJ": ("cases=50", "min_cases=1000")}
+    for result_id, (count, floor) in floors.items():
+        outcome = r1.outcome(result_id)
+        assert not outcome.passed and not outcome.error
+        fields = [f"{k}={v!r}" for k, v in outcome.record.items()]
+        assert outcome.line().startswith("FAIL  ")
+        assert outcome.line().endswith(" [" + ", ".join(fields) + "]")
+        assert count in fields and floor in fields
 
 
 def test_psp_sif_builds_only_the_randomized_systems(monkeypatch):
@@ -199,6 +213,10 @@ def test_full_catalogue_reproduces():
     golden = json.loads(GOLDEN.read_text())
     got = [{"id": o.result_id, "passed": o.passed, "detail": o.detail} for o in report.outcomes]
     assert got == golden
+    # every field a template names is in its result's record
+    for o in report.outcomes:
+        fields = {name for _, name, _, _ in string.Formatter().parse(_REGISTRY[o.result_id][1]) if name}
+        assert fields <= set(o.record), o.result_id
 
 
 def test_a_full_run_refutes_the_types_for_dgni_once(monkeypatch):
@@ -217,3 +235,33 @@ def test_a_full_run_refutes_the_types_for_dgni_once(monkeypatch):
     dgni_pool = ["dgni_not_sep_15", "ho_equals_li_8", "li_equals_hi_8", "lo_equals_hi_8"]
     assert pools.count(dgni_pool) == 1
     assert len(pools) == 3  # THM1, THM2 and THM3
+
+
+def test_thm3_fails_when_the_echo_pair_settles_other_types(monkeypatch):
+    """THM3's pool leaves exactly the pinned type and its swap to the
+    separable echo pair.  A stand-in that moves the echo pair's witness
+    onto another mirror pair makes THM3 FAIL, naming that pair."""
+    assert verify_paper(["THM3"]).outcome("THM3").record["gap_types"] == "1:2/2:2, 2:1/1:1"
+    refute = verify.refute_all_types
+    moved = set()
+
+    def moving(predicate, pool, *extension):
+        report = refute(predicate, pool, *extension)
+        echo = {e.type for e in report.entries if e.witness == "high_echo_pair_2"}
+        other = next(e for e in report.entries if e.witness in pool and swap_type(e.type) != e.type)
+        moved.update({other.type, swap_type(other.type)})
+        entries = [
+            replace(e, witness="high_echo_pair_2") if e.type in moved
+            else replace(e, witness=other.witness) if e.type in echo
+            else e
+            for e in report.entries
+        ]
+        return RefutationReport(tuple(entries))
+
+    monkeypatch.setattr(verify, "refute_all_types", moving)
+    outcome = verify_paper(["THM3"]).outcome("THM3")
+    assert not outcome.passed and not outcome.error
+    assert outcome.record["unrefuted"] == 0 and outcome.record["gap"] == 2
+    assert set(outcome.record["gap_types"].split(", ")) == {str(t) for t in moved}
+    assert outcome.record["pin_and_swap"] == "1:2/2:2, 2:1/1:1"
+    assert f"gap_types={outcome.record['gap_types']!r}" in outcome.line()
