@@ -1,24 +1,14 @@
-"""The pair sweep, which decides a pair-quantified property for every
-system of a universe at once.
-
-``BitUniverse.property_ok`` runs it once per property; closure under a
-type is decided by view classes instead (``enumeration``).
-``families.closed_over_pool`` runs it once per event declaration in
-PROP-PSP-SIF, over the first traces of the declaration's pool.  The
-pinning verifier (``families.verify_zigzag_collection``, THM5) uses
-``avoiding`` alone, over the 2^k subfamilies of a k-member collection.
-
-A system is a bitmask over an n-trace universe, and a verdict vector
-over the 2^n systems is one int whose bit m is the verdict of system m.
-Given an n-by-n table of witness masks, a system passes when it
-intersects ``table[a][b]`` for every ordered pair (a, b) of its members.
-A pair whose witness mask W excludes both a and b rules out, in a few
-big-int operations, every system that holds a and b and avoids W.  A
-mask holding a or b is met by every system that holds both, so such a
-pair rules out nothing.
+"""The closure-side sweep kernel: :func:`sweep_rules` alone turns rules
+into verdict ints, whose bit m is the verdict of system mask m over an
+n-trace universe.  Its callers state rules: :func:`sweep_pairs` (for
+``BitUniverse.property_ok`` and ``families.closed_over_pool``),
+``BitUniverse.type_ok`` and THM5's ``families._subfamily_verdicts``.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import chain, product
 
 from .errors import CapExceeded
 
@@ -52,20 +42,54 @@ def avoiding(mask: int, n: int) -> int:
     return x
 
 
-def sweep_pairs(table, systems: range, n: int) -> int:
-    """The verdict int of the systems ``range(count)``: bit m is the
-    verdict of system mask m, for m below ``count <= 2^n``."""
-    full = (1 << powerset_size(n)) - 1
-    held = [full ^ avoiding(1 << i, n) for i in range(n)]
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for a, row in enumerate(table):
-        for b, witness in enumerate(row):
-            if not (witness >> a & 1 or witness >> b & 1):
-                pairs.setdefault(witness, []).append((a, b))
+def sweep_rules(rules, count: int, n: int, patterns: dict[int, int] | None = None) -> int:
+    """The verdict int of the systems ``0 .. count - 1`` of ``n`` traces
+    (``count <= 2^n``): a rule ``(needs, avoid)`` rules out each system
+    that meets every mask in ``needs`` and shares no trace with ``avoid``.
+    A rule with a need inside ``avoid`` rules out nothing and is skipped.
+    Rules are taken one ``avoid`` mask at a time: each :func:`avoiding`
+    pattern is built once, held only for its rules unless the memo
+    ``patterns`` keeps it for later batches."""
+    def pattern(mask: int) -> int:
+        if patterns is None:
+            return avoiding(mask, n)
+        if mask not in patterns:
+            patterns[mask] = avoiding(mask, n)
+        return patterns[mask]
+
+    size = powerset_size(n)
+    full = (1 << size) - 1 if patterns is None else pattern(0)  # every system avoids mask 0
+    groups: dict[int, list] = {}
+    for needs, avoid in rules:
+        rest = ~avoid
+        for need in needs:
+            if not need & rest:
+                break
+        else:
+            groups.setdefault(avoid, []).append(needs)
+    meets: dict[int, int] = {}
     ruled = 0
-    # one witness mask's systems at a time: a table may hold n^2 masks
-    for witness, members in pairs.items():
-        clear = avoiding(witness, n)
-        for a, b in members:
-            ruled |= clear & held[a] & held[b]
-    return ((1 << len(systems)) - 1) & ~ruled
+    for avoid, group in groups.items():
+        clear = pattern(avoid)
+        for needs in group:
+            x = clear
+            for need in needs:
+                held = meets.get(need)
+                if held is None:
+                    held = meets[need] = full ^ pattern(need)
+                x &= held
+            ruled |= x
+    verdicts = full ^ ruled  # every ruled-out system is one of the 2^n
+    return verdicts if count == size else verdicts & ((1 << count) - 1)
+
+
+@cache
+def _pair_needs(n: int) -> tuple[tuple[int, int], ...]:
+    """The needs ``(1 << a, 1 << b)`` of an n-by-n table, in row order."""
+    return tuple(product([1 << i for i in range(n)], repeat=2))
+
+
+def sweep_pairs(table, systems: range, n: int) -> int:
+    """The verdict int of ``systems = range(count)``: a system passes when
+    it meets ``table[a][b]`` for every ordered pair (a, b) of its members."""
+    return sweep_rules(zip(_pair_needs(n), chain.from_iterable(table)), len(systems), n)

@@ -2,13 +2,10 @@
 
 Small trace universes (at most 24 traces) admit a bit-parallel encoding:
 a system is a bitmask over the universe, and a verdict vector is one int
-with one bit per system.  Two deciders fill such vectors.  Property
-membership uses the pair sweep: for every ordered pair (a, b) of members
-the system must intersect the witness mask ``W[a][b]``, the traces
-sharing a's C1 view and b's C2 view, for each (C1, C2) pair of the
-property's entry in ``properties.PROPERTY_VIEWS``.  Closure under a type
-uses pairs of view classes, the count identity of ``siftypes`` in its
-inclusion form, for every system at once.
+with one bit per system, filled by the ``_accel`` sweep kernel from one
+of two rule sets: the pair sweep of a property's witness tables (see
+``properties.PROPERTY_VIEWS``), or pairs of view classes for closure
+under a type (the count identity of ``siftypes`` in its inclusion form).
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from ._accel import avoiding, powerset_size, sweep_pairs
+from ._accel import powerset_size, sweep_pairs, sweep_rules
 from .errors import CapExceeded, SiflabError
 from .properties import PROPERTY_VIEWS, PropertyKind
 from .siftypes import SifType
@@ -104,9 +101,9 @@ class BitUniverse:
     every condition vacuously.  Property verdicts come from sweeping the
     whole powerset; the :meth:`witness_table` of each mask pair in
     ``PROPERTY_VIEWS`` is swept once and its verdict is cached.  Closure
-    verdicts come from the view classes of the type's mask pair, and are
-    cached per pair apart from the sweeps, so the two never share a
-    verdict.  A witness table is built once per mask pair and kept.
+    verdicts come from rules over the view classes of the type's mask
+    pair, cached per pair apart from the sweeps, so the two never share
+    a verdict.  A witness table is built once per mask pair and kept.
     """
 
     def __init__(self, space: TraceSpace, traces: Sequence[LassoTrace]):
@@ -133,7 +130,7 @@ class BitUniverse:
                 groups[key] = groups.get(key, 0) | 1 << i
             self._eq.append(tuple(groups[key] for key in keys))
         self._tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-        self._avoiding: dict[int, int] = {}
+        self._patterns: dict[int, int] = {}  # the kernel memo of every type's rules
         self._swept: dict[tuple[int, int], int] = {}
         self._closed: dict[tuple[int, int], int] = {}
 
@@ -162,13 +159,6 @@ class BitUniverse:
             table = self._tables[first, second] = tuple(map(rows.__getitem__, self._eq[first]))
         return table
 
-    def _avoiding_class(self, members: int) -> int:
-        """The systems avoiding the view class ``members``, built once."""
-        clear = self._avoiding.get(members)
-        if clear is None:
-            clear = self._avoiding[members] = avoiding(members, self.n)
-        return clear
-
     def property_ok(self, kind: PropertyKind) -> int:
         """Property verdicts: the AND of the cached sweeps of the witness
         tables of the property's mask pairs."""
@@ -184,20 +174,12 @@ class BitUniverse:
         """Closure verdicts, by the inclusion form of the count identity of
         ``siftypes``: a system is closed under a type taking C1 and C2
         exactly when, for each C1-class A and C2-class B that it meets, it
-        meets ``A & B``.  So each class pair rules out the systems that
-        meet A and B and avoid ``A & B``; a pair with one class inside the
-        other rules out nothing."""
+        meets ``A & B``: each class pair is a kernel rule ``((A, B), A & B)``."""
         closed = self._closed.get(t.masks)
         if closed is None:
-            first, second = t.masks
-            meets = {c: self.full ^ self._avoiding_class(c) for c in {*self._eq[first], *self._eq[second]}}
-            ruled = 0
-            for a in set(self._eq[first]):
-                for b in set(self._eq[second]):
-                    both = a & b
-                    if both != a and both != b:
-                        ruled |= meets[a] & meets[b] & self._avoiding_class(both)
-            closed = self._closed[t.masks] = self.full & ~ruled
+            firsts, seconds = (set(self._eq[mask]) for mask in t.masks)
+            rules = [((a, b), a & b) for a in firsts for b in seconds]
+            closed = self._closed[t.masks] = sweep_rules(rules, 1 << self.n, self.n, self._patterns)
         return closed
 
     def system_from_mask(self, mask: int) -> System:

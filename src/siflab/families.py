@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._accel import avoiding, powerset_size, sweep_pairs
+from ._accel import powerset_size, sweep_pairs, sweep_rules
 from .errors import SiflabError
 from .properties import StrategySystem, require_injectivity
 from .traces import L_VIEW, LassoTrace, System, _sort_key, canonical_repr, view
@@ -284,24 +284,18 @@ def _pair_witness_masks(collection: Sequence[System]) -> list[list[int]]:
     return table
 
 
-def _subfamily_verdicts(collection: Sequence[System]) -> list[int]:
+def _subfamily_verdicts(collection: Sequence[System], patterns: dict[int, int]) -> list[int]:
     """For each member q, the verdict int over the 2^k subfamilies of the
     collection: bit S is set when q is closed under {f_T : T in S}.
 
     Member q is closed under S when S meets the witness mask of each of
-    its pairs, so every subfamily avoiding some witness mask is ruled out.
-    More than ``_accel.MAX_TRACES`` members raise ``CapExceeded`` before
-    any table is built.
+    its pairs, so each distinct witness mask w is a rule ``((), w)``, with
+    the kernel memo ``patterns``.  More than ``_accel.MAX_TRACES`` members
+    raise ``CapExceeded`` before any table is built.
     """
     k = len(collection)
-    full = (1 << powerset_size(k, "member")) - 1
-    verdicts = []
-    for rows in _pair_witness_masks(collection):
-        ruled = 0
-        for w in set(rows):
-            ruled |= avoiding(w, k)
-        verdicts.append(full & ~ruled)
-    return verdicts
+    powerset_size(k, "member")  # raises CapExceeded before any table
+    return [sweep_rules([((), w) for w in set(rows)], 1 << k, k, patterns) for rows in _pair_witness_masks(collection)]
 
 
 def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionReport:
@@ -318,10 +312,10 @@ def verify_zigzag_collection(collection: Sequence[System]) -> ZigzagCollectionRe
         raise SiflabError("collection members must be nonempty")
     if len({s.traces for s in collection}) != k:
         raise SiflabError("collection members must be pairwise distinct")
-    verdicts = _subfamily_verdicts(collection)
-    full = (1 << (1 << k)) - 1  # k is within the cap the verdicts passed
-    # representation: member q is closed under exactly the subfamilies holding q
-    representation_ok = all(v == full ^ avoiding(1 << q, k) for q, v in enumerate(verdicts))
+    patterns: dict[int, int] = {}
+    verdicts = _subfamily_verdicts(collection, patterns)
+    # representation: q is closed under exactly the subfamilies holding q, which ((), {q}) leaves
+    representation_ok = all(v == sweep_rules([((), 1 << q)], 1 << k, k, patterns) for q, v in enumerate(verdicts))
     # uniqueness: of the singleton subfamilies {m}, q is closed under {q} alone
     uniqueness_ok = all((v >> (1 << m) & 1) == (m == q) for q, v in enumerate(verdicts) for m in range(k))
     return ZigzagCollectionReport(uniqueness_ok, representation_ok)

@@ -229,6 +229,11 @@ def test_the_four_properties_take_three_sweeps_in_either_order(monkeypatch, orde
     got = {kind: bu.property_ok(kind) for kind in order}
     assert len(calls) == 3
     assert got[PropertyKind.DGNI] == got[PropertyKind.GNI] & got[PropertyKind.RGNI]
+    # the type verdicts are the kernel's other rule set, not pair sweeps,
+    # so perfbench's sweep count stays the property sweeps' count
+    for t in enumerate_types():
+        bu.type_ok(t)
+    assert len(calls) == 3
 
 
 def test_known_property_counts(bit_universe):

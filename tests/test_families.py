@@ -336,7 +336,7 @@ def test_subfamily_verdicts_match_closure_under_every_subfamily():
     for members in _random_collections(200, seed=11):
         k = len(members)
         fams = [zigzag_sif(s) for s in members]
-        verdicts = _subfamily_verdicts(members)
+        verdicts = _subfamily_verdicts(members, {})
         brute = [
             [closed_under_family(s, [fams[i] for i in range(k) if subset >> i & 1]) for subset in range(1 << k)]
             for s in members

@@ -19,6 +19,9 @@ calls, are exempt.  A definition that only the tests name is live only for
 them: the package keeps the ones in ``KEPT_FOR_TESTS`` alone, and each
 says in its docstring or comment why it stays.
 
+Only ``_accel`` names ``avoiding``, so every closure-side sweep states
+rules for the kernel instead of ORing patterns of its own.
+
 A function only forwards when it is undecorated, takes a parameter, and
 is one ``return f(...)`` passing all its parameters and otherwise only
 names or constants: ``load(p)`` returning ``load_json(p, build)`` is
@@ -252,6 +255,41 @@ def test_no_definition_is_named_by_tests_alone_but_the_kept_ones():
     referring += re.findall(r"```python\n(.*?)```", readme, re.S)
     tests = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
     assert only_named_by_tests(defining, referring, tests) == KEPT_FOR_TESTS
+
+
+def modules_naming(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules of ``sources`` (module name to source) that name
+    ``name``: as a name, an attribute or an imported name."""
+    naming = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = {
+            alias.name.rsplit(".", 1)[-1]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        if _mentions(tree)[name] or name in imported:
+            naming.append(module)
+    return naming
+
+
+def test_the_check_sees_modules_naming_a_function():
+    sources = {
+        "call": "from ._accel import avoiding\nx = avoiding(1, 2)\n",
+        "attribute": "from . import _accel\nx = _accel.avoiding(1, 2)\n",
+        "import": "from ._accel import avoiding as clear\n",
+        "docstring": '"""avoiding, in a docstring only"""\nfrom ._accel import sweep_rules\n',
+        "other": "def _avoiding(): pass\n",
+    }
+    assert modules_naming("avoiding", sources) == ["call", "attribute", "import"]
+
+
+def test_only_the_kernel_names_avoiding():
+    """Every closure-side sweep goes through ``_accel.sweep_rules``;
+    ``zl.psp_over_pool``'s decomposition names no ``_accel`` function."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert modules_naming("avoiding", sources) == ["_accel.py"]
 
 
 def _only_forwards(node) -> bool:

@@ -1,4 +1,4 @@
-"""The pair-sweep kernel against a naive restatement of its contract."""
+"""The sweep kernel and the pair sweep against naive restatements of their contracts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from siflab import BitUniverse, CapExceeded, PropertyKind, enumerate_types
-from siflab._accel import sweep_pairs
+from siflab._accel import sweep_pairs, sweep_rules
 from siflab.corpus import enumerate_async_pools
 from siflab.families import closed_over_pool
 from siflab.zl import InsertionSif, psp_over_pool
@@ -29,6 +29,52 @@ def _reference_sweep(match, systems, n):
                 break
         out.append(ok)
     return out
+
+
+def _reference_rules(rules, count):
+    """Inline restatement of the rule kernel's contract, one system at a
+    time: system m passes unless some rule's needs are all met by m and
+    m shares no trace with the rule's avoid mask."""
+    verdicts = 0
+    for m in range(count):
+        if not any(all(m & need for need in needs) and not m & avoid for needs, avoid in rules):
+            verdicts |= 1 << m
+    return verdicts
+
+
+def _random_rules(rng, n, size):
+    """Rules of 0, 1 and 2 needs of up to three traces each, and an avoid
+    mask of up to half the traces; a quarter of the rules with needs have
+    their last need inside avoid."""
+
+    def mask(most):
+        return sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(n, most))))
+
+    rules = []
+    for _ in range(size):
+        needs = tuple(mask(3) for _ in range(rng.choice((0, 1, 2, 2))))
+        avoid = mask(n // 2 + 1)
+        if needs and rng.random() < 0.25:
+            avoid |= needs[-1]
+        rules.append((needs, avoid))
+    return rules
+
+
+def test_rule_kernel_agrees_with_the_reference_on_random_rules():
+    """Twenty rule sets of up to six rules per n, each at the full count
+    and below it, without a memo and with one pattern memo per n; each
+    memo entry is the systems avoiding its mask."""
+    rng = random.Random(59)
+    for n in (0, 1, 2, 7, 12):
+        patterns = {}
+        for _ in range(20):
+            rules = _random_rules(rng, n, rng.randint(0, 6))
+            for count in sorted({1 << n, max(1, (1 << n) - 1), rng.randint(1, 1 << n)}):
+                want = _reference_rules(rules, count)
+                assert sweep_rules(rules, count, n) == want, (n, rules, count)
+                assert sweep_rules(rules, count, n, patterns) == want, (n, rules, count)
+        for mask, pattern in patterns.items():
+            assert pattern == sum(1 << m for m in range(1 << n) if not m & mask), (n, mask)
 
 
 def _random_case(rng, n):

@@ -202,6 +202,33 @@ def test_context_defaults_meet_the_claim_sizes():
     assert ctx.async_count == 500
 
 
+# The record keys each PASS template leaves out: size floors
+# (``min_corpus``), counts that are 0 on a PASS (``mismatches``), flags
+# (``table_eq``) and the witness strings a FAIL line shows.
+UNPRINTED = {
+    "EX1": ["expected_size"],
+    "EX2": ["expected_size"],
+    "EX3": [],
+    "PROP1": ["min_corpus", "nos_bad", "step_bad"],
+    "PROP2": [],
+    "THM1": ["unrefuted"],
+    "THM2": ["unrefuted"],
+    "COR-CONJ": [],
+    "THM3": ["gap_types", "pin_and_swap", "unrefuted"],
+    "THM4": ["min_corpus"],
+    "PROP-DISJ": ["misjudged"],
+    "THM5": ["min_collections"],
+    "PROP-GENCONJ": ["min_cases", "mismatches"],
+    "COR-DGNI": ["spot", "table_eq"],
+    "PROP-ZL-DISJ": ["none_async", "none_sync", "singles_async", "singles_sync"],
+    "PROP-NOS-ZL": ["example", "min_corpus", "mismatches"],
+    "THM-ZL-CONJ": ["min_cases", "mismatches"],
+    "PROP-PSP-SIF": ["bad_enum", "bad_rand"],
+    "LEM-SWAP": ["bad", "untransposed"],
+    "LEM-ALLSYS": ["bad", "uncertified"],
+}
+
+
 def test_full_catalogue_reproduces():
     """Every result passes with the detail recorded in
     ``golden/verify_paper.json``, so a change to what a result counts or
@@ -213,10 +240,13 @@ def test_full_catalogue_reproduces():
     golden = json.loads(GOLDEN.read_text())
     got = [{"id": o.result_id, "passed": o.passed, "detail": o.detail} for o in report.outcomes]
     assert got == golden
-    # every field a template names is in its result's record
+    # every field a template names is in its result's record, and the
+    # record keys it leaves out are the pinned ones, so a PASS line cannot
+    # print a literal where its record holds a count
     for o in report.outcomes:
         fields = {name for _, name, _, _ in string.Formatter().parse(_REGISTRY[o.result_id][1]) if name}
         assert fields <= set(o.record), o.result_id
+        assert sorted(set(o.record) - fields) == UNPRINTED[o.result_id], o.result_id
 
 
 def test_a_full_run_refutes_the_types_for_dgni_once(monkeypatch):
